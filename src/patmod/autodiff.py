@@ -338,21 +338,23 @@ def linear(x, w, b, activation: str | None = None) -> DTensor:
     return _emit("linear", out, (x, w, b), backward)
 
 
-def linear_blockfeat(x, feats, w_x, w_f, b, block_rows: int, activation: str | None = None) -> DTensor:
-    """Fully connected layer over [x | feature] where the feature is constant
-    within each block of ``block_rows`` consecutive rows.
+def linear_blockfeat(x, feats, w_x, w_f, b, block_index, activation: str | None = None) -> DTensor:
+    """Fully connected layer over [x | feature] where row r takes the feature
+    row ``feats[block_index[r]]``.
 
-    Computes x @ w_x + feats @ w_f + b without materializing the wide
-    concatenated input: row block i receives the projection of feats[i].
+    ``block_index`` is nondecreasing, so each feature row feeds one run of
+    consecutive rows; runs may have any length and a feature row may feed
+    none.  Computes x @ w_x + feats @ w_f + b without materializing the wide
+    concatenated input.
     """
     x, feats, w_x, w_f, b = (_coerce(t) for t in (x, feats, w_x, w_f, b))
     n_out = w_x.shape[1]
     n_blocks = feats.shape[0]
-    if x.shape[0] != n_blocks * block_rows:
-        raise DimensionError(
-            f"linear_blockfeat: {n_blocks} blocks of {block_rows} rows need "
-            f"{n_blocks * block_rows} rows, got {x.shape[0]}"
-        )
+    idx = np.asarray(block_index, dtype=np.intp)
+    if idx.shape != (x.shape[0],):
+        raise DimensionError(f"linear_blockfeat: block_index has shape {idx.shape}, x has {x.shape[0]} rows")
+    if idx.size and (idx[0] < 0 or idx[-1] >= n_blocks or np.any(idx[1:] < idx[:-1])):
+        raise DomainError(f"linear_blockfeat: block_index must be nondecreasing within [0, {n_blocks})")
     if x.shape[1] != w_x.shape[0] or feats.shape[1] != w_f.shape[0] or w_f.shape[1] != n_out:
         raise DimensionError(
             f"linear_blockfeat: incompatible shapes x{x.shape} wx{w_x.shape} "
@@ -364,13 +366,16 @@ def linear_blockfeat(x, feats, w_x, w_f, b, block_rows: int, activation: str | N
     rows = fd @ w_f.data
     rows += b.data[0]
     out = xd @ w_x.data
-    out.reshape(n_blocks, block_rows, n_out)[...] += rows[:, None, :]
+    out += rows[idx]
     _apply_activation(out, activation)
     wxd, wfd = w_x.data, w_f.data
+    starts = np.flatnonzero(np.diff(idx, prepend=-1))  # first row of each present block
 
     def backward(g):
         g = _activation_grad(g, out, activation)
-        rows_g = g.reshape(n_blocks, block_rows, n_out).sum(axis=1)
+        rows_g = np.zeros((n_blocks, n_out))
+        if idx.size:
+            rows_g[idx[starts]] = np.add.reduceat(g, starts, axis=0)
         return [
             g @ wxd.T,
             rows_g @ wfd.T,
@@ -479,19 +484,6 @@ def gather_rows(a, indices) -> DTensor:
         return [da]
 
     return _emit("gather_rows", out, (a,), backward)
-
-
-def tile_rows(row, n: int) -> DTensor:
-    """Repeat a 1xd row n times; backward sums the incoming rows."""
-    row = _coerce(row)
-    if row.data.ndim != 2 or row.shape[0] != 1:
-        raise DimensionError(f"tile_rows: expects a 1xd row, got {row.shape}")
-    out = np.repeat(row.data, n, axis=0)
-
-    def backward(g):
-        return [g.sum(axis=0, keepdims=True)]
-
-    return _emit("tile_rows", out, (row,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
     patmod <gen-data|train|eval|reconstruct|sweep|interpolate> [--config PATH] [flags...]
 
 Exit codes: 0 success, 2 config/contract error, 3 I/O error, 4 numerical abort.
-``PATMOD_THREADS`` opts into parallel batch evaluation (default 1, deterministic).
+``PATMOD_THREADS`` (an integer >= 1) opts into parallel batch evaluation
+(default 1, deterministic).
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--dump-trace", action="store_true", help="also write S, patterns, R', U files")
+    p.add_argument("--dump-trace", action="store_true", help="also write S, patterns, and full-capacity R', U blocks")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("sweep", help="train/evaluate a grid over one parameter")
@@ -128,7 +129,13 @@ def _resolve(args) -> RunConfig:
         cfg.dataset_dir = args.dataset
     env_threads = os.environ.get("PATMOD_THREADS")
     if env_threads:
-        cfg.threads = max(1, int(env_threads))
+        try:
+            threads = int(env_threads)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise ConfigError(f"PATMOD_THREADS must be an integer >= 1, got {env_threads!r}")
+        cfg.threads = threads
     for flag in ("no_local", "no_patterns", "no_shift", "no_l_region", "no_l_shape"):
         if getattr(args, flag, False):
             setattr(cfg, flag, True)
@@ -217,14 +224,15 @@ def cmd_reconstruct(args) -> int:
     data.write_xyz(out / "reconstruction.xyz", trace.f_cloud)
     data.write_ply(out / "reconstruction.ply", trace.f_cloud)
     if args.dump_trace:
-        data.write_xyz(out / "initial_prediction.xyz", trace.s_cloud)
-        if trace.patterns is not None:
-            for n, pattern in enumerate(trace.patterns):
+        full = model.forward(image, full_trace=True)  # region blocks at full capacity, padding included
+        data.write_xyz(out / "initial_prediction.xyz", full.s_cloud)
+        if full.patterns is not None:
+            for n, pattern in enumerate(full.patterns):
                 data.write_xyz(out / f"pattern_{n}.xyz", pattern)
-        if trace.r_prime is not None:
-            for m, block in enumerate(trace.r_prime):
+        if full.r_prime is not None:
+            for m, block in enumerate(full.r_prime):
                 data.write_xyz(out / f"modularized_region_{m}.xyz", block)
-            for m, block in enumerate(trace.u):
+            for m, block in enumerate(full.u):
                 data.write_xyz(out / f"customized_region_{m}.xyz", block)
     print(f"reconstructed {trace.f_cloud.shape[0]} points -> {out / 'reconstruction.xyz'}")
     return EXIT_OK

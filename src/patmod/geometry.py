@@ -234,19 +234,25 @@ def nearest_neighbor(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     """Exact Euclidean nearest neighbor per query via KD-tree.
 
     Distances are recomputed in numpy so they match a brute-force double loop
-    bitwise, and equidistant targets resolve to the lowest index.
+    bitwise, and equidistant targets resolve to the lowest index.  A query
+    whose second-nearest target is clearly farther than its nearest takes the
+    nearest directly; every other query collects its near-ties and picks
+    among them.
     """
     queries = as_cloud(queries)
     targets = as_cloud(targets)
     if targets.shape[0] == 0:
         raise DomainError("nearest neighbor against an empty target cloud")
     tree = cKDTree(targets)
-    dist, _ = tree.query(queries)
-    radii = dist * (1.0 + _TIE_SLACK)
-    candidates = tree.query_ball_point(queries, radii)
-    indices = np.empty(queries.shape[0], dtype=np.intp)
+    dist, nearest = tree.query(queries, k=2)  # a missing second neighbor reads inf
+    indices = nearest[:, 0].copy()
     distances = np.empty(queries.shape[0])
-    for qi, cand in enumerate(candidates):
+    clear = dist[:, 1] > dist[:, 0] * (1.0 + 4.0 * _TIE_SLACK)
+    diffs = targets[indices[clear]] - queries[clear]
+    distances[clear] = np.sqrt((diffs * diffs).sum(axis=1))
+    tied = np.flatnonzero(~clear)
+    candidates = tree.query_ball_point(queries[tied], dist[tied, 0] * (1.0 + _TIE_SLACK))
+    for qi, cand in zip(tied, candidates):
         cand = np.sort(np.asarray(cand, dtype=np.intp))
         diffs = targets[cand] - queries[qi]
         d = np.sqrt((diffs * diffs).sum(axis=1))

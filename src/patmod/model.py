@@ -5,13 +5,15 @@ The forward pass maps an image to a reconstruction in six stages: predict an
 initial cloud, split it into voxel regions, encode each centered region,
 decode every pattern against the region feature (modularization), translate
 back to the object frame, then shift each point with an image-conditioned
-residual (customization).  Rows whose source region slot was padding are
-dropped from the final cloud.
+residual (customization).  A region of k real points keeps the first k of its
+N*P decoded rows (padded-index removal), so only those k rows are computed;
+``forward(..., full_trace=True)`` computes the padding rows too.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field, fields, replace
 
@@ -80,22 +82,33 @@ class ModelConfig:
 
     @classmethod
     def from_flat(cls, flat: dict[str, str]) -> "ModelConfig":
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in flat:
-                continue
-            raw = flat[f.name]
-            if f.name == "conv_channels":
-                kwargs[f.name] = tuple(int(x) for x in raw.split(","))
-            elif f.type.startswith("bool") or isinstance(f.default, bool):
-                kwargs[f.name] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(f.default, int):
-                kwargs[f.name] = int(raw)
-            elif isinstance(f.default, float):
-                kwargs[f.name] = float(raw)
-            else:
-                kwargs[f.name] = raw
+        kwargs = {f.name: parse_value(f.name, flat[f.name], f.default) for f in fields(cls) if f.name in flat}
         return cls(**kwargs)
+
+
+_TRUE_WORDS = ("1", "true", "yes")
+_FALSE_WORDS = ("0", "false", "no")
+
+
+def parse_value(key: str, raw: str, like):
+    """Parse a config string to the type of ``like``: bool, int, float,
+    tuple of ints (comma-separated) or str.  Booleans accept only
+    1/0/true/false/yes/no in any case; a bad value raises ConfigError."""
+    try:
+        if isinstance(like, bool):
+            word = raw.lower()
+            if word not in _TRUE_WORDS + _FALSE_WORDS:
+                raise ValueError
+            return word in _TRUE_WORDS
+        if isinstance(like, int):
+            return int(raw)
+        if isinstance(like, float):
+            return float(raw)
+        if isinstance(like, tuple):
+            return tuple(int(x) for x in raw.split(","))
+        return raw
+    except ValueError:
+        raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
 
 
 MINI_CONFIG = dict(
@@ -130,9 +143,10 @@ class ForwardTrace:
     region_set: geo.RegionSet | None
     patterns: list[np.ndarray] | None  # N x (P, 3)
     f_r: np.ndarray | None  # (M, E)
-    r_prime: list[np.ndarray] | None  # M x (N*P, 3), object frame
-    shifts: list[np.ndarray] | None  # M x (N*P, 3)
-    u: list[np.ndarray] | None  # M x (N*P, 3)
+    # per region: the k_m kept rows, or all N*P rows with full_trace
+    r_prime: list[np.ndarray] | None  # M x (k_m, 3), object frame
+    shifts: list[np.ndarray] | None  # M x (k_m, 3)
+    u: list[np.ndarray] | None  # M x (k_m, 3)
     f_cloud: np.ndarray  # final reconstruction
     # tape handles used by the losses (None on tapeless inference)
     s_tensor: DTensor | None = None
@@ -328,36 +342,39 @@ class PatternModel:
         return ad.max_over_columns(h)
 
     def modularize_stacked(
-        self, f_r_all: DTensor, patterns: list[DTensor], pt: dict[str, DTensor]
-    ) -> list[DTensor]:
-        """Decode every pattern against all M region features at once.
+        self, f_r_all: DTensor, patterns: list[DTensor], pt: dict[str, DTensor], rows: np.ndarray
+    ) -> DTensor:
+        """Decode the first rows[m] rows of every region m against its feature
+        f_r_all[m]; returns them stacked region-major in the local frame.
 
-        Returns one (M*P, 3) tensor per pattern, region-major, local frame.
+        Region m's rows are its N pattern blocks of P rows in pattern order,
+        so pattern n supplies the first clip(rows[m] - n*P, 0, P) of them.
+        A pattern that no region reaches is not decoded.
         """
-        m = f_r_all.shape[0]
         p_rows = self.config.pattern_points
-        outs = []
+        take = np.clip(rows[None, :] - p_rows * np.arange(len(patterns))[:, None], 0, p_rows)
+        regions = np.arange(f_r_all.shape[0])
+        outs, owners = [], []
         for n, pattern in enumerate(patterns):
-            x = ad.concat([pattern] * m, axis=0) if m > 1 else pattern
+            if not take[n].any():
+                continue
+            owner = np.repeat(regions, take[n])
             h = ad.linear_blockfeat(
-                x,
+                ad.gather_rows(pattern, np.concatenate([np.arange(t) for t in take[n]])),
                 f_r_all,
                 pt[f"modularizer{n}.fc1.weight_points"],
                 pt[f"modularizer{n}.fc1.weight_feature"],
                 pt[f"modularizer{n}.fc1.bias"],
-                block_rows=p_rows,
+                block_index=owner,
                 activation="relu",
             )
             h = _linear(h, pt, f"modularizer{n}.fc2", "relu")
             h = _linear(h, pt, f"modularizer{n}.fc3", "relu")
             outs.append(_linear(h, pt, f"modularizer{n}.fc4", "tanh"))
-        return outs
-
-    def modularize(
-        self, f_r: DTensor, patterns: list[DTensor], pt: dict[str, DTensor]
-    ) -> DTensor:
-        """Modularize a single region: N pattern blocks concatenated -> (N*P, 3)."""
-        return ad.concat(self.modularize_stacked(f_r, patterns, pt), axis=0)
+            owners.append(owner)
+        # pattern-major -> region-major; the stable sort keeps pattern order
+        order = np.argsort(np.concatenate(owners), kind="stable")
+        return ad.gather_rows(ad.concat(outs, axis=0), order)
 
     def customize(self, r_prime_obj: DTensor, f_i: DTensor, pt: dict[str, DTensor]) -> DTensor:
         """Predict the per-point modularization shift from the image feature."""
@@ -374,12 +391,18 @@ class PatternModel:
         image: np.ndarray,
         reference: np.ndarray | None = None,
         tape: ad.Tape | None = None,
+        full_trace: bool = False,
     ) -> ForwardTrace:
         """Run the pipeline; ``reference`` drives the region split when given
-        (training mode), otherwise the initial prediction splits itself."""
+        (training mode), otherwise the initial prediction splits itself.
+
+        Each region is decoded for its real rows only; ``full_trace`` decodes
+        every region to full capacity instead, padding rows included, for
+        diagnostics.  The kept rows are the same either way.
+        """
         pt = self._watch_all(tape)
         f_i = self.encode_image(np.asarray(image, dtype=np.float64), pt)
-        return self._pipeline_from_code(f_i, reference, pt)
+        return self._pipeline_from_code(f_i, reference, pt, full_trace)
 
     def forward_from_code(self, code: np.ndarray, reference: np.ndarray | None = None) -> ForwardTrace:
         """Run the pipeline from an image feature directly (latent interpolation)."""
@@ -387,7 +410,7 @@ class PatternModel:
         return self._pipeline_from_code(ad.constant(code.reshape(1, -1)), reference, pt)
 
     def _pipeline_from_code(
-        self, f_i: DTensor, reference: np.ndarray | None, pt: dict[str, DTensor]
+        self, f_i: DTensor, reference: np.ndarray | None, pt: dict[str, DTensor], full_trace: bool = False
     ) -> ForwardTrace:
         c = self.config
         _check_finite(f_i.data, "image feature")
@@ -413,20 +436,19 @@ class PatternModel:
             for p in patterns:
                 _check_finite(p.data, "pattern")
 
-        rows_per_region = c.region_capacity
-        f_r_rows, r_prime_obj = [], []
+        # rows computed per region: the real rows, or full capacity on request
+        kept = np.array([r.real_count for r in region_set.regions])
+        rows = np.full(c.regions, c.region_capacity) if full_trace else kept
+        f_r_all = None
         if c.no_patterns:
-            # customizer consumes the padded region points directly
-            for region in region_set.regions:
-                k = region.real_count
-                if k == rows_per_region:
-                    r_prime_obj.append(ad.gather_rows(s_tensor, region.source_rows))
-                elif k:
-                    real = ad.gather_rows(s_tensor, region.source_rows)
-                    pad = ad.constant(np.zeros((rows_per_region - k, 3)))
-                    r_prime_obj.append(ad.concat([real, pad], axis=0))
-                else:
-                    r_prime_obj.append(ad.constant(np.zeros((rows_per_region, 3))))
+            # customizer consumes the region points directly; padding rows
+            # read the zero row appended after the cloud
+            pad = s_cloud.shape[0]
+            source = ad.concat([s_tensor, ad.constant(np.zeros((1, 3)))], axis=0)
+            index = np.concatenate(
+                [np.r_[r.source_rows, np.full(n - r.real_count, pad)] for r, n in zip(region_set.regions, rows)]
+            )
+            stacked = ad.gather_rows(source, index)
         else:
             f_r_items, center_items = [], []
             for region in region_set.regions:
@@ -441,21 +463,11 @@ class PatternModel:
                 f_r_items.append(f_r)
                 center_items.append(center)
             f_r_all = ad.concat(f_r_items, axis=0)
-            per_pattern = self.modularize_stacked(f_r_all, patterns, pt)
-            p_rows = c.pattern_points
-            for m in range(c.regions):
-                parts = [
-                    ad.gather_rows(out_n, np.arange(m * p_rows, (m + 1) * p_rows))
-                    for out_n in per_pattern
-                ]
-                local = ad.concat(parts, axis=0)  # (N*P, 3) in the local frame
-                r_prime_obj.append(ad.add(local, center_items[m]))
-                f_r_rows.append(f_r_items[m].data)
+            local = self.modularize_stacked(f_r_all, patterns, pt, rows)
+            centers = ad.gather_rows(ad.concat(center_items, axis=0), np.repeat(np.arange(c.regions), rows))
+            stacked = ad.add(local, centers)  # object frame
+        _check_finite(stacked.data, "modularized region")
 
-        for r in r_prime_obj:
-            _check_finite(r.data, "modularized region")
-
-        stacked = ad.concat(r_prime_obj, axis=0)
         if c.no_shift:
             u_stacked = stacked
         else:
@@ -466,18 +478,14 @@ class PatternModel:
         # rounding of the addition, and exactly U - R' by construction
         shift_np = u_stacked.data - stacked.data
 
-        kept_tensors: list[DTensor | None] = []
-        r_prime_np, shift_list, u_np = [], [], []
-        for m, region in enumerate(region_set.regions):
-            lo = m * rows_per_region
-            hi = lo + rows_per_region
-            r_prime_np.append(stacked.data[lo:hi])
-            shift_list.append(shift_np[lo:hi])
-            u_np.append(u_stacked.data[lo:hi])
-            k = region.real_count
-            kept_tensors.append(ad.gather_rows(u_stacked, np.arange(lo, lo + k)) if k else None)
-        nonempty = [t for t in kept_tensors if t is not None]
-        f_tensor = ad.concat(nonempty, axis=0) if len(nonempty) > 1 else nonempty[0]
+        # the final cloud: the first k_m rows of each region's block
+        bounds = np.cumsum(rows)[:-1]
+        keep = np.concatenate([np.arange(lo, lo + k) for lo, k in zip(np.r_[0, bounds], kept)])
+        f_tensor = u_stacked if keep.size == u_stacked.shape[0] else ad.gather_rows(u_stacked, keep)
+        kept_ends = np.cumsum(kept)
+        kept_tensors = [
+            ad.gather_rows(f_tensor, np.arange(hi - k, hi)) if k else None for hi, k in zip(kept_ends, kept)
+        ]
         f_cloud = f_tensor.data
         _check_finite(f_cloud, "final reconstruction")
 
@@ -486,10 +494,10 @@ class PatternModel:
             s_cloud=s_cloud,
             region_set=region_set,
             patterns=[p.data for p in patterns] if patterns else None,
-            f_r=np.vstack(f_r_rows) if f_r_rows else None,
-            r_prime=r_prime_np,
-            shifts=shift_list,
-            u=u_np,
+            f_r=None if f_r_all is None else f_r_all.data,
+            r_prime=np.split(stacked.data, bounds),
+            shifts=np.split(shift_np, bounds),
+            u=np.split(u_stacked.data, bounds),
             f_cloud=f_cloud,
             s_tensor=s_tensor,
             kept_tensors=kept_tensors,
@@ -499,17 +507,6 @@ class PatternModel:
     def reconstruct(self, image: np.ndarray) -> ForwardTrace:
         """Inference: the region split reads only the model's own prediction."""
         return self.forward(image, reference=None, tape=None)
-
-
-def assemble_final(u_regions: list[np.ndarray], masks: list[np.ndarray], target: int | None = None) -> np.ndarray:
-    """Keep rows whose region slot held a real point; optionally resample to target."""
-    kept = [u[: int(m.sum())] for u, m in zip(u_regions, masks) if m.any()]
-    if not kept:
-        raise ContractError("degenerate reconstruction: every region is empty")
-    cloud = np.vstack(kept)
-    if target is not None and cloud.shape[0] > target:
-        cloud = geo.downsample(cloud, target, "fps")
-    return cloud
 
 
 def _linear(x: DTensor, pt: dict[str, DTensor], prefix: str, activation: str | None = None) -> DTensor:
@@ -551,47 +548,66 @@ def save_checkpoint(path, model: PatternModel, extra_config: dict[str, str] | No
 
 
 def load_checkpoint(path) -> tuple[PatternModel, dict[str, str]]:
-    """Rebuild the model from a checkpoint; returns it with the stored flat config."""
+    """Rebuild the model from a checkpoint; returns it with the stored flat config.
+
+    The file must hold every model parameter exactly once and end where the
+    last parameter ends; anything else raises ContractError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     view = memoryview(blob)
-    if bytes(view[:4]) != CHECKPOINT_MAGIC:
+    offset = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal offset
+        if offset + n > len(view):
+            raise ContractError(f"{path}: truncated checkpoint ({len(view)} bytes, needs at least {offset + n})")
+        offset += n
+        return view[offset - n : offset]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    def text(n: int) -> str:
+        try:
+            return bytes(take(n)).decode()
+        except UnicodeDecodeError:
+            raise ContractError(f"{path}: corrupt checkpoint (undecodable text at byte {offset - n})") from None
+
+    if len(view) < 4 or bytes(take(4)) != CHECKPOINT_MAGIC:
         raise ContractError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<H", view, 4)
+    (version,) = unpack("<H")
     if version != CHECKPOINT_VERSION:
         raise ContractError(f"{path}: unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack_from("<I", view, 6)
-    offset = 10
+    (cfg_len,) = unpack("<I")
     flat = {}
-    for line in bytes(view[offset : offset + cfg_len]).decode().splitlines():
+    for line in text(cfg_len).splitlines():
         key, _, value = line.partition("=")
         flat[key] = value
-    offset += cfg_len
     config = ModelConfig.from_flat(flat)
     model = PatternModel(config, seed=0)
-    (n_params,) = struct.unpack_from("<I", view, offset)
-    offset += 4
+    (n_params,) = unpack("<I")
     by_name = {p.name: p for p in model.parameters()}
     if n_params != len(by_name):
         raise ContractError(f"{path}: checkpoint has {n_params} parameters, model has {len(by_name)}")
+    seen = set()
     for _ in range(n_params):
-        (name_len,) = struct.unpack_from("<H", view, offset)
-        offset += 2
-        name = bytes(view[offset : offset + name_len]).decode()
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", view, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", view, offset)
-        offset += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        values = np.frombuffer(view, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += 8 * count
+        (name_len,) = unpack("<H")
+        name = text(name_len)
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
+        values = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         if name not in by_name:
             raise ContractError(f"{path}: unknown parameter {name!r}")
+        if name in seen:
+            raise ContractError(f"{path}: parameter {name!r} is stored twice")
+        seen.add(name)
         param = by_name[name]
         if param.data.shape != tuple(shape):
             raise ContractError(
                 f"{path}: shape mismatch for {name!r}: checkpoint {tuple(shape)} vs model {param.data.shape}"
             )
         param.data = values.copy()
+    if offset != len(view):
+        raise ContractError(f"{path}: {len(view) - offset} trailing bytes after the last parameter")
     return model, flat

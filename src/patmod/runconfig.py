@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .data import DEFAULT_SEEN, DEFAULT_UNSEEN, DatasetSplit
 from .errors import ConfigError
-from .model import ModelConfig
+from .model import ModelConfig, parse_value
 from .training import TrainConfig
 
 
@@ -121,19 +121,7 @@ class RunConfig:
         for key, raw in overrides.items():
             if key not in valid:
                 raise ConfigError(f"unknown config key {key!r}")
-            current = getattr(self, key)
-            try:
-                if isinstance(current, bool):
-                    value = raw.lower() in ("1", "true", "yes")
-                elif isinstance(current, int):
-                    value = int(raw)
-                elif isinstance(current, float):
-                    value = float(raw)
-                else:
-                    value = raw
-            except ValueError:
-                raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
-            setattr(self, key, value)
+            setattr(self, key, parse_value(key, raw, getattr(self, key)))
         return self
 
 

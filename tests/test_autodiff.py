@@ -113,7 +113,7 @@ def test_elementwise_dispatch():
 def test_concat_rows_with_feature_columns():
     pattern = np.arange(12.0).reshape(4, 3)
     feature = np.array([[9.0, 8.0]])
-    out = ad.concat([ad.constant(pattern), ad.tile_rows(feature, 4)], axis=1)
+    out = ad.concat([ad.constant(pattern), ad.constant(np.repeat(feature, 4, axis=0))], axis=1)
     assert out.shape == (4, 5)
     np.testing.assert_array_equal(out.data[:, 3:], np.repeat(feature, 4, axis=0))
 
@@ -284,7 +284,7 @@ def test_all_ops_grad_check_20_seeded_instances(trial):
     ]
     for f in checks:
         assert ad.grad_check(f, a) < GC_TOL
-    assert ad.grad_check(lambda x: ad.tile_rows(x, 7), row) < GC_TOL
+    assert ad.grad_check(lambda x: ad.add(ad.constant(a), x), row) < GC_TOL
     assert ad.grad_check(lambda x: ad.conv2d(x, ad.constant(ker), 1, 1), img) < GC_TOL
     assert ad.grad_check(lambda x: ad.conv2d(ad.constant(img), x, 1, 1), ker) < GC_TOL
 
@@ -295,25 +295,47 @@ def test_all_ops_grad_check_20_seeded_instances(trial):
         assert ad.grad_check(lambda x: ad.linear(ad.constant(a), x, ad.constant(bias), act), w) < GC_TOL
         assert ad.grad_check(lambda x: ad.linear(ad.constant(a), ad.constant(w), x, act), bias) < GC_TOL
 
-    feats = rng.standard_normal((2, 5))
+    feats = rng.standard_normal((4, 5))
     w_f = rng.standard_normal((5, 6))
 
-    def blockfeat(x_=None, f_=None, wx_=None, wf_=None, b_=None):
+    def blockfeat(block_index, x_=None, f_=None, wx_=None, wf_=None, b_=None):
         return lambda t: ad.linear_blockfeat(
             t if x_ is None else ad.constant(a),
             t if f_ is None else ad.constant(feats),
             t if wx_ is None else ad.constant(w),
             t if wf_ is None else ad.constant(w_f),
             t if b_ is None else ad.constant(bias),
-            block_rows=2,
+            block_index=block_index,
             activation="relu",
         )
 
-    assert ad.grad_check(blockfeat(f_=1, wx_=1, wf_=1, b_=1), a) < GC_TOL
-    assert ad.grad_check(blockfeat(x_=1, wx_=1, wf_=1, b_=1), feats) < GC_TOL
-    assert ad.grad_check(blockfeat(x_=1, f_=1, wf_=1, b_=1), w) < GC_TOL
-    assert ad.grad_check(blockfeat(x_=1, f_=1, wx_=1, b_=1), w_f) < GC_TOL
-    assert ad.grad_check(blockfeat(x_=1, f_=1, wx_=1, wf_=1), bias) < GC_TOL
+    # even blocks, then uneven blocks with the first and third feature rows unused
+    for block_index in ([0, 0, 1, 1], [1, 1, 1, 3]):
+        assert ad.grad_check(blockfeat(block_index, f_=1, wx_=1, wf_=1, b_=1), a) < GC_TOL
+        assert ad.grad_check(blockfeat(block_index, x_=1, wx_=1, wf_=1, b_=1), feats) < GC_TOL
+        assert ad.grad_check(blockfeat(block_index, x_=1, f_=1, wf_=1, b_=1), w) < GC_TOL
+        assert ad.grad_check(blockfeat(block_index, x_=1, f_=1, wx_=1, b_=1), w_f) < GC_TOL
+        assert ad.grad_check(blockfeat(block_index, x_=1, f_=1, wx_=1, wf_=1), bias) < GC_TOL
+
+
+def test_linear_blockfeat_matches_wide_linear_and_checks_block_index():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((5, 3))
+    feats = rng.standard_normal((3, 2))
+    w = rng.standard_normal((5, 4))
+    b = rng.standard_normal((1, 4))
+    block_index = [0, 0, 0, 2, 2]  # feature row 1 feeds no row
+    out = ad.linear_blockfeat(x, feats, w[:3], w[3:], b, block_index)
+    wide = ad.linear(np.hstack([x, feats[block_index]]), w, b)
+    np.testing.assert_allclose(out.data, wide.data, rtol=1e-14, atol=1e-14)
+    empty = ad.linear_blockfeat(np.zeros((0, 3)), feats, w[:3], w[3:], b, [])
+    assert empty.shape == (0, 4)
+    with pytest.raises(DomainError):
+        ad.linear_blockfeat(x, feats, w[:3], w[3:], b, [0, 1, 0, 2, 2])
+    with pytest.raises(DomainError):
+        ad.linear_blockfeat(x, feats, w[:3], w[3:], b, [0, 0, 0, 2, 3])
+    with pytest.raises(DimensionError):
+        ad.linear_blockfeat(x, feats, w[:3], w[3:], b, [0, 0, 1])
 
 
 def test_forward_backward_bitwise_deterministic():

@@ -236,3 +236,18 @@ def test_missing_dataset_exit_3(workspace, tmp_path):
         "train", "--config", str(cfg), "--dataset", str(tmp_path / "void"),
         "--out", str(tmp_path / "y"),
     ]) == 3
+
+
+def test_non_boolean_set_value_exit_2(workspace, tmp_path):
+    _, cfg = workspace
+    out = tmp_path / "typo"
+    assert cli.main(["train", "--config", str(cfg), "--set", "no_local=ture", "--out", str(out)]) == 2
+    assert not (out / "checkpoint.pmod").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_variable_exit_2(workspace, tmp_path, monkeypatch, caplog, value):
+    _, cfg = workspace
+    monkeypatch.setenv("PATMOD_THREADS", value)
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+    assert "PATMOD_THREADS" in caplog.text

@@ -240,6 +240,32 @@ def test_nn_matches_brute_force():
     np.testing.assert_array_equal(dist, d.min(axis=1))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 120),
+    st.integers(1, 120),
+    st.sampled_from([None, 1.0, 0.5, 0.25, 0.1]),
+    st.integers(0, 60),
+    st.integers(0, 10_000),
+)
+def test_nn_equals_brute_force_bitwise(n, m, step, duplicates, seed):
+    """Lowest-index argmin and its distance, bit for bit, including exact ties
+    from lattice-rounded coordinates and duplicated targets."""
+    rng = np.random.default_rng(seed)
+    q = random_cloud(rng, n, 2.0)
+    t = random_cloud(rng, m, 2.0)
+    if step is not None:
+        q = np.round(q / step) * step
+        t = np.round(t / step) * step
+    t = np.vstack([t, t[rng.integers(0, m, size=duplicates)]])
+    idx, dist = geo.nearest_neighbor(q, t)
+    for i in range(n):
+        diffs = t - q[i]
+        d = np.sqrt((diffs * diffs).sum(axis=1))
+        assert idx[i] == np.flatnonzero(d == d.min())[0]
+        assert dist[i].tobytes() == d.min().tobytes()
+
+
 def test_nn_empty_targets_rejected():
     with pytest.raises(DomainError):
         geo.nearest_neighbor(np.zeros((1, 3)), np.zeros((0, 3)))

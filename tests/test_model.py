@@ -6,6 +6,7 @@ import pytest
 
 from patmod import autodiff as ad
 from patmod import geometry as geo
+from patmod.data import make_sample
 from patmod.errors import ConfigError, ContractError
 from patmod.model import (
     MINI_CONFIG,
@@ -15,6 +16,7 @@ from patmod.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from patmod.training import TrainConfig, total_loss
 
 TINY = dict(
     s_points=24,
@@ -162,7 +164,10 @@ def test_region_encoder_permutation_invariance(tiny_model):
 
 def test_forward_trace_shapes_and_ranges(tiny_model, tiny_inputs):
     image, gt = tiny_inputs
-    trace = tiny_model.forward(image, reference=gt)
+    kept = tiny_model.forward(image, reference=gt)
+    for r, t, u, region in zip(kept.r_prime, kept.shifts, kept.u, kept.region_set.regions):
+        assert r.shape == t.shape == u.shape == (region.real_count, 3)
+    trace = tiny_model.forward(image, reference=gt, full_trace=True)
     c = tiny_model.config
     npn = c.patterns * c.pattern_points
     assert trace.s_cloud.shape == (24, 3)
@@ -212,14 +217,55 @@ def test_pattern_block_structure(tiny_inputs):
     """Perturbing modularizer j touches only rows [j*P, (j+1)*P) of each region."""
     image, gt = tiny_inputs
     model = PatternModel(ModelConfig(**TINY), seed=21)
-    base = model.forward(image, reference=gt)
+    base = model.forward(image, reference=gt, full_trace=True)
     by_name = {p.name: p for p in model.parameters()}
     by_name["modularizer1.fc2.weight"].data = by_name["modularizer1.fc2.weight"].data + 0.05
-    bumped = model.forward(image, reference=gt)
+    bumped = model.forward(image, reference=gt, full_trace=True)
     p_rows = model.config.pattern_points
     for r0, r1 in zip(base.r_prime, bumped.r_prime):
         np.testing.assert_array_equal(r0[:p_rows], r1[:p_rows])  # pattern 0 rows
         assert not np.allclose(r0[p_rows:], r1[p_rows:])  # pattern 1 rows moved
+
+
+def _assert_kept_rows_agree(model, image, reference, gt):
+    """The default pass and the full-trace pass agree on losses, gradients
+    and kept rows; returns the kept row count per region."""
+    runs = []
+    for full_trace in (False, True):
+        tape = ad.Tape()
+        trace = model.forward(image, reference=reference, tape=tape, full_trace=full_trace)
+        loss, _ = total_loss(trace, gt, TrainConfig(), model.config)
+        runs.append((trace, loss.item(), {k: v.data for k, v in ad.backward(loss).items()}))
+    (pruned, loss_p, grads_p), (full, loss_f, grads_f) = runs
+    assert abs(loss_p - loss_f) <= 1e-12 * abs(loss_f)
+    assert grads_p.keys() == grads_f.keys()
+    for name, g in grads_f.items():
+        assert np.abs(grads_p[name] - g).max() <= 1e-10 * np.abs(g).max(), name
+    np.testing.assert_allclose(pruned.f_cloud, full.f_cloud, rtol=0, atol=1e-14)
+    capacity = model.config.region_capacity
+    for u_p, u_f, region in zip(pruned.u, full.u, pruned.region_set.regions):
+        k = region.real_count
+        assert u_p.shape == (k, 3) and u_f.shape == (capacity, 3)
+        np.testing.assert_allclose(u_p, u_f[:k], rtol=0, atol=1e-14)
+    return [r.real_count for r in pruned.region_set.regions]
+
+
+def test_pruned_pass_equals_full_trace_on_kept_rows(tiny_inputs):
+    image, gt = tiny_inputs
+    model = PatternModel(ModelConfig(**TINY), seed=3)
+    # split by the prediction: empty regions, regions inside pattern 0 and
+    # regions reaching into pattern 1
+    counts = _assert_kept_rows_agree(model, image, None, gt)
+    p = model.config.pattern_points
+    assert 0 in counts and any(0 < k < p for k in counts) and any(p < k < 2 * p for k in counts)
+    _assert_kept_rows_agree(model, image, gt, gt)
+
+
+def test_pruned_pass_equals_full_trace_at_paper_scale():
+    sample = make_sample("chair", 501)
+    model = PatternModel(ModelConfig(), seed=0)
+    counts = _assert_kept_rows_agree(model, sample.image, sample.gt_cloud, sample.gt_cloud)
+    assert sum(counts) == model.config.f_points and max(counts) < model.config.region_capacity
 
 
 def test_patterns_input_independent(tiny_model, tiny_inputs):
@@ -263,7 +309,7 @@ def test_no_patterns_feeds_regions_to_customizer(tiny_inputs):
     model = PatternModel(ModelConfig(**TINY, no_patterns=True), seed=9)
     names = {p.name for p in model.parameters()}
     assert not any(n.startswith(("learner", "modularizer", "region_encoder")) for n in names)
-    trace = model.forward(image, reference=gt)
+    trace = model.forward(image, reference=gt, full_trace=True)
     for block, region in zip(trace.r_prime, trace.region_set.regions):
         k = region.real_count
         np.testing.assert_array_equal(block[:k], region.real_points)
@@ -325,6 +371,61 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ContractError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_repeated_and_missing_parameter(tmp_path, tiny_model, monkeypatch):
+    params = tiny_model.parameters()
+    assert params[-1].name == "customizer.fc3.bias"
+    # the first record stored twice in place of the last one
+    monkeypatch.setattr(tiny_model, "parameters", lambda: params[:-1] + params[:1])
+    path = tmp_path / "dup.pmod"
+    save_checkpoint(path, tiny_model)
+    monkeypatch.undo()
+    with pytest.raises(ContractError, match="stored twice"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_truncation_is_a_contract_error(tmp_path, tiny_model):
+    path = tmp_path / "model.pmod"
+    save_checkpoint(path, tiny_model)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.pmod"
+    # inside the version, the config length, the config block, a parameter
+    # header and the last parameter's values
+    for size in (5, 8, 20, 500, len(blob) // 2, len(blob) - 1):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ContractError, match="truncated"):
+            load_checkpoint(cut)
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path, tiny_model):
+    path = tmp_path / "model.pmod"
+    save_checkpoint(path, tiny_model)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ContractError, match="trailing"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_undecodable_name_is_a_contract_error(tmp_path, tiny_model):
+    path = tmp_path / "model.pmod"
+    save_checkpoint(path, tiny_model)
+    blob = bytearray(path.read_bytes())
+    first = tiny_model.parameters()[0].name.encode()
+    blob[blob.index(first)] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ContractError, match="undecodable"):
+        load_checkpoint(path)
+
+
+def test_config_from_flat_rejects_non_boolean_words():
+    flat = ModelConfig(**MINI_CONFIG).to_flat()
+    for word in ("1", "yes", "TRUE", "True"):
+        assert ModelConfig.from_flat({**flat, "no_shift": word}).no_shift is True
+    for word in ("0", "no", "FALSE", "False"):
+        assert ModelConfig.from_flat({**flat, "no_shift": word}).no_shift is False
+    for word in ("ture", "", "2", "on"):
+        with pytest.raises(ConfigError):
+            ModelConfig.from_flat({**flat, "no_shift": word})
 
 
 def test_end_to_end_gradients_flow_to_every_component(tiny_model, tiny_inputs):

@@ -103,13 +103,11 @@ class Node:
 class Parameter:
     """A named, persistent tensor updated by the optimizer."""
 
-    __slots__ = ("name", "tensor", "trainable", "grad")
+    __slots__ = ("name", "tensor")
 
-    def __init__(self, name: str, values, trainable: bool = True):
+    def __init__(self, name: str, values):
         self.name = name
         self.tensor = _coerce(values)
-        self.trainable = trainable
-        self.grad: Array | None = None
 
     @property
     def data(self) -> Array:
@@ -142,10 +140,6 @@ class Tape:
         t = self._record("leaf", param.tensor.data, (), None)
         self._param_nodes[t.node_id] = param
         return t
-
-    def leaf(self, values) -> DTensor:
-        """Place a constant input on the tape (gradients computed but unnamed)."""
-        return self._record("leaf", _as_array(values), (), None)
 
 
 def _tape_of(tensors: Iterable[DTensor]) -> Tape | None:
@@ -265,16 +259,6 @@ def tanh(a) -> DTensor:
         return [g * (1.0 - out * out)]
 
     return _emit("tanh", out, (a,), backward)
-
-
-_ELEMENTWISE = {"relu": relu, "tanh": tanh, "add": add, "sub": sub, "mul": mul, "scale": scale}
-
-
-def elementwise(op: str, *args) -> DTensor:
-    """Dispatch-by-name front end for the elementwise family."""
-    if op not in _ELEMENTWISE:
-        raise ContractError(f"unknown elementwise op {op!r}")
-    return _ELEMENTWISE[op](*args)
 
 
 # ---------------------------------------------------------------------------
@@ -578,17 +562,6 @@ def row_norm(a) -> DTensor:
     return _emit("row_norm", out, (a,), backward)
 
 
-def reduce(op: str, a, axis: int | None = None):
-    """Dispatch-by-name front end for reductions."""
-    if op == "sum":
-        return reduce_sum(a, axis)
-    if op == "mean":
-        return reduce_mean(a, axis)
-    if op == "min_over_rows":
-        return min_over_rows(a)
-    raise ContractError(f"unknown reduce op {op!r}")
-
-
 def _check_axis(a: DTensor, axis: int | None) -> None:
     if axis is not None:
         if axis >= a.data.ndim:
@@ -603,13 +576,12 @@ def _check_axis(a: DTensor, axis: int | None) -> None:
 # backward sweep
 
 
-def backward(loss: DTensor, into_params: bool = True) -> dict[str, DTensor]:
+def backward(loss: DTensor) -> dict[str, DTensor]:
     """Reverse sweep from a scalar loss; returns gradients for watched parameters.
 
     Freezes the tape and returns {name: gradient}; parameters with no path to
-    the loss get zeros.  With ``into_params`` each Parameter also accumulates
-    its gradient buffer in place; pass False when several tapes run
-    concurrently and the caller reduces the returned maps itself.
+    the loss get zeros.  Parameters themselves are never written, so several
+    tapes may run concurrently and the caller reduces the returned maps.
     """
     if loss.tape is None or loss.node_id is None:
         raise ContractError("loss is not on a tape")
@@ -641,15 +613,8 @@ def backward(loss: DTensor, into_params: bool = True) -> dict[str, DTensor]:
         g = collected.get(nid)
         if g is None:
             g = np.zeros_like(param.data)
-        if into_params:
-            param.grad = g if param.grad is None else param.grad + g
         result[param.name] = DTensor(g)
     return result
-
-
-def clear_grads(params: Iterable[Parameter]) -> None:
-    for p in params:
-        p.grad = None
 
 
 # ---------------------------------------------------------------------------

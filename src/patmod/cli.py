@@ -19,10 +19,9 @@ import numpy as np
 
 from . import data
 from .errors import ConfigError, ContractError, DomainError, NumericalAbort
-from .model import PatternModel, load_checkpoint, ModelConfig
+from .model import PatternModel, load_checkpoint
 from .runconfig import RunConfig, load_run_config
 from .training import (
-    TrainConfig,
     evaluate,
     interpolate_latent,
     sweep,
@@ -122,11 +121,10 @@ def _resolve(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key] = value
-    cfg = load_run_config(args.config, overrides)
     if args.out:
-        cfg.out_dir = args.out
+        overrides["out_dir"] = args.out
     if args.dataset:
-        cfg.dataset_dir = args.dataset
+        overrides["dataset_dir"] = args.dataset
     env_threads = os.environ.get("PATMOD_THREADS")
     if env_threads:
         try:
@@ -135,15 +133,15 @@ def _resolve(args) -> RunConfig:
             threads = 0
         if threads < 1:
             raise ConfigError(f"PATMOD_THREADS must be an integer >= 1, got {env_threads!r}")
-        cfg.threads = threads
+        overrides["threads"] = str(threads)
     for flag in ("no_local", "no_patterns", "no_shift", "no_l_region", "no_l_shape"):
         if getattr(args, flag, False):
-            setattr(cfg, flag, True)
+            overrides[flag] = "true"
     for key in ("epochs", "seed", "batch_size"):
         value = getattr(args, key, None)
         if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+            overrides[key] = str(value)
+    return load_run_config(args.config, overrides)
 
 
 def _prepare_out(path, force: bool, expected: list[str]) -> Path:
@@ -165,13 +163,13 @@ def cmd_gen_data(args) -> int:
     root = Path(cfg.dataset_dir)
     if (root / "manifest.jsonl").exists() and not args.force:
         raise OSError(f"{root}: manifest exists; rerun with --force to regenerate")
-    manifest = data.write_dataset(root, cfg.dataset_split(), cfg.image_size)
+    manifest = data.write_dataset(root, cfg.split, cfg.model.image_size)
     cfg.write(root / "config_resolved.txt")
     records = data.read_manifest(manifest)
     counts = {}
     for rec in records:
         counts[rec["split"]] = counts.get(rec["split"], 0) + 1
-    split = cfg.dataset_split()
+    split = cfg.split
     print(
         f"generated {len(records)} samples "
         f"({len(split.seen_classes)} seen + {len(split.unseen_classes)} unseen classes): "
@@ -188,10 +186,10 @@ def cmd_train(args) -> int:
     samples = data.load_samples(manifest, "train")
     out = _prepare_out(cfg.out_dir, args.force, ["checkpoint.pmod", "metrics.csv"])
     cfg.write(out / "config_resolved.txt")
-    model = PatternModel(cfg.model_config(), seed=cfg.model_seed)
-    records, _ = train(samples, model, cfg.train_config(), out_dir=out)
+    model = PatternModel(cfg.model, seed=cfg.model_seed)
+    records, _ = train(samples, model, cfg.train, out_dir=out)
     write_metrics_csv(out / "metrics.csv", records)
-    print(f"trained {cfg.epochs} epochs on {len(samples)} samples -> {out / 'checkpoint.pmod'}")
+    print(f"trained {cfg.train.epochs} epochs on {len(samples)} samples -> {out / 'checkpoint.pmod'}")
     return EXIT_OK
 
 
@@ -203,10 +201,11 @@ def cmd_eval(args) -> int:
     samples = data.load_samples(manifest, split_map[args.split])
     if not samples:
         raise ConfigError(f"no samples in split {args.split!r}")
+    csv_name = f"eval_{args.split}.csv"
+    out = _prepare_out(cfg.out_dir, args.force, [csv_name])
     points = args.points if args.points else (cfg.eval_points or None)
     records = evaluate(model, samples, args.split, eval_points=points)
-    out = _prepare_out(cfg.out_dir, True, [])
-    csv_path = out / f"eval_{args.split}.csv"
+    csv_path = out / csv_name
     write_metrics_csv(csv_path, records)
     for rec in records:
         print(f"{rec.split}/{rec.class_label}: cd={rec.cd_eval:.6f} iou={rec.iou:.4f}")
@@ -250,7 +249,7 @@ def cmd_sweep(args) -> int:
     out = _prepare_out(cfg.out_dir, args.force, [f"sweep_{args.parameter}.csv"])
     cfg.write(out / "config_resolved.txt")
     rows = sweep(
-        args.parameter, values, cfg.model_config(), cfg.train_config(), dataset, cfg.model_seed
+        args.parameter, values, cfg.model, cfg.train, dataset, cfg.model_seed
     )
     if not rows:
         raise ConfigError(f"no valid values for sweep parameter {args.parameter!r}")

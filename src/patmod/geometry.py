@@ -39,9 +39,6 @@ class AABB:
     def max_side(self) -> float:
         return float(self.sides.max())
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        return np.all((points >= self.lo) & (points <= self.hi), axis=1)
-
     def union(self, other: "AABB") -> "AABB":
         return AABB(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
 

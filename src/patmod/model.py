@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -71,19 +71,14 @@ class ModelConfig:
         # rule a one-to-one row correspondence
         return self.patterns * self.pattern_points
 
-    def to_flat(self) -> dict[str, str]:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            out[f.name] = str(v)
-        return out
-
     @classmethod
     def from_flat(cls, flat: dict[str, str]) -> "ModelConfig":
-        kwargs = {f.name: parse_value(f.name, flat[f.name], f.default) for f in fields(cls) if f.name in flat}
-        return cls(**kwargs)
+        """Parse a complete flat block: every field once, no other key."""
+        names = {f.name for f in fields(cls)}
+        missing, unknown = sorted(names - flat.keys()), sorted(flat.keys() - names)
+        if missing or unknown:
+            raise ConfigError(f"model config: missing keys {missing}, unknown keys {unknown}")
+        return cls(**{f.name: parse_value(f.name, flat[f.name], f.default) for f in fields(cls)})
 
 
 _TRUE_WORDS = ("1", "true", "yes")
@@ -91,9 +86,10 @@ _FALSE_WORDS = ("0", "false", "no")
 
 
 def parse_value(key: str, raw: str, like):
-    """Parse a config string to the type of ``like``: bool, int, float,
-    tuple of ints (comma-separated) or str.  Booleans accept only
-    1/0/true/false/yes/no in any case; a bad value raises ConfigError."""
+    """Parse a config string to the type of ``like``: bool, int, float, str,
+    or a comma-separated tuple of the type of ``like``'s items (empty string
+    items are dropped).  Booleans accept only 1/0/true/false/yes/no in any
+    case; a bad value raises ConfigError."""
     try:
         if isinstance(like, bool):
             word = raw.lower()
@@ -105,10 +101,38 @@ def parse_value(key: str, raw: str, like):
         if isinstance(like, float):
             return float(raw)
         if isinstance(like, tuple):
-            return tuple(int(x) for x in raw.split(","))
+            item = type(like[0])
+            return tuple(item(x) for x in raw.split(",") if x or item is not str)
         return raw
     except ValueError:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
+
+
+def to_flat(config) -> dict[str, str]:
+    """Format a config dataclass as key -> string in the forms parse_value
+    reads back: tuples comma-joined, nested dataclasses inlined."""
+    out = {}
+    for f in fields(config):
+        v = getattr(config, f.name)
+        if is_dataclass(v):
+            out.update(to_flat(v))
+        else:
+            out[f.name] = ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+    return out
+
+
+def parse_config_text(text: str, source) -> dict[str, str]:
+    """Read key=value lines; '#' lines and blanks are ignored."""
+    out = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
+    return out
 
 
 MINI_CONFIG = dict(
@@ -524,7 +548,7 @@ def _check_finite(arr: np.ndarray, stage: str) -> None:
 
 def save_checkpoint(path, model: PatternModel, extra_config: dict[str, str] | None = None) -> None:
     """Write magic, version, flat config block, then raw little-endian parameters."""
-    flat = dict(model.config.to_flat())
+    flat = to_flat(model.config)
     if extra_config:
         flat.update(extra_config)
     config_blob = "\n".join(f"{k}={v}" for k, v in sorted(flat.items())).encode()
@@ -550,8 +574,9 @@ def save_checkpoint(path, model: PatternModel, extra_config: dict[str, str] | No
 def load_checkpoint(path) -> tuple[PatternModel, dict[str, str]]:
     """Rebuild the model from a checkpoint; returns it with the stored flat config.
 
-    The file must hold every model parameter exactly once and end where the
-    last parameter ends; anything else raises ContractError.
+    The config block must hold every ModelConfig key and no other key except
+    ``train.*``; the file must hold every model parameter exactly once and
+    end where the last parameter ends.  Anything else raises ContractError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -580,11 +605,11 @@ def load_checkpoint(path) -> tuple[PatternModel, dict[str, str]]:
     if version != CHECKPOINT_VERSION:
         raise ContractError(f"{path}: unsupported checkpoint version {version}")
     (cfg_len,) = unpack("<I")
-    flat = {}
-    for line in text(cfg_len).splitlines():
-        key, _, value = line.partition("=")
-        flat[key] = value
-    config = ModelConfig.from_flat(flat)
+    try:
+        flat = parse_config_text(text(cfg_len), "config block")
+        config = ModelConfig.from_flat({k: v for k, v in flat.items() if not k.startswith("train.")})
+    except ConfigError as exc:
+        raise ContractError(f"{path}: {exc}") from None
     model = PatternModel(config, seed=0)
     (n_params,) = unpack("<I")
     by_name = {p.name: p for p in model.parameters()}

@@ -1,149 +1,80 @@
 """Flat key=value run configuration shared by all CLI commands.
 
 One file holds model, training, and dataset settings so sweeps can override
-single keys textually.  Unknown keys are rejected; every run echoes its fully
-resolved configuration next to its outputs for exact replay.
+single keys textually.  Each key belongs to the dataclass that declares it:
+
+- ``ModelConfig`` (``RunConfig.model``): s_points, f_points, regions,
+  patterns, pattern_points, image_feat, region_feat, image_size,
+  image_channels, sampling_mode, pattern_extent, conv_channels, no_local,
+  no_patterns, no_shift;
+- ``TrainConfig`` (``RunConfig.train``): alpha, lr, batch_size, lr_decay,
+  decay_every_epochs, epochs, seed, threads, checkpoint_every, no_local,
+  no_l_region, no_l_shape;
+- ``DatasetSplit`` (``RunConfig.split``): seen_classes, unseen_classes,
+  train_per_class, test_per_class, master_seed;
+- ``RunConfig`` itself: model_seed, dataset_dir, out_dir, eval_points.
+
+``no_local`` is declared by both the model and the training config and is
+set on both.  Unknown keys are rejected, and resolving a config runs every
+dataclass's checks, so a command validates the whole configuration before it
+writes anything.  Every command except ``eval`` (whose model comes from the
+checkpoint) echoes its resolved configuration next to its outputs for exact
+replay; the echo holds parsed values, so
+``seen_classes=table,,chair`` is written as ``table,chair``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import DEFAULT_SEEN, DEFAULT_UNSEEN, DatasetSplit
+from .data import DatasetSplit
 from .errors import ConfigError
-from .model import ModelConfig, parse_value
+from .model import ModelConfig, parse_config_text, parse_value, to_flat
 from .training import TrainConfig
 
 
 @dataclass
 class RunConfig:
-    # model
-    s_points: int = 2048
-    f_points: int = 2048
-    regions: int = 8
-    patterns: int = 8
-    pattern_points: int = 256
-    image_feat: int = 1024
-    region_feat: int = 64
-    image_size: int = 64
-    image_channels: int = 1
-    sampling_mode: str = "voxel"
-    pattern_extent: float = 0.5
-    conv_channels: str = "16,32,32,64,64,128,128"
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    split: DatasetSplit = field(default_factory=DatasetSplit)
     model_seed: int = 0
-    # training
-    alpha: float = 0.1
-    lr: float = 1e-4
-    batch_size: int = 4
-    lr_decay: float = 0.95
-    decay_every_epochs: int = 70
-    epochs: int = 1
-    seed: int = 0
-    threads: int = 1
-    checkpoint_every: int = 0
-    no_local: bool = False
-    no_patterns: bool = False
-    no_shift: bool = False
-    no_l_region: bool = False
-    no_l_shape: bool = False
-    # dataset
-    seen_classes: str = ",".join(DEFAULT_SEEN)
-    unseen_classes: str = ",".join(DEFAULT_UNSEEN)
-    train_per_class: int = 8
-    test_per_class: int = 2
-    master_seed: int = 0
-    # paths / evaluation
     dataset_dir: str = "dataset"
     out_dir: str = "run"
     eval_points: int = 0  # 0 = match prediction/ground-truth cardinality
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            s_points=self.s_points,
-            f_points=self.f_points,
-            regions=self.regions,
-            patterns=self.patterns,
-            pattern_points=self.pattern_points,
-            image_feat=self.image_feat,
-            region_feat=self.region_feat,
-            image_size=self.image_size,
-            image_channels=self.image_channels,
-            sampling_mode=self.sampling_mode,
-            pattern_extent=self.pattern_extent,
-            conv_channels=tuple(int(x) for x in self.conv_channels.split(",")),
-            no_local=self.no_local,
-            no_patterns=self.no_patterns,
-            no_shift=self.no_shift,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            alpha=self.alpha,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            lr_decay=self.lr_decay,
-            decay_every_epochs=self.decay_every_epochs,
-            epochs=self.epochs,
-            seed=self.seed,
-            threads=self.threads,
-            checkpoint_every=self.checkpoint_every,
-            no_local=self.no_local,
-            no_patterns=self.no_patterns,
-            no_shift=self.no_shift,
-            no_l_region=self.no_l_region,
-            no_l_shape=self.no_l_shape,
-        )
-
-    def dataset_split(self) -> DatasetSplit:
-        return DatasetSplit(
-            seen_classes=tuple(s for s in self.seen_classes.split(",") if s),
-            unseen_classes=tuple(s for s in self.unseen_classes.split(",") if s),
-            train_per_class=self.train_per_class,
-            test_per_class=self.test_per_class,
-            master_seed=self.master_seed,
-        )
-
-    # ------------------------------------------------------------------
-
     def to_text(self) -> str:
         lines = ["# resolved run configuration"]
-        for f in sorted(fields(self), key=lambda f: f.name):
-            lines.append(f"{f.name}={getattr(self, f.name)}")
+        lines += [f"{k}={v}" for k, v in sorted(to_flat(self).items())]
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
         Path(path).write_text(self.to_text())
 
     def apply(self, overrides: dict[str, str]) -> "RunConfig":
-        """Set keys from strings, rejecting unknown names and bad values."""
-        valid = {f.name: f for f in fields(self)}
+        """Return a copy with keys set from strings, rejecting unknown names
+        and bad values.
+
+        Each value is parsed to the type of its field's default and set on
+        every dataclass that declares the key; each dataclass is then rebuilt
+        once, so its checks run on the combined result.
+        """
+        parts = (self.model, self.train, self.split, self)
+        # every key has a plain default; the three nested parts have factories
+        declared = [{f.name: f.default for f in fields(p) if f.default is not MISSING} for p in parts]
+        changes = [{} for _ in parts]
         for key, raw in overrides.items():
-            if key not in valid:
+            owners = [i for i, keys in enumerate(declared) if key in keys]
+            if not owners:
                 raise ConfigError(f"unknown config key {key!r}")
-            setattr(self, key, parse_value(key, raw, getattr(self, key)))
-        return self
-
-
-def parse_config_file(path) -> dict[str, str]:
-    """Read key=value lines; '#' lines and blanks are ignored."""
-    out = {}
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
+            for i in owners:
+                changes[i][key] = parse_value(key, raw, declared[i][key])
+        model, train, split = (replace(p, **c) for p, c in zip(parts[:3], changes))
+        return replace(self, **changes[3], model=model, train=train, split=split)
 
 
 def load_run_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig:
-    cfg = RunConfig()
-    if path is not None:
-        cfg.apply(parse_config_file(path))
-    if overrides:
-        cfg.apply(overrides)
-    return cfg
+    """Defaults, then the file's keys, then ``overrides``, resolved in one pass."""
+    flat = parse_config_text(Path(path).read_text(), path) if path is not None else {}
+    return RunConfig().apply({**flat, **(overrides or {})})

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import geometry as geo
 from .autodiff import DTensor
 from .data import Sample
 from .errors import ConfigError, DomainError, NumericalAbort
-from .model import ForwardTrace, ModelConfig, PatternModel, save_checkpoint
+from .model import ForwardTrace, ModelConfig, PatternModel, save_checkpoint, to_flat
 
 logger = logging.getLogger(__name__)
 
@@ -41,21 +41,15 @@ class TrainConfig:
     seed: int = 0
     threads: int = 1
     checkpoint_every: int = 0  # 0 = final checkpoint only
-    no_local: bool = False
-    no_patterns: bool = False
-    no_shift: bool = False
+    no_local: bool = False  # must equal ModelConfig.no_local (checked by total_loss)
     no_l_region: bool = False
     no_l_shape: bool = False
 
     def __post_init__(self):
-        others = (self.no_patterns, self.no_shift, self.no_l_region, self.no_l_shape)
-        if self.no_local and any(others):
+        if self.no_local and (self.no_l_region or self.no_l_shape):
             raise ConfigError("no_local drops the region pipeline; other ablation flags conflict")
         if self.batch_size < 1 or self.epochs < 0 or self.threads < 1:
             raise ConfigError("batch_size/threads must be >= 1 and epochs >= 0")
-
-    def model_flags(self) -> dict[str, bool]:
-        return {"no_local": self.no_local, "no_patterns": self.no_patterns, "no_shift": self.no_shift}
 
 
 @dataclass
@@ -140,6 +134,10 @@ def total_loss(
     trace: ForwardTrace, gt_cloud: np.ndarray, config: TrainConfig, model_config: ModelConfig
 ) -> tuple[DTensor, dict[str, float]]:
     """Combined objective with ablation switches; returns (loss, component values)."""
+    if config.no_local != model_config.no_local:
+        raise ConfigError(
+            f"training no_local={config.no_local} does not match the model's no_local={model_config.no_local}"
+        )
     l_shape = loss_shape(trace.s_tensor, gt_cloud)
     if config.no_local:
         return l_shape, {"loss_shape": l_shape.item(), "loss_region": 0.0, "loss_total": l_shape.item()}
@@ -176,8 +174,6 @@ def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float)
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for p in params:
-        if not p.trainable:
-            continue
         g = grads[p.name]
         if not np.isfinite(g).all():
             raise NumericalAbort(f"non-finite gradient for parameter {p.name!r}")
@@ -215,7 +211,7 @@ def _batch_gradients(model: PatternModel, batch: list[Sample], config: TrainConf
         loss, parts = total_loss(trace, sample.gt_cloud, config, model.config)
         if not np.isfinite(loss.data).all():
             raise NumericalAbort(f"non-finite loss on sample ({sample.class_name}, {sample.seed})")
-        grads = ad.backward(loss, into_params=False)
+        grads = ad.backward(loss)
         return grads, parts, trace
 
     if config.threads > 1 and len(batch) > 1:
@@ -314,7 +310,7 @@ def _ckpt_path(out_dir, stem: str = "checkpoint"):
 
 
 def _train_flat(config: TrainConfig) -> dict[str, str]:
-    return {f"train.{f.name}": str(getattr(config, f.name)) for f in fields(config)}
+    return {f"train.{k}": v for k, v in to_flat(config).items()}
 
 
 def _iou_32(pred: np.ndarray, gt: np.ndarray, resolution: int = 32) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from patmod import cli, data
+from patmod.runconfig import load_run_config
 
 MINI_CFG = """
 s_points=48
@@ -21,6 +22,21 @@ test_per_class=1
 epochs=1
 batch_size=2
 seed=1
+"""
+
+# the desk-scale session of the README
+DESK_CFG = """
+s_points=256
+f_points=256
+patterns=4
+pattern_points=64
+image_feat=128
+region_feat=32
+image_size=32
+conv_channels=8,8,16,16,32,32,32
+epochs=10
+dataset_dir=dataset
+out_dir=run
 """
 
 
@@ -127,6 +143,23 @@ def test_eval_with_downsampling(workspace, tmp_path):
         "eval", "--config", str(cfg), "--checkpoint", str(ckpt),
         "--split", "seen", "--points", "16", "--out", str(out),
     ]) == 0
+
+
+def test_eval_refuses_overwrite_without_force(workspace, tmp_path):
+    root, cfg = workspace
+    argv = [
+        "eval", "--config", str(cfg), "--checkpoint", str(root / "run" / "checkpoint.pmod"),
+        "--split", "unseen", "--out", str(tmp_path),
+    ]
+    assert cli.main(argv) == 0
+    csv = tmp_path / "eval_unseen.csv"
+    csv.write_text("earlier result")
+    assert cli.main(argv) == 3
+    assert csv.read_text() == "earlier result"
+    assert cli.main(argv + ["--force"]) == 0
+    assert csv.read_text().startswith("# cd_eval")
+    # the model config comes from the checkpoint; the training run keeps its echo
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["eval_unseen.csv"]
 
 
 def test_reconstruct_outputs_and_determinism(workspace, tmp_path):
@@ -251,3 +284,39 @@ def test_bad_thread_variable_exit_2(workspace, tmp_path, monkeypatch, caplog, va
     monkeypatch.setenv("PATMOD_THREADS", value)
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
     assert "PATMOD_THREADS" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "command, sets",
+    [
+        ("train", ["conv_channels=a,b,c,d,e,f,g"]),
+        ("train", ["seen_classes=table", "unseen_classes=table"]),
+        ("train", ["image_size=abc"]),
+        ("gen-data", ["regions=9"]),
+    ],
+    ids=["conv_channels", "class_overlap", "image_size", "gen_data_regions"],
+)
+def test_bad_set_value_exit_2_before_any_output(workspace, tmp_path, command, sets):
+    """The whole config is resolved and checked before a command writes;
+    main returns the exit code, so no traceback reaches the user."""
+    _, cfg = workspace
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "gen-data":  # it writes into the dataset directory
+        argv += ["--dataset", str(tmp_path / "ds")]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", [MINI_CFG, DESK_CFG], ids=["mini", "readme_desk"])
+def test_resolved_config_round_trip(tmp_path, text):
+    (tmp_path / "run.cfg").write_text(text)
+    cfg = load_run_config(tmp_path / "run.cfg", {"no_shift": "true"})
+    cfg.write(tmp_path / "config_resolved.txt")
+    assert load_run_config(tmp_path / "config_resolved.txt") == cfg
+
+
+def test_resolved_config_echoes_parsed_values():
+    text = load_run_config(None, {"seen_classes": "table,,chair"}).to_text()
+    assert "\nseen_classes=table,chair\n" in text

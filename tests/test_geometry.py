@@ -38,7 +38,7 @@ def test_bounding_box_contains_all_points():
     rng = np.random.default_rng(0)
     cloud = random_cloud(rng, 100)
     box = geo.bounding_box(cloud, epsilon=1e-9)
-    assert box.contains(cloud).all()
+    assert np.all((cloud >= box.lo) & (cloud <= box.hi))
 
 
 # ---------------------------------------------------------------------------

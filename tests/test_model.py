@@ -1,6 +1,8 @@
 """Model tests: shape contracts, algebraic identities, ablation structure,
 checkpoint round trips.  Heavy paper-scale runs live in the acceptance suite."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from patmod.model import (
     learner_offsets,
     load_checkpoint,
     save_checkpoint,
+    to_flat,
 )
 from patmod.training import TrainConfig, total_loss
 
@@ -68,7 +71,7 @@ def test_config_validation():
 
 def test_config_flat_round_trip():
     c = ModelConfig(**MINI_CONFIG)
-    assert ModelConfig.from_flat(c.to_flat()) == c
+    assert ModelConfig.from_flat(to_flat(c)) == c
 
 
 def test_learner_offsets_distinct_and_bounded():
@@ -352,9 +355,9 @@ def test_customizer_count_closed_form(tiny_model):
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, tiny_model):
     path = tmp_path / "model.pmod"
-    save_checkpoint(path, tiny_model, {"note": "unit"})
+    save_checkpoint(path, tiny_model, {"train.note": "unit"})
     loaded, flat = load_checkpoint(path)
-    assert flat["note"] == "unit"
+    assert flat["train.note"] == "unit"
     originals = {p.name: p.data for p in tiny_model.parameters()}
     for p in loaded.parameters():
         np.testing.assert_array_equal(p.data, originals[p.name])
@@ -417,8 +420,28 @@ def test_checkpoint_undecodable_name_is_a_contract_error(tmp_path, tiny_model):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace("pattern_extent=0.3\n", ""), r"missing keys \['pattern_extent'\]"),
+        (lambda text: text + "\nextent=0.3", r"unknown keys \['extent'\]"),
+        (lambda text: text + "\npattern_extent", "expected key=value"),
+    ],
+    ids=["missing_key", "unknown_key", "line_without_equals"],
+)
+def test_checkpoint_config_block_is_strict(tmp_path, edit, message):
+    path = tmp_path / "model.pmod"
+    save_checkpoint(path, PatternModel(ModelConfig(**TINY, pattern_extent=0.3), seed=2))
+    blob = path.read_bytes()
+    (size,) = struct.unpack("<I", blob[6:10])  # after magic and version
+    text = edit(blob[10 : 10 + size].decode()).encode()
+    path.write_bytes(blob[:6] + struct.pack("<I", len(text)) + text + blob[10 + size :])
+    with pytest.raises(ContractError, match=message):
+        load_checkpoint(path)
+
+
 def test_config_from_flat_rejects_non_boolean_words():
-    flat = ModelConfig(**MINI_CONFIG).to_flat()
+    flat = to_flat(ModelConfig(**MINI_CONFIG))
     for word in ("1", "yes", "TRUE", "True"):
         assert ModelConfig.from_flat({**flat, "no_shift": word}).no_shift is True
     for word in ("0", "no", "FALSE", "False"):

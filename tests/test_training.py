@@ -156,7 +156,18 @@ def test_contradictory_flags_rejected():
     with pytest.raises(ConfigError):
         tr.TrainConfig(no_local=True, no_l_region=True)
     with pytest.raises(ConfigError):
-        tr.TrainConfig(no_local=True, no_patterns=True)
+        tr.TrainConfig(no_local=True, no_l_shape=True)
+
+
+@pytest.mark.parametrize("model_no_local", [True, False])
+def test_no_local_must_match_model(model_no_local):
+    """A no_local model with the full objective, and a full model with the
+    no_local objective, are both rejected."""
+    model = tiny_model(no_local=model_no_local)
+    sample = tiny_samples(1)[0]
+    trace = model.forward(sample.image, reference=sample.gt_cloud)
+    with pytest.raises(ConfigError, match="no_local"):
+        tr.total_loss(trace, sample.gt_cloud, tr.TrainConfig(no_local=not model_no_local), model.config)
 
 
 def test_padded_rows_contribute_nothing_to_losses():

@@ -48,36 +48,9 @@ class DTensor:
             raise ContractError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> Array:
-        return self.data
-
     def __repr__(self) -> str:
         tag = f", node={self.node_id}" if self.node_id is not None else ""
         return f"DTensor(shape={self.shape}{tag})"
-
-    # Operator sugar; all arithmetic routes through the module-level ops so
-    # that tape recording happens in exactly one place.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def constant(values) -> DTensor:
@@ -501,28 +474,6 @@ def reduce_mean(a, axis: int | None = None) -> DTensor:
         return [np.broadcast_to(np.expand_dims(g, axis), shape).copy() / count]
 
     return _emit("mean", out, (a,), backward)
-
-
-def min_over_rows(a) -> tuple[DTensor, Array]:
-    """Per-row minimum of a matrix: values (n,) plus argmin column indices.
-
-    Gradient flows only to the argmin cells; ties resolve to the lowest index.
-    """
-    a = _coerce(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"min_over_rows: expects a matrix, got {a.shape}")
-    if a.shape[1] == 0:
-        raise DomainError("min_over_rows: empty reduction axis")
-    idx = np.argmin(a.data, axis=1)
-    rows = np.arange(a.shape[0])
-    out = a.data[rows, idx]
-
-    def backward(g):
-        da = np.zeros_like(a.data)
-        da[rows, idx] = g
-        return [da]
-
-    return _emit("min_over_rows", out, (a,), backward), idx
 
 
 def max_over_columns(a) -> DTensor:

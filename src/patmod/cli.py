@@ -19,9 +19,10 @@ import numpy as np
 
 from . import data
 from .errors import ConfigError, ContractError, DomainError, NumericalAbort
-from .model import PatternModel, load_checkpoint
+from .model import PatternModel, load_checkpoint, to_flat
 from .runconfig import RunConfig, load_run_config
 from .training import (
+    SWEEP_PARAMETERS,
     evaluate,
     interpolate_latent,
     sweep,
@@ -79,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=["train", "seen", "unseen"], default="seen")
-    p.add_argument("--points", type=int, help="downsample both sides to this count")
+    p.add_argument("--points", type=int, dest="eval_points", help="shorthand for --set eval_points=N")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("reconstruct", help="reconstruct a point cloud from one image")
@@ -91,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="train/evaluate a grid over one parameter")
     _common(p)
-    p.add_argument("--parameter", required=True, choices=["alpha", "M", "N", "sampling_mode"])
+    p.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS)
     p.add_argument("--values", required=True, help="comma-separated value list")
     p.set_defaults(func=cmd_sweep)
 
@@ -137,11 +138,18 @@ def _resolve(args) -> RunConfig:
     for flag in ("no_local", "no_patterns", "no_shift", "no_l_region", "no_l_shape"):
         if getattr(args, flag, False):
             overrides[flag] = "true"
-    for key in ("epochs", "seed", "batch_size"):
+    for key in ("epochs", "seed", "batch_size", "eval_points"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = str(value)
     return load_run_config(args.config, overrides)
+
+
+def _with_model(cfg: RunConfig, model: PatternModel) -> RunConfig:
+    """The run config with the checkpoint's model config in place of the
+    configured one (``no_local`` set on the objective too), so the echo
+    describes the model that ran."""
+    return cfg.apply(to_flat(model.config))
 
 
 def _prepare_out(path, force: bool, expected: list[str]) -> Path:
@@ -203,8 +211,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"no samples in split {args.split!r}")
     csv_name = f"eval_{args.split}.csv"
     out = _prepare_out(cfg.out_dir, args.force, [csv_name])
-    points = args.points if args.points else (cfg.eval_points or None)
-    records = evaluate(model, samples, args.split, eval_points=points)
+    records = evaluate(model, samples, args.split, eval_points=cfg.eval_points or None)
     csv_path = out / csv_name
     write_metrics_csv(csv_path, records)
     for rec in records:
@@ -216,9 +223,10 @@ def cmd_eval(args) -> int:
 def cmd_reconstruct(args) -> int:
     cfg = _resolve(args)
     model, _ = load_checkpoint(args.checkpoint)
+    echo = _with_model(cfg, model)
     image = data.read_pgm(args.image)
     out = _prepare_out(cfg.out_dir, args.force, ["reconstruction.xyz", "reconstruction.ply"])
-    cfg.write(out / "config_resolved.txt")
+    echo.write(out / "config_resolved.txt")
     trace = model.reconstruct(image)
     data.write_xyz(out / "reconstruction.xyz", trace.f_cloud)
     data.write_ply(out / "reconstruction.ply", trace.f_cloud)
@@ -266,10 +274,11 @@ def cmd_interpolate(args) -> int:
     if args.steps < 2:
         raise ConfigError(f"--steps must be >= 2, got {args.steps}")
     model, _ = load_checkpoint(args.checkpoint)
+    echo = _with_model(cfg, model)
     image_a = data.read_pgm(args.image_a)
     image_b = data.read_pgm(args.image_b)
     out = _prepare_out(cfg.out_dir, args.force, ["interp_0.000.xyz"])
-    cfg.write(out / "config_resolved.txt")
+    echo.write(out / "config_resolved.txt")
     for lam, cloud in interpolate_latent(model, image_a, image_b, args.steps):
         data.write_xyz(out / f"interp_{lam:.3f}.xyz", cloud)
     print(f"wrote {args.steps} interpolated reconstructions to {out}")

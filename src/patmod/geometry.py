@@ -45,21 +45,16 @@ class AABB:
 
 @dataclass
 class Region:
-    """One voxel cell of a split cloud, padded to fixed capacity."""
+    """One voxel cell of a split cloud: its points and where they came from."""
 
-    points: np.ndarray  # (R, 3), real points first, zero rows after
-    mask: np.ndarray  # (R,) bool, True on real rows
-    center: np.ndarray  # (3,), mean of real points, zeros when empty
+    real_points: np.ndarray  # (k, 3), in source row order
+    center: np.ndarray  # (3,), mean of the points, zeros when empty
     voxel_index: tuple[int, int, int]
-    source_rows: np.ndarray  # indices into the source cloud, len == real count
+    source_rows: np.ndarray  # (k,) indices into the source cloud
 
     @property
     def real_count(self) -> int:
-        return int(self.mask.sum())
-
-    @property
-    def real_points(self) -> np.ndarray:
-        return self.points[: self.real_count]
+        return len(self.source_rows)
 
     @property
     def is_empty(self) -> bool:
@@ -69,7 +64,6 @@ class Region:
 @dataclass
 class RegionSet:
     regions: list[Region]
-    capacity: int
     m_per_edge: int
     box: AABB
 
@@ -129,9 +123,8 @@ def split_regions(
 ) -> RegionSet:
     """Partition source points into the voxels of the reference bounding box.
 
-    Each region is padded with zero rows to ``capacity``; real points always
-    occupy the leading rows so the padded-index removal rule stays positional.
-    Overflowing regions keep their lowest-index points and log a warning.
+    A region holds at most ``capacity`` points; an overflowing region keeps
+    its lowest-index points and logs a warning.
     """
     source = as_cloud(source)
     reference = as_cloud(reference)
@@ -153,15 +146,11 @@ def split_regions(
             )
             rows = rows[:capacity]
         real = source[rows]
-        points = np.zeros((capacity, 3))
-        points[: rows.size] = real
-        mask = np.zeros(capacity, dtype=bool)
-        mask[: rows.size] = True
         center = real.mean(axis=0) if rows.size else np.zeros(3)
         i, rem = divmod(m, m_edge * m_edge)
         j, k = divmod(rem, m_edge)
-        regions.append(Region(points, mask, center, (i, j, k), rows))
-    return RegionSet(regions, capacity, m_edge, box)
+        regions.append(Region(real, center, (i, j, k), rows))
+    return RegionSet(regions, m_edge, box)
 
 
 def _split_epsilon(reference: np.ndarray) -> float:
@@ -171,16 +160,14 @@ def _split_epsilon(reference: np.ndarray) -> float:
 
 
 def center_region(region: Region) -> Region:
-    """Translate real points so their mean sits at the origin (padded rows stay zero)."""
+    """Translate the points so their mean sits at the origin."""
     if region.is_empty:
         return replace(region, center=np.zeros(3))
-    points = region.points.copy()
-    points[region.mask] -= region.center
-    return replace(region, points=points)
+    return replace(region, real_points=region.real_points - region.center)
 
 
 def decenter(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Translate points back to the object frame; inverse of center_region on real rows."""
+    """Translate points back to the object frame; inverse of center_region."""
     return np.asarray(points, dtype=np.float64) + np.asarray(center, dtype=np.float64)
 
 
@@ -260,7 +247,7 @@ def nearest_neighbor(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     return indices, distances
 
 
-def chamfer(a, b, require_grad: bool = True):
+def chamfer(a, b):
     """Symmetric sum of nearest-neighbor Euclidean distances (raw training form).
 
     Differentiable through both point sets: each term pairs points by the

@@ -149,16 +149,6 @@ MINI_CONFIG = dict(
 
 
 @dataclass
-class PatternBank:
-    """Shared base lattice, fixed per-learner offsets, and current pattern outputs."""
-
-    lattice: np.ndarray  # (P, 3)
-    offsets: np.ndarray  # (N, 3), not trainable
-    layers: list[list[tuple[Parameter, Parameter]]]  # per learner: (weight, bias) triples
-    patterns: list[np.ndarray] | None = None  # refreshed every forward pass
-
-
-@dataclass
 class ForwardTrace:
     """Everything a loss or a visualization needs from one forward pass."""
 
@@ -193,117 +183,73 @@ def learner_offsets(n: int) -> np.ndarray:
     return (pts - 0.5) * 0.5  # inside [-0.25, 0.25]^3
 
 
-def make_pattern_learners(config: ModelConfig, rng: np.random.Generator) -> PatternBank:
-    """Build N independent 64-256-3 learner MLPs over a shared sampling lattice."""
-    lattice = geo.grid_lattice(config.pattern_points, config.pattern_extent, config.sampling_mode)
-    offsets = learner_offsets(config.patterns)
-    layers = []
-    for n in range(config.patterns):
-        layers.append(
-            [
-                _fc_params(f"learner{n}.fc1", 3, 64, rng),
-                _fc_params(f"learner{n}.fc2", 64, 256, rng),
-                _fc_params(f"learner{n}.fc3", 256, 3, rng),
-            ]
-        )
-    return PatternBank(lattice, offsets, layers)
-
-
-def _fc_params(prefix: str, fan_in: int, fan_out: int, rng: np.random.Generator):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    w = Parameter(f"{prefix}.weight", rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-    b = Parameter(f"{prefix}.bias", np.zeros((1, fan_out)))
-    return (w, b)
-
-
-def _split_fc_params(prefix: str, point_dim: int, feat_dim: int, fan_out: int, rng: np.random.Generator):
-    """First layer of a feature-conditioned MLP, stored as the two row blocks
-    of the (point_dim + feat_dim) x fan_out matrix it is mathematically."""
-    fan_in = point_dim + feat_dim
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    full = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-    w_pts = Parameter(f"{prefix}.weight_points", full[:point_dim].copy())
-    w_feat = Parameter(f"{prefix}.weight_feature", full[point_dim:].copy())
-    b = Parameter(f"{prefix}.bias", np.zeros((1, fan_out)))
-    return (w_pts, w_feat, b)
-
-
-def _conv_params(prefix: str, c_in: int, c_out: int, k: int, rng: np.random.Generator):
-    std = np.sqrt(2.0 / (c_in * k * k))
-    w = Parameter(f"{prefix}.weight", rng.normal(0.0, std, size=(c_out, c_in, k, k)))
-    b = Parameter(f"{prefix}.bias", np.zeros((c_out, 1)))
-    return (w, b)
-
-
 class PatternModel:
-    """Holds all parameters and runs the reconstruction pipeline."""
+    """Holds all parameters and runs the reconstruction pipeline.  ``params``
+    registers each parameter once by name, in initialization (= checkpoint) order."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
+        self.params: dict[str, Parameter] = {}
         rng = np.random.default_rng(seed)
         c = config
 
-        self.conv_layers = []
+        k = _CONV_KERNEL
         c_in = c.image_channels
         for i, c_out in enumerate(c.conv_channels):
-            self.conv_layers.append(_conv_params(f"encoder.conv{i + 1}", c_in, c_out, _CONV_KERNEL, rng))
+            std = np.sqrt(2.0 / (c_in * k * k))
+            self._register(f"encoder.conv{i + 1}.weight", rng.normal(0.0, std, size=(c_out, c_in, k, k)))
+            self._register(f"encoder.conv{i + 1}.bias", np.zeros((c_out, 1)))
             c_in = c_out
         side = c.image_size
         for s in _CONV_STRIDES:
             side = (side + 2 * _CONV_PAD - _CONV_KERNEL) // s + 1
         self._flat_dim = c.conv_channels[-1] * side * side
-        self.enc_fc1 = _fc_params("encoder.fc1", self._flat_dim, c.image_feat, rng)
-        self.enc_fc2 = _fc_params("encoder.fc2", c.image_feat, c.image_feat, rng)
-        self.dec_fc = _fc_params("decoder.fc", c.image_feat, 3 * c.s_points, rng)
+        self._fc(rng, "encoder.fc1", self._flat_dim, c.image_feat)
+        self._fc(rng, "encoder.fc2", c.image_feat, c.image_feat)
+        self._fc(rng, "decoder.fc", c.image_feat, 3 * c.s_points)
 
-        if c.no_local or c.no_patterns:
-            self.bank = None
-            self.region_fc = None
-            self.modularizers = []
-        else:
-            self.bank = make_pattern_learners(c, rng)
-            self.region_fc = _fc_params("region_encoder.fc", 3, c.region_feat, rng)
-            self.modularizers = [
-                [
-                    _split_fc_params(f"modularizer{n}.fc1", 3, c.region_feat, 512, rng),
-                    _fc_params(f"modularizer{n}.fc2", 512, 256, rng),
-                    _fc_params(f"modularizer{n}.fc3", 256, 128, rng),
-                    _fc_params(f"modularizer{n}.fc4", 128, 3, rng),
-                ]
-                for n in range(c.patterns)
-            ]
-        if c.no_local:
-            self.customizer = []
-        else:
-            self.customizer = [
-                _split_fc_params("customizer.fc1", 3, c.image_feat, 512, rng),
-                _fc_params("customizer.fc2", 512, 128, rng),
-                _fc_params("customizer.fc3", 128, 3, rng),
-            ]
+        # learner MLPs over a shared lattice, the region encoder, one modularizer per pattern
+        self.lattice = self.offsets = None
+        if not (c.no_local or c.no_patterns):
+            self.lattice = geo.grid_lattice(c.pattern_points, c.pattern_extent, c.sampling_mode)
+            self.offsets = learner_offsets(c.patterns)
+            for n in range(c.patterns):
+                self._fc(rng, f"learner{n}.fc1", 3, 64)
+                self._fc(rng, f"learner{n}.fc2", 64, 256)
+                self._fc(rng, f"learner{n}.fc3", 256, 3)
+            self._fc(rng, "region_encoder.fc", 3, c.region_feat)
+            for n in range(c.patterns):
+                self._fc(rng, f"modularizer{n}.fc1", 3 + c.region_feat, 512, split=3)
+                self._fc(rng, f"modularizer{n}.fc2", 512, 256)
+                self._fc(rng, f"modularizer{n}.fc3", 256, 128)
+                self._fc(rng, f"modularizer{n}.fc4", 128, 3)
+        if not c.no_local:
+            self._fc(rng, "customizer.fc1", 3 + c.image_feat, 512, split=3)
+            self._fc(rng, "customizer.fc2", 512, 128)
+            self._fc(rng, "customizer.fc3", 128, 3)
 
     # ------------------------------------------------------------------
     # parameter bookkeeping
 
+    def _register(self, name: str, values: np.ndarray) -> None:
+        if name in self.params:
+            raise ContractError(f"parameter {name!r} registered twice")
+        self.params[name] = Parameter(name, values)
+
+    def _fc(self, rng: np.random.Generator, prefix: str, fan_in: int, fan_out: int, split: int | None = None) -> None:
+        """Glorot-uniform weight and zero bias; ``split`` stores the weight's first
+        rows as ``.weight_points`` and the rest as ``.weight_feature``."""
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        weight = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        if split is None:
+            self._register(f"{prefix}.weight", weight)
+        else:
+            self._register(f"{prefix}.weight_points", weight[:split].copy())
+            self._register(f"{prefix}.weight_feature", weight[split:].copy())
+        self._register(f"{prefix}.bias", np.zeros((1, fan_out)))
+
     def parameters(self) -> list[Parameter]:
-        out = []
-        for layer in self.conv_layers:
-            out += list(layer)
-        for layer in (self.enc_fc1, self.enc_fc2, self.dec_fc):
-            out += list(layer)
-        if self.bank is not None:
-            for layer_list in self.bank.layers:
-                for layer in layer_list:
-                    out += list(layer)
-        if self.region_fc is not None:
-            out += list(self.region_fc)
-        for layer_list in self.modularizers:
-            for layer in layer_list:
-                out += list(layer)
-        for layer in self.customizer:
-            out += list(layer)
-        names = [p.name for p in out]
-        assert len(names) == len(set(names))
-        return out
+        return list(self.params.values())
 
     def param_count(self) -> dict[str, int]:
         """Exact trainable scalar counts per component plus the total."""
@@ -322,8 +268,8 @@ class PatternModel:
 
     def _watch_all(self, tape: ad.Tape | None) -> dict[str, DTensor]:
         if tape is None:
-            return {p.name: p.tensor for p in self.parameters()}
-        return {p.name: tape.watch(p) for p in self.parameters()}
+            return {name: p.tensor for name, p in self.params.items()}
+        return {name: tape.watch(p) for name, p in self.params.items()}
 
     def encode_image(self, image: np.ndarray, pt: dict[str, DTensor]) -> DTensor:
         c = self.config
@@ -351,10 +297,9 @@ class PatternModel:
         return ad.reshape(coords, (self.config.s_points, 3))
 
     def compute_patterns(self, pt: dict[str, DTensor]) -> list[DTensor]:
-        assert self.bank is not None
         outs = []
         for n in range(self.config.patterns):
-            x = ad.constant(self.bank.lattice + self.bank.offsets[n])
+            x = ad.constant(self.lattice + self.offsets[n])
             h = _linear(x, pt, f"learner{n}.fc1", "relu")
             h = _linear(h, pt, f"learner{n}.fc2", "relu")
             outs.append(_linear(h, pt, f"learner{n}.fc3", "tanh"))
@@ -612,7 +557,7 @@ def load_checkpoint(path) -> tuple[PatternModel, dict[str, str]]:
         raise ContractError(f"{path}: {exc}") from None
     model = PatternModel(config, seed=0)
     (n_params,) = unpack("<I")
-    by_name = {p.name: p for p in model.parameters()}
+    by_name = model.params
     if n_params != len(by_name):
         raise ContractError(f"{path}: checkpoint has {n_params} parameters, model has {len(by_name)}")
     seen = set()

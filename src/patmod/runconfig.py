@@ -19,8 +19,10 @@ set on both.  Unknown keys are rejected, and resolving a config runs every
 dataclass's checks, so a command validates the whole configuration before it
 writes anything.  Every command except ``eval`` (whose model comes from the
 checkpoint) echoes its resolved configuration next to its outputs for exact
-replay; the echo holds parsed values, so
-``seen_classes=table,,chair`` is written as ``table,chair``.
+replay; ``reconstruct`` and ``interpolate`` echo the checkpoint's model
+config in place of the configured one.  The echo holds parsed values, so
+``seen_classes=table,,chair`` is written as ``table,chair``.  ``eval
+--points N`` is shorthand for ``eval_points=N``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ class RunConfig:
     dataset_dir: str = "dataset"
     out_dir: str = "run"
     eval_points: int = 0  # 0 = match prediction/ground-truth cardinality
+
+    def __post_init__(self):
+        if self.eval_points < 0:
+            raise ConfigError(f"eval_points must be >= 0, got {self.eval_points}")
 
     def to_text(self) -> str:
         lines = ["# resolved run configuration"]

@@ -48,8 +48,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.no_local and (self.no_l_region or self.no_l_shape):
             raise ConfigError("no_local drops the region pipeline; other ablation flags conflict")
-        if self.batch_size < 1 or self.epochs < 0 or self.threads < 1:
-            raise ConfigError("batch_size/threads must be >= 1 and epochs >= 0")
+        if self.batch_size < 1 or self.epochs < 0 or self.threads < 1 or self.checkpoint_every < 0:
+            raise ConfigError("batch_size/threads must be >= 1 and epochs/checkpoint_every >= 0")
 
 
 @dataclass
@@ -112,9 +112,9 @@ def loss_region(trace: ForwardTrace, gt_cloud: np.ndarray, model_config: ModelCo
 
     Ground-truth regions come from splitting the ground truth against its own
     bounding box, which is the same box the forward pass used in training
-    mode, so pairs align by voxel index.  Padded rows never participate.
+    mode, so pairs align by voxel index.
     """
-    # full capacity: ground-truth regions must never truncate
+    # capacity = cloud size: ground-truth regions never truncate
     gt_regions = geo.split_regions(gt_cloud, gt_cloud, model_config.regions, gt_cloud.shape[0])
     assert trace.kept_tensors is not None and trace.region_set is not None
     terms = []
@@ -333,8 +333,11 @@ def evaluate(
 
     The region split reads only the model's own prediction.  Prediction and
     ground truth are matched in cardinality (farthest-point downsampling)
-    before the normalized Chamfer and the 32^3 IoU on their union box.
+    before the normalized Chamfer and the 32^3 IoU on their union box;
+    ``eval_points``, when given, caps both sides at that count.
     """
+    if eval_points is not None and eval_points < 1:
+        raise DomainError(f"eval_points must be >= 1, got {eval_points}")
     per_class: dict[str, list[tuple[float, float, float]]] = {}
     for sample in samples:
         t0 = time.perf_counter()

@@ -134,29 +134,6 @@ def test_reduce_mean():
     assert ad.reduce_mean([2.0, 4.0, 6.0]).item() == 4.0
 
 
-def test_min_over_rows_values_and_indices():
-    vals, idx = ad.min_over_rows([[3.0, 1.0], [0.0, 5.0]])
-    np.testing.assert_array_equal(vals.data, [1.0, 0.0])
-    np.testing.assert_array_equal(idx, [1, 0])
-
-
-def test_min_over_rows_tie_breaks_to_lowest_index():
-    _, idx = ad.min_over_rows([[2.0, 2.0, 2.0]])
-    assert idx[0] == 0
-
-
-def test_min_over_rows_gradient_only_at_argmin():
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((4, 5))
-    tape = ad.Tape()
-    p = ad.Parameter("x", x)
-    vals, idx = ad.min_over_rows(tape.watch(p))
-    grads = ad.backward(ad.reduce_sum(vals))
-    expected = np.zeros_like(x)
-    expected[np.arange(4), idx] = 1.0
-    np.testing.assert_array_equal(grads["x"].data, expected)
-
-
 def test_sum_gradient_is_ones():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((3, 3))
@@ -168,8 +145,6 @@ def test_reduce_dispatch_and_axis_errors():
     np.testing.assert_array_equal(out.data, [2.0, 2.0, 2.0])
     with pytest.raises(DimensionError):
         ad.reduce_sum(np.ones((2, 3)), axis=5)
-    with pytest.raises(DomainError):
-        ad.min_over_rows(np.ones((2, 0)))
 
 
 def test_backward_linear_case():
@@ -271,7 +246,6 @@ def test_all_ops_grad_check_20_seeded_instances(trial):
         lambda x: ad.gather_rows(x, idx),
         lambda x: ad.reduce_sum(x, axis=1),
         lambda x: ad.reduce_mean(x, axis=0),
-        lambda x: ad.min_over_rows(x)[0],
         lambda x: ad.max_over_columns(x),
         lambda x: ad.row_norm(ad.add(x, ad.constant(np.full((4, 3), 0.1)))),
     ]

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from patmod import cli, data
+from patmod.errors import ConfigError
+from patmod.model import MINI_CONFIG, ModelConfig, PatternModel, load_checkpoint, save_checkpoint
 from patmod.runconfig import load_run_config
 
 MINI_CFG = """
@@ -145,6 +147,26 @@ def test_eval_with_downsampling(workspace, tmp_path):
     ]) == 0
 
 
+@pytest.mark.parametrize("flags", [["--set", "eval_points=-3"], ["--points", "-5"]], ids=["set", "points"])
+def test_negative_eval_points_exit_2(workspace, tmp_path, flags):
+    root, cfg = workspace
+    out = tmp_path / "neg"
+    assert cli.main([
+        "eval", "--config", str(cfg), "--checkpoint", str(root / "run" / "checkpoint.pmod"),
+        "--split", "seen", "--out", str(out), *flags,
+    ]) == 2
+    assert not out.exists()
+
+
+def test_points_flag_overrides_eval_points():
+    args = cli._build_parser().parse_args(
+        ["eval", "--checkpoint", "c.pmod", "--set", "eval_points=8", "--points", "16"]
+    )
+    assert cli._resolve(args).eval_points == 16
+    with pytest.raises(ConfigError, match="eval_points"):
+        load_run_config(None, {"eval_points": "-1"})
+
+
 def test_eval_refuses_overwrite_without_force(workspace, tmp_path):
     root, cfg = workspace
     argv = [
@@ -230,6 +252,28 @@ def test_interpolate_two_steps_endpoints_only(workspace, tmp_path):
         "--steps", "2", "--out", str(out),
     ]) == 0
     assert sorted(f.name for f in out.glob("*.xyz")) == ["interp_0.000.xyz", "interp_1.000.xyz"]
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "interpolate"])
+@pytest.mark.parametrize("flags", [{}, {"no_local": True}], ids=["full", "no_local"])
+def test_echo_describes_the_checkpoint_model(tmp_path, command, flags):
+    """Without --config the run config holds the paper defaults; the echo
+    must hold the model that was loaded and ran."""
+    ckpt = tmp_path / "mini.pmod"
+    save_checkpoint(ckpt, PatternModel(ModelConfig(**{**MINI_CONFIG, "pattern_extent": 0.3, **flags}), seed=0))
+    model, _ = load_checkpoint(ckpt)
+    image = tmp_path / "img.pgm"
+    data.write_pgm(image, np.full((1, 8, 8), 0.5))
+    out = tmp_path / "out"
+    argv = [command, "--checkpoint", str(ckpt), "--out", str(out)]
+    if command == "reconstruct":
+        argv += ["--image", str(image)]
+    else:
+        argv += ["--image-a", str(image), "--image-b", str(image), "--steps", "2"]
+    assert cli.main(argv) == 0
+    echo = load_run_config(out / "config_resolved.txt")
+    assert echo.model == model.config
+    assert echo.train.no_local == model.config.no_local
 
 
 def test_sweep_row_per_value(workspace, tmp_path):

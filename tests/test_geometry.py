@@ -69,6 +69,7 @@ def test_split_partitions_source_exactly():
     seen = np.concatenate([r.source_rows for r in rs.regions])
     assert len(seen) == 500
     assert len(np.unique(seen)) == 500  # pairwise disjoint
+    assert all(r.real_points.shape == (r.real_count, 3) for r in rs.regions)  # no padding rows
     rebuilt = np.vstack([r.real_points for r in rs.regions])
     np.testing.assert_array_equal(np.sort(rebuilt, axis=0), np.sort(cloud, axis=0))
 
@@ -158,12 +159,10 @@ def test_decenter_zero_center_is_identity():
 
 
 def test_center_empty_region_untouched():
-    empty = geo.Region(
-        np.zeros((4, 3)), np.zeros(4, dtype=bool), np.zeros(3), (0, 0, 0), np.array([], dtype=np.intp)
-    )
+    empty = geo.Region(np.zeros((0, 3)), np.zeros(3), (0, 0, 0), np.array([], dtype=np.intp))
     out = geo.center_region(empty)
     np.testing.assert_array_equal(out.center, np.zeros(3))
-    np.testing.assert_array_equal(out.points, empty.points)
+    assert out.real_points.shape == (0, 3)
 
 
 def _region_of(points, capacity=None):

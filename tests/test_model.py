@@ -1,6 +1,7 @@
 """Model tests: shape contracts, algebraic identities, ablation structure,
 checkpoint round trips.  Heavy paper-scale runs live in the acceptance suite."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -105,7 +106,7 @@ def test_encoder_conv_gradients_match_finite_differences(tiny_inputs):
     image, _ = tiny_inputs
     model = PatternModel(ModelConfig(**TINY), seed=5)
     for i in range(1, 8):
-        param = next(p for p in model.parameters() if p.name == f"encoder.conv{i}.weight")
+        param = model.params[f"encoder.conv{i}.weight"]
 
         def head(values):
             pt = model._watch_all(None)
@@ -131,10 +132,12 @@ def test_decoder_parameter_count_closed_form(tiny_model):
 
 
 def test_pattern_learner_structure(tiny_model):
-    bank = tiny_model.bank
-    assert len(bank.layers) == 2
-    names = [p.name for group in bank.layers for layer in group for p in layer]
-    assert len(names) == len(set(names))
+    learner = [name for name in tiny_model.params if name.startswith("learner")]
+    assert learner == [
+        f"learner{n}.fc{i}.{kind}" for n in range(2) for i in (1, 2, 3) for kind in ("weight", "bias")
+    ]
+    shapes = [tiny_model.params[f"learner0.fc{i}.weight"].data.shape for i in (1, 2, 3)]
+    assert shapes == [(3, 64), (64, 256), (256, 3)]
     pt = tiny_model._watch_all(None)
     patterns = tiny_model.compute_patterns(pt)
     for p in patterns:
@@ -146,10 +149,9 @@ def test_same_weights_different_offsets_different_patterns():
     cfg = ModelConfig(**TINY)
     model = PatternModel(cfg, seed=7)
     # copy learner 0 weights onto learner 1; offsets still differ
-    by_name = {p.name: p for p in model.parameters()}
     for layer in ("fc1", "fc2", "fc3"):
         for kind in ("weight", "bias"):
-            by_name[f"learner1.{layer}.{kind}"].data = by_name[f"learner0.{layer}.{kind}"].data.copy()
+            model.params[f"learner1.{layer}.{kind}"].data = model.params[f"learner0.{layer}.{kind}"].data.copy()
     pt = model._watch_all(None)
     p0, p1 = model.compute_patterns(pt)
     assert not np.allclose(p0.data, p1.data)
@@ -207,9 +209,8 @@ def test_residual_identity_exact(tiny_model, tiny_inputs):
 def test_zeroed_final_customizer_layer_gives_identity(tiny_inputs):
     image, gt = tiny_inputs
     model = PatternModel(ModelConfig(**TINY), seed=9)
-    by_name = {p.name: p for p in model.parameters()}
-    by_name["customizer.fc3.weight"].data = np.zeros_like(by_name["customizer.fc3.weight"].data)
-    by_name["customizer.fc3.bias"].data = np.zeros_like(by_name["customizer.fc3.bias"].data)
+    model.params["customizer.fc3.weight"].data = np.zeros_like(model.params["customizer.fc3.weight"].data)
+    model.params["customizer.fc3.bias"].data = np.zeros_like(model.params["customizer.fc3.bias"].data)
     trace = model.forward(image, reference=gt)
     for r, t, u in zip(trace.r_prime, trace.shifts, trace.u):
         np.testing.assert_array_equal(t, np.zeros_like(t))
@@ -221,8 +222,7 @@ def test_pattern_block_structure(tiny_inputs):
     image, gt = tiny_inputs
     model = PatternModel(ModelConfig(**TINY), seed=21)
     base = model.forward(image, reference=gt, full_trace=True)
-    by_name = {p.name: p for p in model.parameters()}
-    by_name["modularizer1.fc2.weight"].data = by_name["modularizer1.fc2.weight"].data + 0.05
+    model.params["modularizer1.fc2.weight"].data = model.params["modularizer1.fc2.weight"].data + 0.05
     bumped = model.forward(image, reference=gt, full_trace=True)
     p_rows = model.config.pattern_points
     for r0, r1 in zip(base.r_prime, bumped.r_prime):
@@ -310,7 +310,7 @@ def test_no_shift_equals_modularized_regions(tiny_inputs):
 def test_no_patterns_feeds_regions_to_customizer(tiny_inputs):
     image, gt = tiny_inputs
     model = PatternModel(ModelConfig(**TINY, no_patterns=True), seed=9)
-    names = {p.name for p in model.parameters()}
+    names = set(model.params)
     assert not any(n.startswith(("learner", "modularizer", "region_encoder")) for n in names)
     trace = model.forward(image, reference=gt, full_trace=True)
     for block, region in zip(trace.r_prime, trace.region_set.regions):
@@ -322,7 +322,7 @@ def test_no_patterns_feeds_regions_to_customizer(tiny_inputs):
 def test_no_local_returns_initial_prediction(tiny_inputs):
     image, _ = tiny_inputs
     model = PatternModel(ModelConfig(**TINY, no_local=True), seed=9)
-    names = {p.name for p in model.parameters()}
+    names = set(model.params)
     assert all(n.startswith(("encoder", "decoder")) for n in names)
     trace = model.forward(image)
     np.testing.assert_array_equal(trace.f_cloud, trace.s_cloud)
@@ -367,6 +367,31 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, tiny_model):
     np.testing.assert_array_equal(
         tiny_model.reconstruct(image).f_cloud, loaded.reconstruct(image).f_cloud
     )
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ({}, "a61ea235e81b1ef0109a2022f941596fc434d87895e92ab772610142bc68a3d1"),
+        ({"no_patterns": True}, "c24ccbc2750014773fe54319c545a8ab1fc5b994516aa2c23709ec61d23c0725"),
+    ],
+    ids=["mini", "mini_no_patterns"],
+)
+def test_initial_checkpoint_digest_is_pinned(tmp_path, flags, digest):
+    """Pins the RNG draw order of initialization and the parameter order of
+    the file; a deliberate change to either updates these digests."""
+    path = tmp_path / "init.pmod"
+    save_checkpoint(path, PatternModel(ModelConfig(**MINI_CONFIG, **flags), seed=0))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_parameters_follow_registry_order(tiny_model):
+    names = list(tiny_model.params)
+    assert [p.name for p in tiny_model.parameters()] == names
+    assert names[:2] == ["encoder.conv1.weight", "encoder.conv1.bias"]
+    assert names[-2:] == ["customizer.fc3.weight", "customizer.fc3.bias"]
+    with pytest.raises(ContractError, match="registered twice"):
+        tiny_model._register("customizer.fc3.bias", np.zeros((1, 3)))
 
 
 def test_checkpoint_bad_magic(tmp_path):

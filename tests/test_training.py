@@ -159,6 +159,12 @@ def test_contradictory_flags_rejected():
         tr.TrainConfig(no_local=True, no_l_shape=True)
 
 
+def test_negative_checkpoint_interval_rejected():
+    """A negative interval would divide every epoch count evenly."""
+    with pytest.raises(ConfigError, match="checkpoint_every"):
+        tr.TrainConfig(checkpoint_every=-1)
+
+
 @pytest.mark.parametrize("model_no_local", [True, False])
 def test_no_local_must_match_model(model_no_local):
     """A no_local model with the full objective, and a full model with the
@@ -302,7 +308,7 @@ def test_train_metrics_are_finite_and_loss_drops():
 def test_non_finite_loss_aborts_and_dumps_checkpoint(tmp_path):
     samples = tiny_samples(2)
     model = tiny_model(seed=9)
-    next(p for p in model.parameters() if p.name == "decoder.fc.weight").data[0, 0] = np.nan
+    model.params["decoder.fc.weight"].data[0, 0] = np.nan
     out = tmp_path / "run"
     out.mkdir()
     with pytest.raises(NumericalAbort):
@@ -341,6 +347,12 @@ def test_evaluate_downsampling_path():
     model = tiny_model(seed=1)
     records = tr.evaluate(model, samples, "seen", eval_points=16)
     assert all(np.isfinite(r.cd_eval) for r in records)
+
+
+@pytest.mark.parametrize("eval_points", [0, -3])
+def test_evaluate_rejects_eval_points_below_one(eval_points):
+    with pytest.raises(DomainError, match="eval_points"):
+        tr.evaluate(tiny_model(seed=1), tiny_samples(1), "seen", eval_points=eval_points)
 
 
 # ---------------------------------------------------------------------------

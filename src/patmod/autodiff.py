@@ -6,7 +6,10 @@ reverse sweep in ``backward`` visits every node after all of its consumers.
 Tensors without a ``node_id`` are constants; gradients flow only into tensors
 that were produced on the tape or explicitly watched as parameters.
 
-Tapes are single-use: ``backward`` freezes the tape and the caller discards it.
+Tapes are single-use: ``backward`` freezes the tape and drops its nodes, so
+the backward rules and the activations they close over are freed as soon as
+the sweep ends, even while tensors of the forward pass are still held.  A
+second ``backward`` on the same tape raises ContractError.
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ class Parameter:
 
 
 class Tape:
-    """Append-only gradient tape for one forward pass."""
+    """Append-only gradient tape for one forward pass; ``backward`` sweeps it
+    once, then freezes it and empties ``nodes``."""
 
     def __init__(self):
         self.nodes: list[Node] = []
@@ -530,15 +534,19 @@ def _check_axis(a: DTensor, axis: int | None) -> None:
 def backward(loss: DTensor) -> dict[str, DTensor]:
     """Reverse sweep from a scalar loss; returns gradients for watched parameters.
 
-    Freezes the tape and returns {name: gradient}; parameters with no path to
-    the loss get zeros.  Parameters themselves are never written, so several
-    tapes may run concurrently and the caller reduces the returned maps.
+    Freezes the tape, empties ``tape.nodes`` and returns {name: gradient};
+    parameters with no path to the loss get zeros.  A tape that has already
+    been swept raises ContractError.  Parameters themselves are never
+    written, so several tapes may run concurrently and the caller reduces
+    the returned maps.
     """
     if loss.tape is None or loss.node_id is None:
         raise ContractError("loss is not on a tape")
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     tape = loss.tape
+    if tape.frozen:
+        raise ContractError("backward already ran on this tape")
     grads: dict[int, Array] = {loss.node_id: np.ones_like(loss.data)}
     collected: dict[int, Array] = {}
     for nid in range(loss.node_id, -1, -1):
@@ -559,6 +567,7 @@ def backward(loss: DTensor) -> dict[str, DTensor]:
             else:
                 grads[input_id] = gin
     tape.frozen = True
+    tape.nodes = []  # Node closures hold activations and point back at the tape
     result = {}
     for nid, param in tape._param_nodes.items():
         g = collected.get(nid)

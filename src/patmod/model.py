@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass, fields, is_dataclass
 
@@ -492,7 +493,12 @@ def _check_finite(arr: np.ndarray, stage: str) -> None:
 
 
 def save_checkpoint(path, model: PatternModel, extra_config: dict[str, str] | None = None) -> None:
-    """Write magic, version, flat config block, then raw little-endian parameters."""
+    """Write magic, version, flat config block, then raw little-endian parameters.
+
+    The bytes go to ``<path>.tmp`` in the same directory, which then replaces
+    ``path`` in one step, so a failed write leaves the previous file as it
+    was; the temporary file is removed on failure.
+    """
     flat = to_flat(model.config)
     if extra_config:
         flat.update(extra_config)
@@ -512,8 +518,15 @@ def save_checkpoint(path, model: PatternModel, extra_config: dict[str, str] | No
         for dim in p.data.shape:
             buf.write(struct.pack("<I", dim))
         buf.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[PatternModel, dict[str, str]]:

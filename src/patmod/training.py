@@ -167,25 +167,64 @@ def total_loss(
 # optimizer
 
 
-def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update, in place on the parameters."""
+# Elements per block of the fused Adam pass (256 KiB of float64 per array):
+# a block's gradients, moments and scratch stay in cache from the reduction
+# to the update.
+ADAM_BLOCK = 2**15
+
+
+def adam_step(params, grads: list[dict[str, np.ndarray]], state: AdamState, lr: float) -> None:
+    """Bias-corrected Adam update on the batch-mean gradient, in place.
+
+    ``grads`` holds one ``name -> gradient`` map per batch member, in member
+    order.  Each parameter is walked in blocks of ``ADAM_BLOCK`` elements;
+    per block the members are summed in order and scaled by 1/B, the block
+    is checked for finiteness, and only then are ``m``, ``v`` and the
+    parameter updated.  The arithmetic is the same, operation for
+    operation, as reducing whole gradients first and then applying
+    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps)``.
+
+    A non-finite block raises NumericalAbort naming its parameter.  By then
+    every parameter before it in ``params`` (and the earlier blocks of the
+    same parameter) has taken this step; no later one has.
+    """
     state.t += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
+    scale = 1.0 / len(grads)
+    g_buf, a_buf, b_buf = (np.empty(ADAM_BLOCK) for _ in range(3))
     for p in params:
-        g = grads[p.name]
-        if not np.isfinite(g).all():
-            raise NumericalAbort(f"non-finite gradient for parameter {p.name!r}")
+        if not p.data.flags.c_contiguous:  # the flat views below must alias p.data
+            p.data = np.ascontiguousarray(p.data)
         if p.name not in state.m:
-            state.m[p.name] = np.zeros_like(p.data)
-            state.v[p.name] = np.zeros_like(p.data)
-        m, v = state.m[p.name], state.v[p.name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            state.m[p.name] = np.zeros(p.data.shape)
+            state.v[p.name] = np.zeros(p.data.shape)
+        p_flat, m_flat, v_flat = (np.ravel(x) for x in (p.data, state.m[p.name], state.v[p.name]))
+        members = [np.ravel(member[p.name]) for member in grads]
+        for start in range(0, p_flat.size, ADAM_BLOCK):
+            stop = min(start + ADAM_BLOCK, p_flat.size)
+            n = stop - start
+            g, a, b = g_buf[:n], a_buf[:n], b_buf[:n]
+            g[:] = members[0][start:stop]
+            for member in members[1:]:
+                g += member[start:stop]
+            g *= scale
+            if not np.isfinite(g).all():
+                raise NumericalAbort(f"non-finite gradient for parameter {p.name!r}")
+            m, v, w = m_flat[start:stop], v_flat[start:stop], p_flat[start:stop]
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=a)
+            v *= b2
+            np.multiply(g, g, out=a)
+            v += np.multiply(a, 1.0 - b2, out=a)
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(m, c1, out=b)
+            b *= lr
+            w -= np.divide(b, a, out=b)
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -198,11 +237,12 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 
 
 def _batch_gradients(model: PatternModel, batch: list[Sample], config: TrainConfig):
-    """Mean gradient over batch members, each on its own tape.
+    """Per-member gradients, each from its own tape, in member order.
 
     Members are evaluated sequentially, or concurrently when config.threads
-    is above one; the reduction always runs in member order, so both modes
-    produce identical sums.
+    is above one; results come back in member order either way, and
+    ``adam_step`` reduces them in that order, so both modes are identical.
+    Returns (one ``name -> ndarray`` map per member, parts, traces).
     """
 
     def member(sample: Sample):
@@ -211,7 +251,7 @@ def _batch_gradients(model: PatternModel, batch: list[Sample], config: TrainConf
         loss, parts = total_loss(trace, sample.gt_cloud, config, model.config)
         if not np.isfinite(loss.data).all():
             raise NumericalAbort(f"non-finite loss on sample ({sample.class_name}, {sample.seed})")
-        grads = ad.backward(loss)
+        grads = {name: g.data for name, g in ad.backward(loss).items()}
         return grads, parts, trace
 
     if config.threads > 1 and len(batch) > 1:
@@ -219,18 +259,18 @@ def _batch_gradients(model: PatternModel, batch: list[Sample], config: TrainConf
             results = list(pool.map(member, batch))
     else:
         results = [member(s) for s in batch]
+    return [r[0] for r in results], [r[1] for r in results], [r[2] for r in results]
 
-    mean_grads: dict[str, np.ndarray] = {}
-    for grads, _, _ in results:  # fixed member order
-        for name, g in grads.items():
-            if name in mean_grads:
-                mean_grads[name] += g.data
-            else:
-                mean_grads[name] = g.data.copy()
-    scale = 1.0 / len(batch)
-    for name in mean_grads:
-        mean_grads[name] *= scale
-    return mean_grads, [r[1] for r in results], [r[2] for r in results]
+
+def _train_step(model: PatternModel, batch: list[Sample], config: TrainConfig, state: AdamState, lr: float):
+    """One optimizer step on a batch; returns (parts, traces) per member.
+
+    The member gradients die with this frame, so none of them is alive
+    while the next step runs.
+    """
+    grads, parts, traces = _batch_gradients(model, batch, config)
+    adam_step(model.parameters(), grads, state, lr)
+    return parts, traces
 
 
 def train(
@@ -242,8 +282,12 @@ def train(
     """Epoch loop with seeded shuffling; returns per-epoch records.
 
     Writes ``checkpoint.pmod`` under out_dir at the end (and every
-    ``checkpoint_every`` epochs); on a non-finite abort the current (last
-    good) parameters are dumped next to it.
+    ``checkpoint_every`` epochs).  On a NumericalAbort the current
+    parameters are dumped next to it as ``abort_last_good.pmod``.  After a
+    non-finite loss these are the parameters of the last completed step.
+    After a non-finite gradient they are not all from one step: the
+    parameters before the named one in registry order, and the blocks of it
+    already visited, have taken the aborted step; the rest have not.
     """
     if not samples:
         raise DomainError("training requires a nonempty dataset")
@@ -261,8 +305,7 @@ def train(
             lr = lr_at(epoch, config)
             for start in range(0, len(order), config.batch_size):
                 batch = [samples[i] for i in order[start : start + config.batch_size]]
-                grads, parts, traces = _batch_gradients(model, batch, config)
-                adam_step(model.parameters(), grads, state, lr)
+                parts, traces = _train_step(model, batch, config, state, lr)
                 for sample, p, tr in zip(batch, parts, traces):
                     for k in part_sums:
                         part_sums[k] += p[k]
@@ -483,8 +526,7 @@ def overfit_harness(
         order = rng.permutation(len(samples))
         for start in range(0, len(order), config.batch_size):
             batch = [samples[i] for i in order[start : start + config.batch_size]]
-            grads, _, _ = _batch_gradients(model, batch, config)
-            adam_step(model.parameters(), grads, state, lr_at(0, config))
+            _train_step(model, batch, config, state, lr_at(0, config))
             steps += 1
             if steps % check_every == 0 or steps >= max_steps:
                 current = dataset_loss(model, samples, config)

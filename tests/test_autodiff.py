@@ -184,6 +184,24 @@ def test_backward_freezes_tape():
         ad.relu(w)
 
 
+def test_backward_releases_tape_nodes():
+    tape = ad.Tape()
+    w = tape.watch(ad.Parameter("w", np.ones((2, 2))))
+    loss = ad.reduce_sum(ad.relu(w))
+    assert len(tape.nodes) == 3
+    ad.backward(loss)
+    assert tape.nodes == []
+
+
+def test_second_backward_on_swept_tape_rejected():
+    tape = ad.Tape()
+    w = tape.watch(ad.Parameter("w", np.ones((2, 2))))
+    loss = ad.reduce_sum(w)
+    ad.backward(loss)
+    with pytest.raises(ContractError, match="already ran"):
+        ad.backward(loss)
+
+
 def test_unused_parameter_gets_zero_gradient():
     tape = ad.Tape()
     used = ad.Parameter("used", np.ones(3))

@@ -394,6 +394,37 @@ def test_parameters_follow_registry_order(tiny_model):
         tiny_model._register("customizer.fc3.bias", np.zeros((1, 3)))
 
 
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, tiny_model, monkeypatch):
+    import patmod.model as model_module
+
+    path = tmp_path / "model.pmod"
+    save_checkpoint(path, tiny_model)
+    before = path.read_bytes()
+
+    class HalfWrite:
+        """A file that takes half of what it is given, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(model_module, "open", lambda *a, **k: HalfWrite(open(*a, **k)), raising=False)
+    tiny_model.params["customizer.fc3.bias"].data += 1.0
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, tiny_model)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.pmod"]
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.pmod"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -1,6 +1,8 @@
 """Training tests: losses against brute-force oracles, optimizer behavior,
 determinism, ablation switches, evaluation, and interpolation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from patmod import geometry as geo
 from patmod import training as tr
 from patmod.data import Sample, make_sample
 from patmod.errors import ConfigError, DomainError, NumericalAbort
-from patmod.model import ForwardTrace, ModelConfig, PatternModel, save_checkpoint
+from patmod.model import ForwardTrace, ModelConfig, PatternModel, load_checkpoint, save_checkpoint
 
 TINY = dict(
     s_points=24,
@@ -200,14 +202,14 @@ def test_adam_zero_gradient_leaves_parameters():
     p = ad.Parameter("w", np.array([1.0, -2.0]))
     state = tr.AdamState()
     before = p.data.copy()
-    tr.adam_step([p], {"w": np.zeros(2)}, state, lr=0.1)
+    tr.adam_step([p], [{"w": np.zeros(2)}], state, lr=0.1)
     np.testing.assert_array_equal(p.data, before)
 
 
 def test_adam_first_step_closed_form():
     p = ad.Parameter("w", np.array([0.0, 0.0]))
     g = np.array([3.0, -0.5])
-    tr.adam_step([p], {"w": g}, tr.AdamState(), lr=0.01)
+    tr.adam_step([p], [{"w": g}], tr.AdamState(), lr=0.01)
     expected = -0.01 * g / (np.abs(g) + 1e-8)
     np.testing.assert_allclose(p.data, expected, rtol=1e-9)
 
@@ -217,7 +219,7 @@ def test_adam_scalar_quadratic_matches_simulation_oracle():
     state = tr.AdamState()
     traj = [1.0]
     for _ in range(50):
-        tr.adam_step([p], {"w": 2.0 * p.data}, state, lr=0.1)
+        tr.adam_step([p], [{"w": 2.0 * p.data}], state, lr=0.1)
         traj.append(abs(float(p.data[0])))
     first_below = next(i for i, x in enumerate(traj) if x < 0.2)
     assert all(traj[i + 1] < traj[i] for i in range(first_below))  # monotone descent
@@ -229,7 +231,98 @@ def test_adam_scalar_quadratic_matches_simulation_oracle():
 def test_adam_nan_gradient_aborts_naming_parameter():
     p = ad.Parameter("customizer.fc1.weight_points", np.zeros(2))
     with pytest.raises(NumericalAbort, match="customizer.fc1.weight_points"):
-        tr.adam_step([p], {p.name: np.array([np.nan, 0.0])}, tr.AdamState(), lr=0.1)
+        tr.adam_step([p], [{p.name: np.array([np.nan, 0.0])}], tr.AdamState(), lr=0.1)
+
+
+def _two_stage_adam(params, member_grads, state, lr):
+    """The update as it was before the fused pass: reduce whole gradients in
+    member order, scale by 1/B, then apply Adam to whole arrays."""
+    mean = {}
+    for grads in member_grads:
+        for name, g in grads.items():
+            if name in mean:
+                mean[name] += g
+            else:
+                mean[name] = g.copy()
+    scale = 1.0 / len(member_grads)
+    for name in mean:
+        mean[name] *= scale
+    state.t += 1
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    c1 = 1.0 - b1**state.t
+    c2 = 1.0 - b2**state.t
+    for p in params:
+        g = mean[p.name]
+        if p.name not in state.m:
+            state.m[p.name] = np.zeros_like(p.data)
+            state.v[p.name] = np.zeros_like(p.data)
+        m, v = state.m[p.name], state.v[p.name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+@pytest.mark.parametrize("members", [1, 2, 3, 4])
+def test_fused_adam_matches_two_stage_oracle_bitwise(members):
+    block = tr.ADAM_BLOCK
+    shapes = {
+        "small": (7,),  # below one block
+        "one_block": (block // 256, 256),  # exactly one block
+        "ragged": (3, 7, 41, 83),  # 71463 elements: two full blocks and a ragged tail
+    }
+    assert math.prod(shapes["ragged"]) % block != 0 and math.prod(shapes["ragged"]) > 2 * block
+    rng = np.random.default_rng(members)
+    init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    fused = [ad.Parameter(name, x.copy()) for name, x in init.items()]
+    oracle = [ad.Parameter(name, x.copy()) for name, x in init.items()]
+    s_fused, s_oracle = tr.AdamState(), tr.AdamState()
+    for step in range(6):
+        grads = [
+            {name: rng.normal(scale=10.0 ** rng.integers(-3, 3), size=shape) for name, shape in shapes.items()}
+            for _ in range(members)
+        ]
+        lr = 1e-3 * (step + 1)
+        tr.adam_step(fused, grads, s_fused, lr)
+        _two_stage_adam(oracle, grads, s_oracle, lr)
+        assert s_fused.t == s_oracle.t == step + 1
+        for a, b in zip(fused, oracle):
+            np.testing.assert_array_equal(a.data, b.data)
+            np.testing.assert_array_equal(s_fused.m[a.name], s_oracle.m[b.name])
+            np.testing.assert_array_equal(s_fused.v[a.name], s_oracle.v[b.name])
+
+
+def test_nan_member_gradient_aborts_before_later_parameters(tmp_path, monkeypatch):
+    samples = tiny_samples(4)
+    model = tiny_model(seed=3)
+    initial = {p.name: p.data.copy() for p in model.parameters()}
+    names = list(model.params)
+    target = "customizer.fc2.weight"  # 512 x 128: two blocks; three parameters follow it
+    assert model.params[target].data.size == 2 * tr.ADAM_BLOCK
+    real = tr._batch_gradients
+
+    def planted(*args):
+        grads, parts, traces = real(*args)
+        grads[1][target] = grads[1][target].copy()
+        grads[1][target].flat[-1] = np.nan  # in the second block
+        return grads, parts, traces
+
+    monkeypatch.setattr(tr, "_batch_gradients", planted)
+    out = tmp_path / "run"
+    out.mkdir()
+    with pytest.raises(NumericalAbort, match=target):
+        tr.train(samples, model, tr.TrainConfig(epochs=1, batch_size=2, seed=0), out_dir=out)
+    dumped, _ = load_checkpoint(out / "abort_last_good.pmod")
+    later = names[names.index(target) + 1 :]
+    assert len(later) == 3
+    for net in (model, dumped):
+        for name in later:
+            np.testing.assert_array_equal(net.params[name].data, initial[name])
+        flat, flat0 = net.params[target].data.reshape(-1), initial[target].reshape(-1)
+        np.testing.assert_array_equal(flat[tr.ADAM_BLOCK :], flat0[tr.ADAM_BLOCK :])
+        assert not np.array_equal(flat[: tr.ADAM_BLOCK], flat0[: tr.ADAM_BLOCK])
+        assert not np.array_equal(net.params[names[0]].data, initial[names[0]])
 
 
 def test_lr_schedule():

@@ -146,23 +146,16 @@ def _emit(kind: str, data: Array, inputs: Sequence[DTensor], backward) -> DTenso
 # broadcasting helpers (only rule: a 1xd row over an nxd matrix)
 
 
-def _broadcast_pair(a: Array, b: Array, op: str):
+def _check_broadcast(a: Array, b: Array, op: str) -> None:
     if a.shape == b.shape:
-        return None
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] == b.shape[1] and (b.shape[0] == 1 or a.shape[0] == 1):
-            return "row"
-        if a.shape[0] == b.shape[0] and (b.shape[1] == 1 or a.shape[1] == 1):
-            return "col"
+        return
+    if a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[1] and 1 in (a.shape[0], b.shape[0]):
+        return
     raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    if grad.shape == shape:
-        return grad
-    if shape[0] == 1:
-        return grad.sum(axis=0, keepdims=True)
-    return grad.sum(axis=1, keepdims=True)
+    return grad if grad.shape == shape else grad.sum(axis=0, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +164,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a, b) -> DTensor:
     a, b = _coerce(a), _coerce(b)
-    _broadcast_pair(a.data, b.data, "add")
+    _check_broadcast(a.data, b.data, "add")
     out = a.data + b.data
 
     def backward(g):
@@ -182,25 +175,13 @@ def add(a, b) -> DTensor:
 
 def sub(a, b) -> DTensor:
     a, b = _coerce(a), _coerce(b)
-    _broadcast_pair(a.data, b.data, "sub")
+    _check_broadcast(a.data, b.data, "sub")
     out = a.data - b.data
 
     def backward(g):
         return [_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)]
 
     return _emit("sub", out, (a, b), backward)
-
-
-def mul(a, b) -> DTensor:
-    a, b = _coerce(a), _coerce(b)
-    _broadcast_pair(a.data, b.data, "mul")
-    ad, bd = a.data, b.data
-    out = ad * bd
-
-    def backward(g):
-        return [_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)]
-
-    return _emit("mul", out, (a, b), backward)
 
 
 def scale(a, c: float) -> DTensor:
@@ -214,47 +195,11 @@ def scale(a, c: float) -> DTensor:
     return _emit("scale", out, (a,), backward)
 
 
-def relu(a) -> DTensor:
-    a = _coerce(a)
-    out = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        return [g * (out > 0.0)]
-
-    return _emit("relu", out, (a,), backward)
-
-
-_TANH_LIM = np.nextafter(1.0, 0.0)
-
-
-def tanh(a) -> DTensor:
-    a = _coerce(a)
-    # keep outputs strictly inside (-1, 1): float64 tanh saturates to 1.0 above ~19
-    out = np.clip(np.tanh(a.data), -_TANH_LIM, _TANH_LIM)
-
-    def backward(g):
-        return [g * (1.0 - out * out)]
-
-    return _emit("tanh", out, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
-# linear algebra
+# linear algebra with fused activations
 
-
-def matmul(a, b) -> DTensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul: expects matrices, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    out = ad @ bd
-
-    def backward(g):
-        return [g @ bd.T, ad.T @ g]
-
-    return _emit("matmul", out, (a, b), backward)
+# tanh outputs stay strictly inside (-1, 1): float64 tanh saturates to 1.0 above ~19
+_TANH_LIM = np.nextafter(1.0, 0.0)
 
 
 def _apply_activation(out: Array, activation: str | None) -> None:
@@ -348,12 +293,14 @@ def linear_blockfeat(x, feats, w_x, w_f, b, block_index, activation: str | None 
     return _emit("linear_blockfeat", out, (x, feats, w_x, w_f, b), backward)
 
 
-def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> DTensor:
-    """Direct cross-correlation of a CxHxW input with an OxCxkxk kernel.
+def conv2d(x, kernel, bias, stride: int = 1, pad: int = 0) -> DTensor:
+    """ReLU of the direct cross-correlation of a CxHxW input with an OxCxkxk
+    kernel plus an Ox1 bias.
 
     Accumulates over kernel taps (no im2col); H' = (H + 2*pad - k)//stride + 1.
+    One tape node; the bias add and ReLU run in place, as in ``linear``.
     """
-    x, kernel = _coerce(x), _coerce(kernel)
+    x, kernel, bias = _coerce(x), _coerce(kernel), _coerce(bias)
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise DimensionError(f"conv2d: expects CxHxW and OxCxkxk, got {x.shape}, {kernel.shape}")
     if stride < 1:
@@ -362,6 +309,8 @@ def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> DTensor:
     c_out, c_k, kh, kw = kernel.shape
     if c_k != c_in:
         raise DimensionError(f"conv2d: channel mismatch, input {x.shape} vs kernel {kernel.shape}")
+    if bias.shape != (c_out, 1):
+        raise DimensionError(f"conv2d: bias must be {c_out}x1, got {bias.shape}")
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise DimensionError(
             f"conv2d: kernel {kernel.shape} larger than padded input {(c_in, h + 2 * pad, w + 2 * pad)}"
@@ -376,9 +325,11 @@ def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> DTensor:
         for kx in range(kw):
             xs = xp[:, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
             out += (kd[:, :, ky, kx] @ xs.reshape(c_in, -1)).reshape(c_out, h_out, w_out)
+    out += bias.data[:, :, None]
+    _apply_activation(out, "relu")
 
     def backward(g):
-        gm = g.reshape(c_out, -1)
+        gm = _activation_grad(g, out, "relu").reshape(c_out, -1)
         dk = np.zeros_like(kd)
         dxp = np.zeros_like(xp)
         for ky in range(kh):
@@ -389,33 +340,29 @@ def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> DTensor:
                     kd[:, :, ky, kx].T @ gm
                 ).reshape(c_in, h_out, w_out)
         dx = dxp[:, pad : pad + h, pad : pad + w] if pad else dxp
-        return [dx, dk]
+        return [dx, dk, gm.sum(axis=1, keepdims=True)]
 
-    return _emit("conv2d", out, (x, kernel), backward)
+    return _emit("conv2d", out, (x, kernel, bias), backward)
 
 
 # ---------------------------------------------------------------------------
 # shape ops
 
 
-def concat(tensors: Sequence, axis: int = 0) -> DTensor:
+def concat(tensors: Sequence) -> DTensor:
+    """Stack tensors by rows; backward hands each input its row slice."""
     tensors = [_coerce(t) for t in tensors]
     if not tensors:
         raise DomainError("concat: empty tensor list")
     base = tensors[0].shape
     for t in tensors[1:]:
-        if len(t.shape) != len(base) or any(
-            s != b for i, (s, b) in enumerate(zip(t.shape, base)) if i != axis
-        ):
-            raise DimensionError(f"concat: shape {t.shape} incompatible with {base} on axis {axis}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+        if t.shape[1:] != base[1:]:
+            raise DimensionError(f"concat: shape {t.shape} incompatible with {base} for stacking rows")
+    out = np.concatenate([t.data for t in tensors])
+    offsets = np.cumsum([0] + [t.shape[0] for t in tensors])
 
     def backward(g):
-        return [
-            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis) for i in range(len(tensors))
-        ]
+        return [g[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
     return _emit("concat", out, tensors, backward)
 
@@ -451,33 +398,34 @@ def gather_rows(a, indices) -> DTensor:
 # reductions
 
 
-def reduce_sum(a, axis: int | None = None) -> DTensor:
+def reduce_sum(a) -> DTensor:
+    """Sum of every entry -> scalar."""
     a = _coerce(a)
-    _check_axis(a, axis)
-    out = a.data.sum(axis=axis)
+    if a.data.size == 0:
+        raise DomainError("reduce_sum: empty reduction")
+    out = a.data.sum()
     shape = a.shape
 
     def backward(g):
-        if axis is None:
-            return [np.full(shape, g)]
-        return [np.broadcast_to(np.expand_dims(g, axis), shape).copy()]
+        return [np.full(shape, g)]
 
     return _emit("sum", out, (a,), backward)
 
 
-def reduce_mean(a, axis: int | None = None) -> DTensor:
+def mean_over_columns(a) -> DTensor:
+    """Column-wise mean of a matrix -> 1xd; gradient spreads evenly over the rows."""
     a = _coerce(a)
-    _check_axis(a, axis)
-    count = a.data.size if axis is None else a.shape[axis]
-    out = a.data.mean(axis=axis)
+    if a.data.ndim != 2:
+        raise DimensionError(f"mean_over_columns: expects a matrix, got {a.shape}")
+    if a.shape[0] == 0:
+        raise DomainError("mean_over_columns: empty reduction axis")
+    out = a.data.mean(axis=0, keepdims=True)
     shape = a.shape
 
     def backward(g):
-        if axis is None:
-            return [np.full(shape, g / count)]
-        return [np.broadcast_to(np.expand_dims(g, axis), shape).copy() / count]
+        return [np.broadcast_to(g, shape) / shape[0]]
 
-    return _emit("mean", out, (a,), backward)
+    return _emit("mean_over_columns", out, (a,), backward)
 
 
 def max_over_columns(a) -> DTensor:
@@ -515,16 +463,6 @@ def row_norm(a) -> DTensor:
         return [(g / safe * (out > 0.0))[:, None] * ad]
 
     return _emit("row_norm", out, (a,), backward)
-
-
-def _check_axis(a: DTensor, axis: int | None) -> None:
-    if axis is not None:
-        if axis >= a.data.ndim:
-            raise DimensionError(f"axis {axis} out of range for shape {a.shape}")
-        if a.shape[axis] == 0:
-            raise DomainError("empty reduction axis")
-    elif a.data.size == 0:
-        raise DomainError("empty reduction")
 
 
 # ---------------------------------------------------------------------------

@@ -356,7 +356,7 @@ def write_xyz(path, cloud: np.ndarray) -> None:
 
 
 def read_xyz(path) -> np.ndarray:
-    rows = []
+    rows, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -369,7 +369,13 @@ def read_xyz(path) -> np.ndarray:
                 rows.append([float(p) for p in parts])
             except ValueError as exc:
                 raise DomainError(f"{path}:{lineno}: {exc}") from None
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+            linenos.append(lineno)
+    cloud = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    # checked once per cloud: a numpy call per line would double the parse time
+    bad = np.flatnonzero(~np.isfinite(cloud).all(axis=1))
+    if bad.size:
+        raise DomainError(f"{path}:{linenos[bad[0]]}: non-finite coordinate {cloud[bad[0]].tolist()}")
+    return cloud
 
 
 def write_ply(path, cloud: np.ndarray) -> None:
@@ -444,6 +450,8 @@ def read_pgm(path) -> np.ndarray:
         raise DomainError(f"{path}: malformed PGM header") from None
     if maxval != 255:
         raise DomainError(f"{path}: only maxval 255 supported, got {maxval}")
+    if w < 1 or h < 1:
+        raise DomainError(f"{path}: width and height must be positive, got {w}x{h}")
     payload = parts[3][: w * h]
     if len(payload) < w * h:
         raise DomainError(f"{path}: truncated pixel payload")
@@ -486,6 +494,10 @@ def write_dataset(root, split: DatasetSplit, image_size: int = 64) -> Path:
     return manifest
 
 
+# keys every manifest record must hold, with their value types
+_MANIFEST_KEYS = {"class": str, "seed": int, "cloud_path": str, "image_path": str, "split": str}
+
+
 def read_manifest(manifest_path) -> list[dict]:
     manifest_path = Path(manifest_path)
     records = []
@@ -494,10 +506,19 @@ def read_manifest(manifest_path) -> list[dict]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{manifest_path}:{lineno}"
             try:
-                records.append(json.loads(line))
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DomainError(f"{manifest_path}:{lineno}: {exc}") from None
+                raise DomainError(f"{where}: {exc}") from None
+            if not isinstance(rec, dict):
+                raise DomainError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+            for key, kind in _MANIFEST_KEYS.items():
+                if key not in rec:
+                    raise DomainError(f"{where}: missing key {key!r}")
+                if not isinstance(rec[key], kind) or isinstance(rec[key], bool):
+                    raise DomainError(f"{where}: key {key!r} must be {kind.__name__}, got {rec[key]!r}")
+            records.append(rec)
     return records
 
 

@@ -280,15 +280,8 @@ class PatternModel:
                 f"{(c.image_channels, c.image_size, c.image_size)}"
             )
         x = ad.constant(image)
-        side = c.image_size
         for i, stride in enumerate(_CONV_STRIDES):
-            w = pt[f"encoder.conv{i + 1}.weight"]
-            b = pt[f"encoder.conv{i + 1}.bias"]
-            x = ad.conv2d(x, w, stride=stride, pad=_CONV_PAD)
-            side = (side + 2 * _CONV_PAD - _CONV_KERNEL) // stride + 1
-            ch = x.shape[0]
-            x = ad.relu(ad.add(ad.reshape(x, (ch, -1)), b))
-            x = ad.reshape(x, (ch, side, side))
+            x = ad.conv2d(x, pt[f"encoder.conv{i + 1}.weight"], pt[f"encoder.conv{i + 1}.bias"], stride, _CONV_PAD)
         flat = ad.reshape(x, (1, self._flat_dim))
         h = _linear(flat, pt, "encoder.fc1", "relu")
         return _linear(h, pt, "encoder.fc2")
@@ -344,7 +337,7 @@ class PatternModel:
             owners.append(owner)
         # pattern-major -> region-major; the stable sort keeps pattern order
         order = np.argsort(np.concatenate(owners), kind="stable")
-        return ad.gather_rows(ad.concat(outs, axis=0), order)
+        return ad.gather_rows(ad.concat(outs), order)
 
     def customize(self, r_prime_obj: DTensor, f_i: DTensor, pt: dict[str, DTensor]) -> DTensor:
         """Predict the per-point modularization shift from the image feature."""
@@ -414,7 +407,7 @@ class PatternModel:
             # customizer consumes the region points directly; padding rows
             # read the zero row appended after the cloud
             pad = s_cloud.shape[0]
-            source = ad.concat([s_tensor, ad.constant(np.zeros((1, 3)))], axis=0)
+            source = ad.concat([s_tensor, ad.constant(np.zeros((1, 3)))])
             index = np.concatenate(
                 [np.r_[r.source_rows, np.full(n - r.real_count, pad)] for r, n in zip(region_set.regions, rows)]
             )
@@ -424,7 +417,7 @@ class PatternModel:
             for region in region_set.regions:
                 if region.real_count:
                     real = ad.gather_rows(s_tensor, region.source_rows)
-                    center = ad.reshape(ad.reduce_mean(real, axis=0), (1, 3))
+                    center = ad.mean_over_columns(real)
                     centered = ad.sub(real, center)
                     f_r = self.encode_region(centered, pt)
                 else:
@@ -432,9 +425,9 @@ class PatternModel:
                     f_r = ad.constant(np.zeros((1, c.region_feat)))
                 f_r_items.append(f_r)
                 center_items.append(center)
-            f_r_all = ad.concat(f_r_items, axis=0)
+            f_r_all = ad.concat(f_r_items)
             local = self.modularize_stacked(f_r_all, patterns, pt, rows)
-            centers = ad.gather_rows(ad.concat(center_items, axis=0), np.repeat(np.arange(c.regions), rows))
+            centers = ad.gather_rows(ad.concat(center_items), np.repeat(np.arange(c.regions), rows))
             stacked = ad.add(local, centers)  # object frame
         _check_finite(stacked.data, "modularized region")
 

@@ -1,6 +1,9 @@
 """CLI integration tests on a miniature configuration: every subcommand,
 exit codes, output layouts, and byte-level determinism."""
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
@@ -313,6 +316,39 @@ def test_missing_dataset_exit_3(workspace, tmp_path):
         "train", "--config", str(cfg), "--dataset", str(tmp_path / "void"),
         "--out", str(tmp_path / "y"),
     ]) == 3
+
+
+@pytest.mark.parametrize(
+    "target, payload",
+    [
+        ("manifest", lambda rec: "[1, 2]"),
+        ("manifest", lambda rec: json.dumps({k: v for k, v in rec.items() if k != "seed"})),
+        ("image_path", lambda rec: b"P5\n-8 -8\n255\n" + bytes(64)),
+        ("cloud_path", lambda rec: b"0 0 0\nnan nan nan\n"),
+    ],
+    ids=["manifest_not_object", "manifest_missing_seed", "pgm_negative_size", "xyz_nan"],
+)
+def test_bad_dataset_input_exit_3(workspace, tmp_path, caplog, target, payload):
+    """A bad manifest record, image header or cloud coordinate in the first
+    train record ends training with exit 3 and a message naming the file,
+    before any output is written."""
+    root, cfg = workspace
+    ds = tmp_path / "ds"
+    shutil.copytree(root / "ds", ds)
+    manifest = ds / "manifest.jsonl"
+    lineno, rec = next((n, r) for n, r in enumerate(data.read_manifest(manifest), 1) if r["split"] == "train")
+    if target == "manifest":
+        lines = manifest.read_text().splitlines()
+        lines[lineno - 1] = payload(rec)
+        manifest.write_text("\n".join(lines) + "\n")
+        named = f"manifest.jsonl:{lineno}"
+    else:
+        (ds / rec[target]).write_bytes(payload(rec))
+        named = rec[target].split("/")[-1]
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(out)]) == 3
+    assert named in caplog.text
+    assert not out.exists()
 
 
 def test_non_boolean_set_value_exit_2(workspace, tmp_path):

@@ -166,6 +166,25 @@ def test_load_samples_filters_by_split(tmp_path):
     assert all(isinstance(s.image, np.ndarray) for s in train)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('"table"', "expected a JSON object"),
+        ('{"class": "table", "seed": 1, "cloud_path": "a.xyz", "image_path": "a.pgm"}', "missing key 'split'"),
+        ('{"class": "table", "seed": true, "cloud_path": "a.xyz", "image_path": "a.pgm", "split": "train"}',
+         "'seed' must be int"),
+        ('{"class": "table", "seed": 1, "cloud_path": 5, "image_path": "a.pgm", "split": "train"}',
+         "'cloud_path' must be str"),
+    ],
+    ids=["not_object", "missing_key", "bool_seed", "numeric_path"],
+)
+def test_manifest_record_checked(tmp_path, line, message):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("\n" + line + "\n")
+    with pytest.raises(DomainError, match=f"manifest.jsonl:2: .*{message}"):
+        data.read_manifest(path)
+
+
 # ---------------------------------------------------------------------------
 # point cloud files
 

@@ -101,6 +101,18 @@ def test_encode_image_wrong_size_rejected(tiny_model):
         tiny_model.encode_image(np.zeros((1, 16, 16)), pt)
 
 
+def test_encode_image_records_one_node_per_layer(tiny_model, tiny_inputs):
+    """Each conv layer is one node (bias and ReLU fused), then the flatten
+    and the two dense layers."""
+    image, _ = tiny_inputs
+    tape = ad.Tape()
+    pt = tiny_model._watch_all(tape)
+    start = len(tape.nodes)
+    tiny_model.encode_image(image, pt)
+    kinds = [node.kind for node in tape.nodes[start:]]
+    assert kinds == ["conv2d"] * 7 + ["reshape", "linear", "linear"]
+
+
 def test_encoder_conv_gradients_match_finite_differences(tiny_inputs):
     """Scalar head over the full conv stack, checked per kernel coordinate."""
     image, _ = tiny_inputs

@@ -143,43 +143,32 @@ def _emit(kind: str, data: Array, inputs: Sequence[DTensor], backward) -> DTenso
 
 
 # ---------------------------------------------------------------------------
-# broadcasting helpers (only rule: a 1xd row over an nxd matrix)
-
-
-def _check_broadcast(a: Array, b: Array, op: str) -> None:
-    if a.shape == b.shape:
-        return
-    if a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[1] and 1 in (a.shape[0], b.shape[0]):
-        return
-    raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-
-
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    return grad if grad.shape == shape else grad.sum(axis=0, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
 # elementwise ops
+
+
+def _check_same_shape(a: DTensor, b: DTensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
 
 
 def add(a, b) -> DTensor:
     a, b = _coerce(a), _coerce(b)
-    _check_broadcast(a.data, b.data, "add")
+    _check_same_shape(a, b, "add")
     out = a.data + b.data
 
     def backward(g):
-        return [_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)]
+        return [g, g]
 
     return _emit("add", out, (a, b), backward)
 
 
 def sub(a, b) -> DTensor:
     a, b = _coerce(a), _coerce(b)
-    _check_broadcast(a.data, b.data, "sub")
+    _check_same_shape(a, b, "sub")
     out = a.data - b.data
 
     def backward(g):
-        return [_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)]
+        return [g, -g]
 
     return _emit("sub", out, (a, b), backward)
 
@@ -244,23 +233,29 @@ def linear(x, w, b, activation: str | None = None) -> DTensor:
     return _emit("linear", out, (x, w, b), backward)
 
 
+def _blocks(block_index, rows: DTensor, n_blocks: int, op: str) -> tuple[Array, Array]:
+    """Check a block index over the rows of a matrix: nondecreasing within
+    [0, n_blocks), so each block is one run of rows, possibly empty.  Returns
+    it as intp with the first row of every present block."""
+    idx = np.asarray(block_index, dtype=np.intp)
+    if rows.data.ndim != 2 or idx.shape != rows.shape[:1]:
+        raise DimensionError(f"{op}: block_index of shape {idx.shape} over an input of shape {rows.shape}")
+    if idx.size and (idx[0] < 0 or idx[-1] >= n_blocks or np.any(idx[1:] < idx[:-1])):
+        raise DomainError(f"{op}: block_index must be nondecreasing within [0, {n_blocks})")
+    return idx, np.flatnonzero(np.diff(idx, prepend=-1))
+
+
 def linear_blockfeat(x, feats, w_x, w_f, b, block_index, activation: str | None = None) -> DTensor:
     """Fully connected layer over [x | feature] where row r takes the feature
-    row ``feats[block_index[r]]``.
+    row ``feats[block_index[r]]`` (a block index as ``_blocks`` checks it).
 
-    ``block_index`` is nondecreasing, so each feature row feeds one run of
-    consecutive rows; runs may have any length and a feature row may feed
-    none.  Computes x @ w_x + feats @ w_f + b without materializing the wide
+    Computes x @ w_x + feats @ w_f + b without materializing the wide
     concatenated input.
     """
     x, feats, w_x, w_f, b = (_coerce(t) for t in (x, feats, w_x, w_f, b))
     n_out = w_x.shape[1]
     n_blocks = feats.shape[0]
-    idx = np.asarray(block_index, dtype=np.intp)
-    if idx.shape != (x.shape[0],):
-        raise DimensionError(f"linear_blockfeat: block_index has shape {idx.shape}, x has {x.shape[0]} rows")
-    if idx.size and (idx[0] < 0 or idx[-1] >= n_blocks or np.any(idx[1:] < idx[:-1])):
-        raise DomainError(f"linear_blockfeat: block_index must be nondecreasing within [0, {n_blocks})")
+    idx, starts = _blocks(block_index, x, n_blocks, "linear_blockfeat")
     if x.shape[1] != w_x.shape[0] or feats.shape[1] != w_f.shape[0] or w_f.shape[1] != n_out:
         raise DimensionError(
             f"linear_blockfeat: incompatible shapes x{x.shape} wx{w_x.shape} "
@@ -275,7 +270,6 @@ def linear_blockfeat(x, feats, w_x, w_f, b, block_index, activation: str | None 
     out += rows[idx]
     _apply_activation(out, activation)
     wxd, wfd = w_x.data, w_f.data
-    starts = np.flatnonzero(np.diff(idx, prepend=-1))  # first row of each present block
 
     def backward(g):
         g = _activation_grad(g, out, activation)
@@ -412,39 +406,43 @@ def reduce_sum(a) -> DTensor:
     return _emit("sum", out, (a,), backward)
 
 
-def mean_over_columns(a) -> DTensor:
-    """Column-wise mean of a matrix -> 1xd; gradient spreads evenly over the rows."""
+def mean_over_blocks(a, block_index, n_blocks: int) -> DTensor:
+    """Per-block column mean of a matrix -> (n_blocks, d); an empty block
+    reads zero.  Each block sums its rows in row order, as numpy's mean over
+    that block alone does, so the two agree bit for bit; the gradient spreads
+    evenly over the block's rows."""
     a = _coerce(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"mean_over_columns: expects a matrix, got {a.shape}")
-    if a.shape[0] == 0:
-        raise DomainError("mean_over_columns: empty reduction axis")
-    out = a.data.mean(axis=0, keepdims=True)
-    shape = a.shape
+    idx, _ = _blocks(block_index, a, n_blocks, "mean_over_blocks")
+    sums = np.zeros((n_blocks, a.shape[1]))
+    np.add.at(sums, idx, a.data)
+    counts = np.maximum(np.bincount(idx, minlength=n_blocks), 1)[:, None]
+    out = sums / counts
 
     def backward(g):
-        return [np.broadcast_to(g, shape) / shape[0]]
+        return [(g / counts)[idx]]
 
-    return _emit("mean_over_columns", out, (a,), backward)
+    return _emit("mean_over_blocks", out, (a,), backward)
 
 
-def max_over_columns(a) -> DTensor:
-    """Column-wise maximum of a matrix -> 1xd; gradient routes to argmax rows."""
+def max_over_blocks(a, block_index, n_blocks: int) -> DTensor:
+    """Per-block column maximum of a matrix -> (n_blocks, d); an empty block
+    reads zero.  Each column's gradient routes to the block's first maximal
+    row, the row np.argmax picks."""
     a = _coerce(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"max_over_columns: expects a matrix, got {a.shape}")
-    if a.shape[0] == 0:
-        raise DomainError("max_over_columns: empty reduction axis")
-    idx = np.argmax(a.data, axis=0)
-    cols = np.arange(a.shape[1])
-    out = a.data[idx, cols][None, :]
+    idx, starts = _blocks(block_index, a, n_blocks, "max_over_blocks")
+    n, d = a.shape
+    present = idx[starts]
+    out = np.zeros((n_blocks, d))
+    out[present] = np.maximum.reduceat(a.data, starts, axis=0)
+    first = np.minimum.reduceat(np.where(a.data == out[idx], np.arange(n)[:, None], n), starts, axis=0)
+    cols = np.arange(d)
 
     def backward(g):
-        da = np.zeros_like(a.data)
-        da[idx, cols] = g[0]
+        da = np.zeros((n, d))
+        da[first, cols] = g[present]
         return [da]
 
-    return _emit("max_over_columns", out, (a,), backward)
+    return _emit("max_over_blocks", out, (a,), backward)
 
 
 def row_norm(a) -> DTensor:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data
 from .errors import ConfigError, ContractError, DomainError, NumericalAbort
-from .model import PatternModel, load_checkpoint, to_flat
+from .model import ModelConfig, PatternModel, load_checkpoint, to_flat
 from .runconfig import RunConfig, load_run_config
 from .training import (
     SWEEP_PARAMETERS,
@@ -152,6 +152,24 @@ def _with_model(cfg: RunConfig, model: PatternModel) -> RunConfig:
     return cfg.apply(to_flat(model.config))
 
 
+def _check_image(path, image: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """Return ``image`` if its shape is the model's input shape; otherwise
+    raise ContractError naming the file."""
+    want = (config.image_channels, config.image_size, config.image_size)
+    if image.shape != want:
+        raise ContractError(f"{path}: image shape {image.shape} does not match the model's input {want}")
+    return image
+
+
+def _load_split(manifest: Path, split: str, config: ModelConfig) -> list[data.Sample]:
+    """The split's samples, each image checked against the model's input."""
+    samples = data.load_samples(manifest, split)
+    paths = [manifest.parent / r["image_path"] for r in data.read_manifest(manifest) if r["split"] == split]
+    for path, sample in zip(paths, samples):
+        _check_image(path, sample.image, config)
+    return samples
+
+
 def _prepare_out(path, force: bool, expected: list[str]) -> Path:
     out = Path(path)
     if out.exists():
@@ -191,7 +209,7 @@ def cmd_train(args) -> int:
     manifest = Path(cfg.dataset_dir) / "manifest.jsonl"
     if not manifest.exists():
         raise OSError(f"{manifest}: dataset not found; run gen-data first")
-    samples = data.load_samples(manifest, "train")
+    samples = _load_split(manifest, "train", cfg.model)
     out = _prepare_out(cfg.out_dir, args.force, ["checkpoint.pmod", "metrics.csv"])
     cfg.write(out / "config_resolved.txt")
     model = PatternModel(cfg.model, seed=cfg.model_seed)
@@ -206,7 +224,7 @@ def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     split_map = {"train": "train", "seen": "test_seen", "unseen": "test_unseen"}
     manifest = Path(cfg.dataset_dir) / "manifest.jsonl"
-    samples = data.load_samples(manifest, split_map[args.split])
+    samples = _load_split(manifest, split_map[args.split], model.config)
     if not samples:
         raise ConfigError(f"no samples in split {args.split!r}")
     csv_name = f"eval_{args.split}.csv"
@@ -224,7 +242,7 @@ def cmd_reconstruct(args) -> int:
     cfg = _resolve(args)
     model, _ = load_checkpoint(args.checkpoint)
     echo = _with_model(cfg, model)
-    image = data.read_pgm(args.image)
+    image = _check_image(args.image, data.read_pgm(args.image), model.config)
     out = _prepare_out(cfg.out_dir, args.force, ["reconstruction.xyz", "reconstruction.ply"])
     echo.write(out / "config_resolved.txt")
     trace = model.reconstruct(image)
@@ -248,11 +266,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve(args)
     manifest = Path(cfg.dataset_dir) / "manifest.jsonl"
-    dataset = {
-        "train": data.load_samples(manifest, "train"),
-        "test_seen": data.load_samples(manifest, "test_seen"),
-        "test_unseen": data.load_samples(manifest, "test_unseen"),
-    }
+    dataset = {split: _load_split(manifest, split, cfg.model) for split in ("train", "test_seen", "test_unseen")}
     values = [v for v in args.values.split(",") if v]
     out = _prepare_out(cfg.out_dir, args.force, [f"sweep_{args.parameter}.csv"])
     cfg.write(out / "config_resolved.txt")
@@ -275,8 +289,8 @@ def cmd_interpolate(args) -> int:
         raise ConfigError(f"--steps must be >= 2, got {args.steps}")
     model, _ = load_checkpoint(args.checkpoint)
     echo = _with_model(cfg, model)
-    image_a = data.read_pgm(args.image_a)
-    image_b = data.read_pgm(args.image_b)
+    image_a = _check_image(args.image_a, data.read_pgm(args.image_a), model.config)
+    image_b = _check_image(args.image_b, data.read_pgm(args.image_b), model.config)
     out = _prepare_out(cfg.out_dir, args.force, ["interp_0.000.xyz"])
     echo.write(out / "config_resolved.txt")
     for lam, cloud in interpolate_latent(model, image_a, image_b, args.steps):

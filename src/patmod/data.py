@@ -246,28 +246,15 @@ def normalize_cloud(cloud: np.ndarray) -> np.ndarray:
 # rendering
 
 
-def view_from_seed(view_seed: int | None) -> np.ndarray:
-    """Default fixed diagonal view, or a seeded random direction for robustness runs."""
-    if view_seed is None:
-        return DEFAULT_VIEW.copy()
-    rng = np.random.default_rng(view_seed)
-    v = rng.standard_normal(3)
-    v /= np.linalg.norm(v)
-    return v
-
-
-def render_image(cloud: np.ndarray, view: np.ndarray | None = None, size: int = 64) -> np.ndarray:
-    """Orthographic point-splat render: 2x2 footprints, nearer points brighter.
+def render_image(cloud: np.ndarray, size: int = 64) -> np.ndarray:
+    """Orthographic point-splat render along ``DEFAULT_VIEW``: 2x2 footprints,
+    nearer points brighter.
 
     Returns a (1, size, size) array in [0, 1]; out-of-frame points are clipped
     away rather than clamped to the border.
     """
-    view = DEFAULT_VIEW if view is None else np.asarray(view, dtype=np.float64)
-    view = view / np.linalg.norm(view)
-    up_world = np.array([0.0, 1.0, 0.0])
-    if abs(view @ up_world) > 0.999:
-        up_world = np.array([1.0, 0.0, 0.0])
-    right = np.cross(up_world, view)
+    view = DEFAULT_VIEW / np.linalg.norm(DEFAULT_VIEW)
+    right = np.cross(np.array([0.0, 1.0, 0.0]), view)
     right /= np.linalg.norm(right)
     up = np.cross(view, right)
 
@@ -321,9 +308,9 @@ def sample_seed(master_seed: int, class_name: str, index: int) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def make_sample(class_name: str, seed: int, image_size: int = 64, view_seed: int | None = None) -> Sample:
+def make_sample(class_name: str, seed: int, image_size: int = 64) -> Sample:
     cloud = generate_shape(class_name, seed)
-    image = render_image(cloud, view_from_seed(view_seed), image_size)
+    image = render_image(cloud, image_size)
     return Sample(image, cloud, class_name, seed)
 
 
@@ -370,6 +357,8 @@ def read_xyz(path) -> np.ndarray:
             except ValueError as exc:
                 raise DomainError(f"{path}:{lineno}: {exc}") from None
             linenos.append(lineno)
+    if not rows:
+        raise DomainError(f"{path}: empty point cloud")
     cloud = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
     # checked once per cloud: a numpy call per line would double the parse time
     bad = np.flatnonzero(~np.isfinite(cloud).all(axis=1))

@@ -317,20 +317,17 @@ def iou(a: VoxelGrid, b: VoxelGrid) -> float:
     return float(inter) / float(union)
 
 
-def downsample(cloud: np.ndarray, k: int, method: str = "fps", seed: int | None = None) -> np.ndarray:
-    """Pick k points: deterministic farthest-point sampling or a seeded draw."""
+def downsample(cloud: np.ndarray, k: int, method: str = "fps") -> np.ndarray:
+    """Pick k points by deterministic farthest-point sampling, the only method."""
+    if method != "fps":
+        raise ContractError(f"unknown downsample method {method!r}")
     cloud = as_cloud(cloud)
     n = cloud.shape[0]
     if k > n:
         raise DomainError(f"cannot downsample {n} points to {k}")
     if k == n:
         return cloud.copy()
-    if method == "fps":
-        return cloud[farthest_point_indices(cloud, k)]
-    if method == "random":
-        rng = np.random.default_rng(seed)
-        return cloud[rng.choice(n, size=k, replace=False)]
-    raise ContractError(f"unknown downsample method {method!r}")
+    return cloud[farthest_point_indices(cloud, k)]
 
 
 def farthest_point_indices(cloud: np.ndarray, k: int) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry as geo
 from .autodiff import DTensor, Parameter
-from .errors import ConfigError, ContractError, NumericalAbort
+from .errors import ConfigError, ContractError, DomainError, NumericalAbort
 
 CHECKPOINT_MAGIC = b"PMOD"
 CHECKPOINT_VERSION = 1
@@ -65,6 +65,13 @@ class ModelConfig:
             raise ConfigError("image encoder uses exactly 7 conv layers")
         if self.no_local and (self.no_patterns or self.no_shift):
             raise ConfigError("no_local removes the entire local pipeline; other ablations conflict")
+        if self.pattern_points < 1:
+            raise ConfigError(f"pattern_points must be >= 1, got {self.pattern_points}")
+        if not (self.no_local or self.no_patterns):  # the model builds a pattern lattice
+            try:
+                geo.grid_lattice(self.pattern_points, self.pattern_extent, self.sampling_mode)
+            except DomainError as exc:
+                raise ConfigError(f"pattern lattice: {exc}") from None
 
     @property
     def region_capacity(self) -> int:
@@ -163,9 +170,9 @@ class ForwardTrace:
     shifts: list[np.ndarray] | None  # M x (k_m, 3)
     u: list[np.ndarray] | None  # M x (k_m, 3)
     f_cloud: np.ndarray  # final reconstruction
-    # tape handles used by the losses (None on tapeless inference)
+    # the losses' handles; tapeless passes hold constants.  f_tensor stacks
+    # each region's kept rows, region-major, in region_set order
     s_tensor: DTensor | None = None
-    kept_tensors: list[DTensor] | None = None
     f_tensor: DTensor | None = None
 
 
@@ -299,10 +306,11 @@ class PatternModel:
             outs.append(_linear(h, pt, f"learner{n}.fc3", "tanh"))
         return outs
 
-    def encode_region(self, centered_points: DTensor, pt: dict[str, DTensor]) -> DTensor:
-        """Pointwise FC + ReLU then max-pool over the (real) rows -> 1 x E."""
-        h = _linear(centered_points, pt, "region_encoder.fc", "relu")
-        return ad.max_over_columns(h)
+    def encode_region(self, centered: DTensor, pt: dict[str, DTensor], block_index, n_blocks: int) -> DTensor:
+        """Pointwise FC + ReLU, then a max-pool over each region's rows -> n_blocks x E;
+        row r belongs to region block_index[r], and a region without rows reads zero."""
+        h = _linear(centered, pt, "region_encoder.fc", "relu")
+        return ad.max_over_blocks(h, block_index, n_blocks)
 
     def modularize_stacked(
         self, f_r_all: DTensor, patterns: list[DTensor], pt: dict[str, DTensor], rows: np.ndarray
@@ -385,7 +393,7 @@ class PatternModel:
             return ForwardTrace(
                 f_i=f_i.data, s_cloud=s_cloud, region_set=None, patterns=None,
                 f_r=None, r_prime=None, shifts=None, u=None, f_cloud=s_cloud,
-                s_tensor=s_tensor, kept_tensors=None, f_tensor=s_tensor,
+                s_tensor=s_tensor, f_tensor=s_tensor,
             )
 
         split_ref = s_cloud if reference is None else geo.as_cloud(reference)
@@ -413,22 +421,15 @@ class PatternModel:
             )
             stacked = ad.gather_rows(source, index)
         else:
-            f_r_items, center_items = [], []
-            for region in region_set.regions:
-                if region.real_count:
-                    real = ad.gather_rows(s_tensor, region.source_rows)
-                    center = ad.mean_over_columns(real)
-                    centered = ad.sub(real, center)
-                    f_r = self.encode_region(centered, pt)
-                else:
-                    center = ad.constant(np.zeros((1, 3)))
-                    f_r = ad.constant(np.zeros((1, c.region_feat)))
-                f_r_items.append(f_r)
-                center_items.append(center)
-            f_r_all = ad.concat(f_r_items)
+            # every region's real rows at once, region-major; a block per region
+            owner = np.repeat(np.arange(c.regions), kept)
+            real = ad.gather_rows(s_tensor, np.concatenate([r.source_rows for r in region_set.regions]))
+            centers = ad.mean_over_blocks(real, owner, c.regions)
+            centered = ad.sub(real, ad.gather_rows(centers, owner))
+            f_r_all = self.encode_region(centered, pt, owner, c.regions)
             local = self.modularize_stacked(f_r_all, patterns, pt, rows)
-            centers = ad.gather_rows(ad.concat(center_items), np.repeat(np.arange(c.regions), rows))
-            stacked = ad.add(local, centers)  # object frame
+            # back to the object frame
+            stacked = ad.add(local, ad.gather_rows(centers, np.repeat(np.arange(c.regions), rows)))
         _check_finite(stacked.data, "modularized region")
 
         if c.no_shift:
@@ -445,10 +446,6 @@ class PatternModel:
         bounds = np.cumsum(rows)[:-1]
         keep = np.concatenate([np.arange(lo, lo + k) for lo, k in zip(np.r_[0, bounds], kept)])
         f_tensor = u_stacked if keep.size == u_stacked.shape[0] else ad.gather_rows(u_stacked, keep)
-        kept_ends = np.cumsum(kept)
-        kept_tensors = [
-            ad.gather_rows(f_tensor, np.arange(hi - k, hi)) if k else None for hi, k in zip(kept_ends, kept)
-        ]
         f_cloud = f_tensor.data
         _check_finite(f_cloud, "final reconstruction")
 
@@ -463,7 +460,6 @@ class PatternModel:
             u=np.split(u_stacked.data, bounds),
             f_cloud=f_cloud,
             s_tensor=s_tensor,
-            kept_tensors=kept_tensors,
             f_tensor=f_tensor,
         )
 

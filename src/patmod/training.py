@@ -112,15 +112,18 @@ def loss_region(trace: ForwardTrace, gt_cloud: np.ndarray, model_config: ModelCo
 
     Ground-truth regions come from splitting the ground truth against its own
     bounding box, which is the same box the forward pass used in training
-    mode, so pairs align by voxel index.
+    mode, so pairs align by voxel index.  Region m's prediction is its run of
+    kept rows in ``trace.f_tensor``.
     """
     # capacity = cloud size: ground-truth regions never truncate
     gt_regions = geo.split_regions(gt_cloud, gt_cloud, model_config.regions, gt_cloud.shape[0])
-    assert trace.kept_tensors is not None and trace.region_set is not None
     terms = []
-    for kept, gt_region in zip(trace.kept_tensors, gt_regions.regions):
-        if kept is None or gt_region.is_empty:
+    end = 0
+    for region, gt_region in zip(trace.region_set.regions, gt_regions.regions):
+        start, end = end, end + region.real_count
+        if start == end or gt_region.is_empty:
             continue
+        kept = ad.gather_rows(trace.f_tensor, np.arange(start, end))
         terms.append(geo.chamfer(kept, gt_region.real_points))
     if not terms:
         raise DomainError("no region pair is nonempty on both sides")
@@ -488,10 +491,7 @@ def _apply_sweep_value(parameter, value, mc: ModelConfig, tc: TrainConfig):
         return replace(mc, regions=int(value)), tc
     if parameter == "N":
         return replace(mc, patterns=int(value)), tc
-    # sampling_mode: validate the lattice is constructible at this point count
-    mc2 = replace(mc, sampling_mode=str(value))
-    geo.grid_lattice(mc2.pattern_points, mc2.pattern_extent, mc2.sampling_mode)
-    return mc2, tc
+    return replace(mc, sampling_mode=str(value)), tc
 
 
 def write_sweep_csv(path, rows: list[dict]) -> None:

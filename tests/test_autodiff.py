@@ -113,20 +113,14 @@ def test_add_gradient_is_one():
     np.testing.assert_array_equal(grads["a"].data, np.ones_like(a))
 
 
-def test_row_broadcast_add_and_gradient():
-    rng = np.random.default_rng(4)
-    m = rng.standard_normal((5, 3))
-    row = rng.standard_normal((1, 3))
-    out = ad.add(m, row)
-    np.testing.assert_allclose(out.data, m + row)
-    assert ad.grad_check(lambda x: ad.add(ad.constant(m), x), row) < 1e-6
-
-
 def test_broadcast_rejects_non_row():
+    """add and sub take operands of one shape; nothing broadcasts, not even a row."""
     with pytest.raises(DimensionError):
         ad.add(np.ones((4, 3)), np.ones((2, 3)))
     with pytest.raises(DimensionError):
         ad.sub(np.ones((4, 3)), np.ones((4, 1)))
+    with pytest.raises(DimensionError):
+        ad.sub(np.ones((4, 3)), np.ones((1, 3)))
 
 
 def test_concat_single_tensor_is_identity():
@@ -150,11 +144,50 @@ def test_concat_gradient_routes_slices():
     assert ad.grad_check(lambda x: ad.linear(ad.concat([ad.constant(a), x]), w, bias, "tanh"), b) < 1e-6
 
 
-def test_mean_over_columns():
-    out = ad.mean_over_columns([[2.0, 1.0], [4.0, 3.0], [6.0, 8.0]])
-    np.testing.assert_array_equal(out.data, [[4.0, 4.0]])
+def test_mean_over_blocks():
+    rows = [[2.0, 1.0], [4.0, 3.0], [6.0, 8.0], [1.0, -1.0]]
+    out = ad.mean_over_blocks(rows, [0, 0, 0, 2], 3)  # block 1 holds no row
+    np.testing.assert_array_equal(out.data, [[4.0, 4.0], [0.0, 0.0], [1.0, -1.0]])
+    assert ad.mean_over_blocks(np.zeros((0, 2)), [], 2).data.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_block_means_equal_per_block_numpy_means_bitwise():
+    """Row-order sums reproduce each block's own ``mean(axis=0)`` bit for bit."""
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-6, 6, size=(300, 1))
+    block_index = np.repeat([0, 1, 3, 4], [1, 150, 100, 49])
+    out = ad.mean_over_blocks(a, block_index, 5).data
+    for m in range(5):
+        rows = a[block_index == m]
+        np.testing.assert_array_equal(out[m], rows.mean(axis=0) if len(rows) else np.zeros(3))
+
+
+def test_max_over_blocks_values_and_first_argmax_gradient():
+    a = np.array([[1.0, 5.0], [3.0, 5.0], [3.0, 2.0], [-4.0, -7.0], [-2.0, -9.0]])
+    tape = ad.Tape()
+    x = tape.watch(ad.Parameter("x", a))
+    out = ad.max_over_blocks(x, [0, 0, 0, 2, 2], 3)  # block 1 holds no row
+    np.testing.assert_array_equal(out.data, [[3.0, 5.0], [0.0, 0.0], [-2.0, -7.0]])
+    weights = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    loss = ad.reduce_sum(ad.linear(ad.reshape(out, (1, 6)), weights.reshape(6, 1), np.zeros((1, 1))))
+    grad = ad.backward(loss)["x"].data
+    # ties go to the first maximal row of the block, as np.argmax picks
+    np.testing.assert_array_equal(grad, [[0.0, 2.0], [1.0, 0.0], [0.0, 0.0], [0.0, 6.0], [5.0, 0.0]])
+
+
+@pytest.mark.parametrize("op", [ad.mean_over_blocks, ad.max_over_blocks])
+def test_block_reductions_check_block_index(op):
+    a = np.ones((4, 2))
     with pytest.raises(DomainError):
-        ad.mean_over_columns(np.zeros((0, 3)))
+        op(a, [0, 1, 0, 1], 2)
+    with pytest.raises(DomainError):
+        op(a, [0, 0, 1, 2], 2)
+    with pytest.raises(DomainError):
+        op(a, [-1, 0, 0, 1], 2)
+    with pytest.raises(DimensionError):
+        op(a, [0, 0, 1], 2)
+    with pytest.raises(DimensionError):
+        op(np.ones(4), [0, 0, 1, 1], 2)
 
 
 def test_sum_gradient_is_ones():
@@ -263,7 +296,6 @@ def test_all_ops_grad_check_20_seeded_instances(trial):
     rng = np.random.default_rng(100 + trial)
     a = rng.standard_normal((4, 3))
     b = rng.standard_normal((4, 3))
-    row = rng.standard_normal((1, 3))
     img = rng.standard_normal((2, 4, 4))
     ker = rng.standard_normal((2, 2, 3, 3))
     idx = rng.integers(0, 4, size=6)
@@ -276,13 +308,14 @@ def test_all_ops_grad_check_20_seeded_instances(trial):
         lambda x: ad.reshape(x, (2, 6)),
         lambda x: ad.gather_rows(x, idx),
         lambda x: ad.reduce_sum(x),
-        lambda x: ad.mean_over_columns(x),
-        lambda x: ad.max_over_columns(x),
+        lambda x: ad.mean_over_blocks(x, [0, 0, 0, 0], 1),
+        lambda x: ad.mean_over_blocks(x, [0, 2, 2, 2], 4),
+        lambda x: ad.max_over_blocks(x, [0, 0, 0, 0], 1),
+        lambda x: ad.max_over_blocks(x, [0, 2, 2, 2], 4),
         lambda x: ad.row_norm(ad.add(x, ad.constant(np.full((4, 3), 0.1)))),
     ]
     for f in checks:
         assert ad.grad_check(f, a) < GC_TOL
-    assert ad.grad_check(lambda x: ad.add(ad.constant(a), x), row) < GC_TOL
     ker_b = _bias_off_kink(_conv_taps(img, ker, 1, 1))
     assert ad.grad_check(lambda x: ad.conv2d(x, ad.constant(ker), ad.constant(ker_b), 1, 1), img) < GC_TOL
     assert ad.grad_check(lambda x: ad.conv2d(ad.constant(img), x, ad.constant(ker_b), 1, 1), ker) < GC_TOL

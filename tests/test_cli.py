@@ -325,11 +325,12 @@ def test_missing_dataset_exit_3(workspace, tmp_path):
         ("manifest", lambda rec: json.dumps({k: v for k, v in rec.items() if k != "seed"})),
         ("image_path", lambda rec: b"P5\n-8 -8\n255\n" + bytes(64)),
         ("cloud_path", lambda rec: b"0 0 0\nnan nan nan\n"),
+        ("cloud_path", lambda rec: b""),
     ],
-    ids=["manifest_not_object", "manifest_missing_seed", "pgm_negative_size", "xyz_nan"],
+    ids=["manifest_not_object", "manifest_missing_seed", "pgm_negative_size", "xyz_nan", "xyz_empty"],
 )
 def test_bad_dataset_input_exit_3(workspace, tmp_path, caplog, target, payload):
-    """A bad manifest record, image header or cloud coordinate in the first
+    """A bad manifest record, image header or cloud file in the first
     train record ends training with exit 3 and a message naming the file,
     before any output is written."""
     root, cfg = workspace
@@ -348,6 +349,31 @@ def test_bad_dataset_input_exit_3(workspace, tmp_path, caplog, target, payload):
     out = tmp_path / "out"
     assert cli.main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(out)]) == 3
     assert named in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep", "reconstruct", "interpolate"])
+def test_wrong_image_size_exit_2_before_any_output(workspace, tmp_path, caplog, command):
+    """An input image whose size is not the model's image_size ends the
+    command with exit 2 and a message naming the file, before any output
+    is written."""
+    root, cfg = workspace
+    ds = tmp_path / "ds"
+    shutil.copytree(root / "ds", ds)
+    split = "test_seen" if command == "eval" else "train"
+    good, bad = [ds / r["image_path"] for r in data.read_manifest(ds / "manifest.jsonl") if r["split"] == split][:2]
+    data.write_pgm(bad, np.full((1, 8, 8), 0.5))  # the model takes 16 x 16
+    ckpt = str(root / "run" / "checkpoint.pmod")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--dataset", str(ds), "--out", str(out)] + {
+        "train": [],
+        "eval": ["--checkpoint", ckpt],
+        "sweep": ["--parameter", "alpha", "--values", "0.1"],
+        "reconstruct": ["--checkpoint", ckpt, "--image", str(bad)],
+        "interpolate": ["--checkpoint", ckpt, "--image-a", str(good), "--image-b", str(bad), "--steps", "2"],
+    }[command]
+    assert cli.main(argv) == 2
+    assert f"{bad.name}: image shape (1, 8, 8)" in caplog.text
     assert not out.exists()
 
 
@@ -373,8 +399,10 @@ def test_bad_thread_variable_exit_2(workspace, tmp_path, monkeypatch, caplog, va
         ("train", ["seen_classes=table", "unseen_classes=table"]),
         ("train", ["image_size=abc"]),
         ("gen-data", ["regions=9"]),
+        ("train", ["sampling_mode=plane", "pattern_points=8"]),
+        ("train", ["pattern_points=0"]),
     ],
-    ids=["conv_channels", "class_overlap", "image_size", "gen_data_regions"],
+    ids=["conv_channels", "class_overlap", "image_size", "gen_data_regions", "plane_lattice", "pattern_points"],
 )
 def test_bad_set_value_exit_2_before_any_output(workspace, tmp_path, command, sets):
     """The whole config is resolved and checked before a command writes;

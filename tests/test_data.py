@@ -99,12 +99,6 @@ def test_render_range_and_shape():
     assert img.min() >= 0.0 and img.max() <= 1.0
 
 
-def test_view_from_seed():
-    np.testing.assert_allclose(np.linalg.norm(data.view_from_seed(None)), 1.0)
-    a, b = data.view_from_seed(1), data.view_from_seed(2)
-    assert not np.allclose(a, b)
-
-
 # ---------------------------------------------------------------------------
 # dataset assembly
 
@@ -195,6 +189,13 @@ def test_xyz_round_trip_exact(tmp_path):
     path = tmp_path / "c.xyz"
     data.write_xyz(path, cloud)
     np.testing.assert_array_equal(data.read_xyz(path), cloud)
+
+
+def test_xyz_empty_cloud_rejected_naming_file(tmp_path):
+    path = tmp_path / "empty.xyz"
+    path.write_text("\n\n")
+    with pytest.raises(DomainError, match="empty.xyz: empty point cloud"):
+        data.read_xyz(path)
 
 
 def test_xyz_parse_error_names_line(tmp_path):

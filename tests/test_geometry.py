@@ -394,7 +394,7 @@ def test_fps_spreads_better_than_random():
     fps_spread = _min_pairwise(fps_pts)
     wins = 0
     for seed in range(50):
-        rnd = geo.downsample(cloud, 20, "random", seed=seed)
+        rnd = cloud[np.random.default_rng(seed).choice(200, size=20, replace=False)]
         if fps_spread >= _min_pairwise(rnd):
             wins += 1
     assert wins == 50
@@ -405,12 +405,9 @@ def test_downsample_too_many_rejected():
         geo.downsample(np.ones((3, 3)), 4)
 
 
-def test_random_downsample_seeded():
-    rng = np.random.default_rng(17)
-    cloud = random_cloud(rng, 30)
-    a = geo.downsample(cloud, 5, "random", seed=3)
-    b = geo.downsample(cloud, 5, "random", seed=3)
-    np.testing.assert_array_equal(a, b)
+def test_downsample_accepts_only_fps():
+    with pytest.raises(ContractError, match="unknown downsample method 'random'"):
+        geo.downsample(np.ones((3, 3)), 2, "random")
 
 
 def _min_pairwise(points):

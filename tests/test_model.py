@@ -68,6 +68,13 @@ def test_config_validation():
         ModelConfig(sampling_mode="spiral")
     with pytest.raises(ConfigError):
         ModelConfig(no_local=True, no_shift=True)
+    with pytest.raises(ConfigError, match="plane mode needs a square point count"):
+        ModelConfig(**{**MINI_CONFIG, "sampling_mode": "plane"})  # 8 points
+    for flags in ({}, {"no_patterns": True}):
+        with pytest.raises(ConfigError, match="pattern_points"):
+            ModelConfig(**{**MINI_CONFIG, "pattern_points": 0}, **flags)
+    # no lattice is built without patterns, so any point count is a valid plane
+    assert ModelConfig(**{**MINI_CONFIG, "sampling_mode": "plane"}, no_patterns=True).pattern_points == 8
 
 
 def test_config_flat_round_trip():
@@ -173,8 +180,9 @@ def test_region_encoder_permutation_invariance(tiny_model):
     rng = np.random.default_rng(13)
     pts = rng.standard_normal((10, 3)) * 0.1
     pt = tiny_model._watch_all(None)
-    f1 = tiny_model.encode_region(ad.constant(pts), pt)
-    f2 = tiny_model.encode_region(ad.constant(pts[rng.permutation(10)]), pt)
+    one_block = np.zeros(10, dtype=np.intp)
+    f1 = tiny_model.encode_region(ad.constant(pts), pt, one_block, 1)
+    f2 = tiny_model.encode_region(ad.constant(pts[rng.permutation(10)]), pt, one_block, 1)
     np.testing.assert_array_equal(f1.data, f2.data)
     assert f1.shape == (1, 4)
 
@@ -207,7 +215,7 @@ def test_forward_padding_rows_never_reach_region_encoder(tiny_model, tiny_inputs
             np.testing.assert_array_equal(trace.f_r[m], np.zeros(4))
             continue
         centered = region.real_points - region.real_points.mean(axis=0)
-        expected = tiny_model.encode_region(ad.constant(centered), pt)
+        expected = tiny_model.encode_region(ad.constant(centered), pt, np.zeros(len(centered), dtype=np.intp), 1)
         np.testing.assert_allclose(trace.f_r[m], expected.data[0], atol=1e-12)
 
 
@@ -281,6 +289,99 @@ def test_pruned_pass_equals_full_trace_at_paper_scale():
     model = PatternModel(ModelConfig(), seed=0)
     counts = _assert_kept_rows_agree(model, sample.image, sample.gt_cloud, sample.gt_cloud)
     assert sum(counts) == model.config.f_points and max(counts) < model.config.region_capacity
+
+
+def _per_region_oracle(model, image, reference, gt, tape):
+    """The region stage as a loop over regions, each region centered and
+    encoded on its own (a one-block call of the block ops), its kept rows
+    gathered one region at a time for the loss.  Returns (loss, f_cloud, u
+    per region)."""
+    c = model.config
+    pt = model._watch_all(tape)
+    f_i = model.encode_image(image, pt)
+    s_tensor = model.decode_shape(f_i, pt)
+    split_ref = s_tensor.data if reference is None else reference
+    region_set = geo.split_regions(s_tensor.data, split_ref, c.regions, c.region_capacity)
+    patterns = model.compute_patterns(pt)
+    kept = np.array([r.real_count for r in region_set.regions])
+    f_r_items, center_items = [], []
+    for region in region_set.regions:
+        if region.real_count:
+            one_block = np.zeros(region.real_count, dtype=np.intp)
+            real = ad.gather_rows(s_tensor, region.source_rows)
+            center = ad.mean_over_blocks(real, one_block, 1)
+            f_r = model.encode_region(ad.sub(real, ad.gather_rows(center, one_block)), pt, one_block, 1)
+        else:
+            center = ad.constant(np.zeros((1, 3)))
+            f_r = ad.constant(np.zeros((1, c.region_feat)))
+        f_r_items.append(f_r)
+        center_items.append(center)
+    local = model.modularize_stacked(ad.concat(f_r_items), patterns, pt, kept)
+    stacked = ad.add(local, ad.gather_rows(ad.concat(center_items), np.repeat(np.arange(c.regions), kept)))
+    u = ad.add(stacked, model.customize(stacked, f_i, pt))
+    ends = np.cumsum(kept)
+    gt_regions = geo.split_regions(gt, gt, c.regions, gt.shape[0])
+    terms = [
+        geo.chamfer(ad.gather_rows(u, np.arange(hi - k, hi)), gt_region.real_points)
+        for hi, k, gt_region in zip(ends, kept, gt_regions.regions)
+        if k and not gt_region.is_empty
+    ]
+    l_reg = terms[0]
+    for t in terms[1:]:
+        l_reg = ad.add(l_reg, t)
+    l_reg = ad.scale(l_reg, 1.0 / len(terms))
+    loss = ad.add(l_reg, ad.scale(geo.chamfer(s_tensor, gt), TrainConfig().alpha))
+    return loss, u.data, np.split(u.data, ends[:-1])
+
+
+@pytest.mark.parametrize("case", ["tiny_prediction_split", "tiny_gt_split", "paper"])
+def test_block_region_stage_equals_per_region_loop(tiny_inputs, case):
+    """One block pass over all regions agrees with the per-region loop on
+    loss, every gradient, the final cloud and each region's rows; at paper
+    scale the forward records at most 61 op nodes."""
+    if case == "paper":
+        sample = make_sample("table", 500)
+        model, image, gt = PatternModel(ModelConfig(), seed=0), sample.image, sample.gt_cloud
+    else:
+        (image, gt), model = tiny_inputs, PatternModel(ModelConfig(**TINY), seed=3)
+    reference = None if case == "tiny_prediction_split" else gt
+
+    tape = ad.Tape()
+    trace = model.forward(image, reference=reference, tape=tape)
+    op_nodes = sum(node.kind != "leaf" for node in tape.nodes)
+    loss, _ = total_loss(trace, gt, TrainConfig(), model.config)
+    grads = {k: v.data for k, v in ad.backward(loss).items()}
+    oracle_tape = ad.Tape()
+    want_loss, want_f, want_u = _per_region_oracle(model, image, reference, gt, oracle_tape)
+    want_grads = {k: v.data for k, v in ad.backward(want_loss).items()}
+
+    assert abs(loss.item() - want_loss.item()) <= 1e-12 * abs(want_loss.item())
+    assert grads.keys() == want_grads.keys()
+    for name, g in want_grads.items():
+        assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+    np.testing.assert_allclose(trace.f_cloud, want_f, rtol=0, atol=1e-14)
+    assert len(trace.u) == len(want_u)
+    for u, want in zip(trace.u, want_u):
+        np.testing.assert_allclose(u, want, rtol=0, atol=1e-14)
+    counts = [r.real_count for r in trace.region_set.regions]
+    p = model.config.pattern_points
+    if case == "tiny_prediction_split":  # empty, partial and two-pattern regions
+        assert 0 in counts and any(0 < k < p for k in counts) and any(p < k < 2 * p for k in counts)
+    if case == "paper":
+        assert op_nodes <= 61
+
+
+@pytest.mark.parametrize("regions", [1, 8, 27])
+def test_region_stage_records_one_node_per_op(tiny_inputs, regions):
+    """Centering and region encoding are one pass over all regions, whatever
+    their count: one block mean, one subtraction, one block max."""
+    image, gt = tiny_inputs
+    model = PatternModel(ModelConfig(**{**TINY, "regions": regions}), seed=3)
+    tape = ad.Tape()
+    trace = model.forward(image, reference=gt, tape=tape)
+    assert len(trace.region_set.regions) == regions
+    kinds = [node.kind for node in tape.nodes]
+    assert (kinds.count("mean_over_blocks"), kinds.count("sub"), kinds.count("max_over_blocks")) == (1, 1, 1)
 
 
 def test_patterns_input_independent(tiny_model, tiny_inputs):
@@ -488,22 +589,58 @@ def test_checkpoint_undecodable_name_is_a_contract_error(tmp_path, tiny_model):
         load_checkpoint(path)
 
 
+def _edit_config(edit):
+    """A checkpoint edit that rewrites the config block's text."""
+
+    def apply(blob):
+        (size,) = struct.unpack("<I", blob[6:10])  # after magic and version
+        text = edit(blob[10 : 10 + size].decode()).encode()
+        return blob[:6] + struct.pack("<I", len(text)) + text + blob[10 + size :]
+
+    return apply
+
+
+def _edit_records(edit):
+    """A checkpoint edit of the bytes from the parameter count on: ``edit``
+    gets them and the offset of the first record's dimensions."""
+
+    def apply(blob):
+        (size,) = struct.unpack("<I", blob[6:10])
+        records = blob[10 + size :]
+        (name_len,) = struct.unpack("<H", records[4:6])
+        return blob[: 10 + size] + edit(records, 4 + 2 + name_len + 1)
+
+    return apply
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda text: text.replace("pattern_extent=0.3\n", ""), r"missing keys \['pattern_extent'\]"),
-        (lambda text: text + "\nextent=0.3", r"unknown keys \['extent'\]"),
-        (lambda text: text + "\npattern_extent", "expected key=value"),
+        (_edit_config(lambda text: text.replace("pattern_extent=0.3\n", "")), r"missing keys \['pattern_extent'\]"),
+        (_edit_config(lambda text: text + "\nextent=0.3"), r"unknown keys \['extent'\]"),
+        (_edit_config(lambda text: text + "\npattern_extent"), "expected key=value"),
+        (lambda blob: blob[:4] + struct.pack("<H", 2) + blob[6:], "unsupported checkpoint version 2"),
+        (
+            _edit_records(lambda rec, _: struct.pack("<I", struct.unpack("<I", rec[:4])[0] - 1) + rec[4:]),
+            "checkpoint has 58 parameters, model has 59",
+        ),
+        (_edit_records(lambda rec, _: rec.replace(b"encoder.conv1.weight", b"encoder.conv1.wEight", 1)),
+         "unknown parameter 'encoder.conv1.wEight'"),
+        # (4, 1, 3, 3) stored as (1, 4, 3, 3): the same byte count
+        (_edit_records(lambda rec, at: rec[:at] + struct.pack("<4I", 1, 4, 3, 3) + rec[at + 16 :]),
+         r"shape mismatch for 'encoder.conv1.weight'"),
     ],
-    ids=["missing_key", "unknown_key", "line_without_equals"],
+    ids=[
+        "missing_key", "unknown_key", "line_without_equals",
+        "version", "parameter_count", "unknown_parameter", "shape_mismatch",
+    ],
 )
 def test_checkpoint_config_block_is_strict(tmp_path, edit, message):
+    """Every corruption of the header, the config block or a parameter
+    record is a ContractError that names the fault."""
     path = tmp_path / "model.pmod"
     save_checkpoint(path, PatternModel(ModelConfig(**TINY, pattern_extent=0.3), seed=2))
-    blob = path.read_bytes()
-    (size,) = struct.unpack("<I", blob[6:10])  # after magic and version
-    text = edit(blob[10 : 10 + size].decode()).encode()
-    path.write_bytes(blob[:6] + struct.pack("<I", len(text)) + text + blob[10 + size :])
+    path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ContractError, match=message):
         load_checkpoint(path)
 

@@ -59,16 +59,21 @@ def test_loss_shape_matches_brute_force():
 
 
 def _trace_with_kept(kept_clouds, gt_cloud, m_regions=8):
-    """Minimal trace carrying kept tensors aligned with a gt split."""
+    """Minimal trace whose region m keeps the rows kept_clouds[m] (None for an
+    empty region), stacked region-major in f_tensor; regions carry the voxel
+    indices of the gt split."""
     gt_regions = geo.split_regions(gt_cloud, gt_cloud, m_regions, gt_cloud.shape[0])
-    kept = []
-    for region, cloud in zip(gt_regions.regions, kept_clouds):
-        kept.append(ad.constant(cloud) if cloud is not None and len(cloud) else None)
+    clouds = [np.zeros((0, 3)) if cloud is None else np.asarray(cloud) for cloud in kept_clouds]
+    regions = [
+        geo.Region(cloud, cloud.mean(axis=0) if len(cloud) else np.zeros(3), gt.voxel_index, np.arange(len(cloud)))
+        for cloud, gt in zip(clouds, gt_regions.regions)
+    ]
+    f_cloud = np.vstack(clouds)
     return ForwardTrace(
-        f_i=np.zeros((1, 2)), s_cloud=gt_cloud, region_set=gt_regions, patterns=None,
-        f_r=None, r_prime=None, shifts=None, u=None, f_cloud=gt_cloud,
-        s_tensor=ad.constant(gt_cloud), kept_tensors=kept,
-        f_tensor=ad.constant(gt_cloud),
+        f_i=np.zeros((1, 2)), s_cloud=gt_cloud,
+        region_set=geo.RegionSet(regions, gt_regions.m_per_edge, gt_regions.box), patterns=None,
+        f_r=None, r_prime=None, shifts=None, u=None, f_cloud=f_cloud,
+        s_tensor=ad.constant(gt_cloud), f_tensor=ad.constant(f_cloud),
     )
 
 
@@ -118,6 +123,26 @@ def test_loss_region_all_empty_rejected():
     trace = _trace_with_kept([None] * 8, gt)
     with pytest.raises(DomainError):
         tr.loss_region(trace, gt, ModelConfig(**TINY))
+
+
+def test_total_loss_falls_back_to_whole_shape_term(caplog):
+    """When every nonempty prediction region faces an empty ground-truth
+    region, the region term becomes the whole-shape Chamfer on F."""
+    gt = np.array([[0.1, 0.1, 0.1], [0.12, 0.1, 0.1], [0.9, 0.9, 0.9]])
+    regions = geo.split_regions(gt, gt, 8, 3)
+    empty = [m for m, r in enumerate(regions.regions) if r.is_empty]
+    kept = [None] * 8
+    kept[empty[0]] = np.array([[0.5, 0.2, 0.3], [0.4, 0.6, 0.2]])
+    kept[empty[-1]] = np.array([[0.3, 0.7, 0.8]])
+    trace = _trace_with_kept(kept, gt)
+    trace.s_tensor = ad.constant(gt + 0.05)
+    with caplog.at_level("WARNING", logger="patmod.training"):
+        total, parts = tr.total_loss(trace, gt, tr.TrainConfig(), ModelConfig(**TINY))
+    assert "no valid region pair; substituting whole-shape term" in caplog.text
+    l_f = geo.chamfer_brute_force(trace.f_cloud, gt)
+    l_shape = geo.chamfer_brute_force(gt + 0.05, gt)
+    assert abs(parts["loss_region"] - l_f) < 1e-12
+    assert abs(total.item() - (l_f + 0.1 * l_shape)) < 1e-12
 
 
 def test_total_loss_composition():
@@ -485,6 +510,9 @@ def test_sweep_invalid_values_skipped():
     dataset = {"train": samples[:1], "test_seen": samples[1:2], "test_unseen": samples[2:]}
     rows = tr.sweep("M", [6], ModelConfig(**TINY), tr.TrainConfig(epochs=1, batch_size=1), dataset)
     assert rows == []
+    # the plane lattice needs a square point count: ModelConfig rejects 8
+    eight = ModelConfig(**{**TINY, "pattern_points": 8})
+    assert tr.sweep("sampling_mode", ["plane"], eight, tr.TrainConfig(epochs=1, batch_size=1), dataset) == []
     with pytest.raises(ConfigError):
         tr.sweep("gamma", [1], ModelConfig(**TINY), tr.TrainConfig(), dataset)
 

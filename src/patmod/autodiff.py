@@ -250,7 +250,8 @@ def linear_blockfeat(x, feats, w_x, w_f, b, block_index, activation: str | None 
     row ``feats[block_index[r]]`` (a block index as ``_blocks`` checks it).
 
     Computes x @ w_x + feats @ w_f + b without materializing the wide
-    concatenated input.
+    concatenated input: each block's feature row is added to its run of rows
+    in place, and backward sums the gradient over each run.
     """
     x, feats, w_x, w_f, b = (_coerce(t) for t in (x, feats, w_x, w_f, b))
     n_out = w_x.shape[1]
@@ -263,19 +264,21 @@ def linear_blockfeat(x, feats, w_x, w_f, b, block_index, activation: str | None 
         )
     if b.shape != (1, n_out):
         raise DimensionError(f"linear_blockfeat: bias must be 1x{n_out}, got {b.shape}")
+    runs = list(zip(idx[starts], starts, np.r_[starts[1:], idx.size]))
     xd, fd = x.data, feats.data
     rows = fd @ w_f.data
     rows += b.data[0]
     out = xd @ w_x.data
-    out += rows[idx]
+    for k, lo, hi in runs:
+        out[lo:hi] += rows[k]
     _apply_activation(out, activation)
     wxd, wfd = w_x.data, w_f.data
 
     def backward(g):
         g = _activation_grad(g, out, activation)
         rows_g = np.zeros((n_blocks, n_out))
-        if idx.size:
-            rows_g[idx[starts]] = np.add.reduceat(g, starts, axis=0)
+        for k, lo, hi in runs:
+            np.sum(g[lo:hi], axis=0, out=rows_g[k])
         return [
             g @ wxd.T,
             rows_g @ wfd.T,
@@ -473,8 +476,7 @@ def backward(loss: DTensor) -> dict[str, DTensor]:
     Freezes the tape, empties ``tape.nodes`` and returns {name: gradient};
     parameters with no path to the loss get zeros.  A tape that has already
     been swept raises ContractError.  Parameters themselves are never
-    written, so several tapes may run concurrently and the caller reduces
-    the returned maps.
+    written.
     """
     if loss.tape is None or loss.node_id is None:
         raise ContractError("loss is not on a tape")

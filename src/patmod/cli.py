@@ -3,8 +3,8 @@
     patmod <gen-data|train|eval|reconstruct|sweep|interpolate> [--config PATH] [flags...]
 
 Exit codes: 0 success, 2 config/contract error, 3 I/O error, 4 numerical abort.
-``PATMOD_THREADS`` (an integer >= 1) opts into parallel batch evaluation
-(default 1, deterministic).
+``PATMOD_THREADS`` (an integer >= 1) is checked and recorded as
+``threads``, which no longer changes the computation.
 """
 
 from __future__ import annotations

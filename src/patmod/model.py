@@ -16,7 +16,7 @@ import io
 import math
 import os
 import struct
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -54,6 +54,12 @@ class ModelConfig:
     no_shift: bool = False
 
     def __post_init__(self):
+        names = ("patterns", "pattern_points", "regions", "s_points", "image_feat", "region_feat", "image_channels")
+        sizes = {name: getattr(self, name) for name in names}
+        sizes.update((f"conv_channels[{i}]", c) for i, c in enumerate(self.conv_channels))
+        for name, size in sizes.items():
+            if size < 1:
+                raise ConfigError(f"{name} must be >= 1, got {size}")
         if self.s_points != self.f_points:
             raise ConfigError(f"initial and final point counts must match: {self.s_points} != {self.f_points}")
         edge = round(self.regions ** (1.0 / 3.0))
@@ -65,8 +71,6 @@ class ModelConfig:
             raise ConfigError("image encoder uses exactly 7 conv layers")
         if self.no_local and (self.no_patterns or self.no_shift):
             raise ConfigError("no_local removes the entire local pipeline; other ablations conflict")
-        if self.pattern_points < 1:
-            raise ConfigError(f"pattern_points must be >= 1, got {self.pattern_points}")
         if not (self.no_local or self.no_patterns):  # the model builds a pattern lattice
             try:
                 geo.grid_lattice(self.pattern_points, self.pattern_extent, self.sampling_mode)
@@ -174,6 +178,10 @@ class ForwardTrace:
     # each region's kept rows, region-major, in region_set order
     s_tensor: DTensor | None = None
     f_tensor: DTensor | None = None
+    # a batch pass: one trace per member.  The batch trace itself stacks the
+    # members along every axis above (B rows of f_i, B*S rows of s_cloud,
+    # B*M regions, the members' final clouds) and has no region_set
+    members: list["ForwardTrace"] | None = None
 
 
 def _halton(index: int, base: int) -> float:
@@ -280,22 +288,28 @@ class PatternModel:
         return {name: tape.watch(p) for name, p in self.params.items()}
 
     def encode_image(self, image: np.ndarray, pt: dict[str, DTensor]) -> DTensor:
+        """Image feature of one image (C, H, W) -> (1, H_f), or of a batch
+        (B, C, H, W) -> (B, H_f): each image runs its own conv stack, then the
+        stacked flattened maps run through the dense layers as one matrix."""
         c = self.config
-        if image.shape != (c.image_channels, c.image_size, c.image_size):
-            raise ContractError(
-                f"image shape {image.shape} does not match configured "
-                f"{(c.image_channels, c.image_size, c.image_size)}"
-            )
-        x = ad.constant(image)
-        for i, stride in enumerate(_CONV_STRIDES):
-            x = ad.conv2d(x, pt[f"encoder.conv{i + 1}.weight"], pt[f"encoder.conv{i + 1}.bias"], stride, _CONV_PAD)
-        flat = ad.reshape(x, (1, self._flat_dim))
+        want = (c.image_channels, c.image_size, c.image_size)
+        images = image[None] if image.ndim == 3 else image
+        if images.ndim != 4 or images.shape[1:] != want or not len(images):
+            raise ContractError(f"image shape {image.shape} does not match configured {want}")
+        flats = []
+        for one in images:
+            x = ad.constant(one)
+            for i, stride in enumerate(_CONV_STRIDES):
+                x = ad.conv2d(x, pt[f"encoder.conv{i + 1}.weight"], pt[f"encoder.conv{i + 1}.bias"], stride, _CONV_PAD)
+            flats.append(ad.reshape(x, (1, self._flat_dim)))
+        flat = flats[0] if len(flats) == 1 else ad.concat(flats)
         h = _linear(flat, pt, "encoder.fc1", "relu")
         return _linear(h, pt, "encoder.fc2")
 
     def decode_shape(self, f_i: DTensor, pt: dict[str, DTensor]) -> DTensor:
+        """(B, H_f) -> (B*S, 3): member b's initial prediction is rows b*S..(b+1)*S."""
         coords = _linear(f_i, pt, "decoder.fc", "tanh")
-        return ad.reshape(coords, (self.config.s_points, 3))
+        return ad.reshape(coords, (f_i.shape[0] * self.config.s_points, 3))
 
     def compute_patterns(self, pt: dict[str, DTensor]) -> list[DTensor]:
         outs = []
@@ -347,10 +361,18 @@ class PatternModel:
         order = np.argsort(np.concatenate(owners), kind="stable")
         return ad.gather_rows(ad.concat(outs), order)
 
-    def customize(self, r_prime_obj: DTensor, f_i: DTensor, pt: dict[str, DTensor]) -> DTensor:
-        """Predict the per-point modularization shift from the image feature."""
-        row = ad.linear(f_i, pt["customizer.fc1.weight_feature"], pt["customizer.fc1.bias"])
-        h = ad.linear(r_prime_obj, pt["customizer.fc1.weight_points"], row, activation="relu")
+    def customize(self, r_prime_obj: DTensor, f_i: DTensor, pt: dict[str, DTensor], member: np.ndarray) -> DTensor:
+        """Predict the per-point modularization shift from the image feature;
+        row r reads the feature row of its batch member ``member[r]``."""
+        h = ad.linear_blockfeat(
+            r_prime_obj,
+            f_i,
+            pt["customizer.fc1.weight_points"],
+            pt["customizer.fc1.weight_feature"],
+            pt["customizer.fc1.bias"],
+            block_index=member,
+            activation="relu",
+        )
         h = _linear(h, pt, "customizer.fc2", "relu")
         return _linear(h, pt, "customizer.fc3", "tanh")
 
@@ -360,46 +382,80 @@ class PatternModel:
     def forward(
         self,
         image: np.ndarray,
-        reference: np.ndarray | None = None,
+        reference: np.ndarray | list[np.ndarray | None] | None = None,
         tape: ad.Tape | None = None,
         full_trace: bool = False,
     ) -> ForwardTrace:
-        """Run the pipeline; ``reference`` drives the region split when given
-        (training mode), otherwise the initial prediction splits itself.
+        """Run the pipeline on one image (C, H, W) or on a batch (B, C, H, W).
+
+        ``reference`` drives the region split when given (training mode): a
+        cloud for an image, a list of B clouds for a batch.  Otherwise each
+        initial prediction splits itself.  A batch runs as one pass; its
+        trace stacks all members' regions and clouds and holds one trace per
+        member in ``members``.  An image is the batch of one, and forward
+        returns that member's trace.
 
         Each region is decoded for its real rows only; ``full_trace`` decodes
         every region to full capacity instead, padding rows included, for
         diagnostics.  The kept rows are the same either way.
         """
+        image = np.asarray(image, dtype=np.float64)
+        single = image.ndim != 4
+        if single:
+            references = [reference]
+        elif reference is None:
+            references = [None] * len(image)
+        else:
+            references = list(reference)
+            if len(references) != len(image):
+                raise ContractError(f"a batch of {len(image)} images needs as many references, got {len(references)}")
         pt = self._watch_all(tape)
-        f_i = self.encode_image(np.asarray(image, dtype=np.float64), pt)
-        return self._pipeline_from_code(f_i, reference, pt, full_trace)
+        batch = self._pipeline(self.encode_image(image, pt), references, pt, full_trace)
+        return batch.members[0] if single else batch
 
     def forward_from_code(self, code: np.ndarray, reference: np.ndarray | None = None) -> ForwardTrace:
         """Run the pipeline from an image feature directly (latent interpolation)."""
         pt = self._watch_all(None)
-        return self._pipeline_from_code(ad.constant(code.reshape(1, -1)), reference, pt)
+        return self._pipeline(ad.constant(code.reshape(1, -1)), [reference], pt).members[0]
 
-    def _pipeline_from_code(
-        self, f_i: DTensor, reference: np.ndarray | None, pt: dict[str, DTensor], full_trace: bool = False
-    ) -> ForwardTrace:
+    def _pipeline(self, f_i: DTensor, references: list, pt: dict[str, DTensor], full_trace: bool = False) -> ForwardTrace:
+        """The stages after the image encoder, over the B members of ``f_i``.
+
+        Regions are numbered member-major: member b owns blocks b*M..(b+1)*M
+        of every block-indexed stage, so the members share one pass through
+        the region encoder, the modularizers and the customizer.
+        """
         c = self.config
+        n_members, s_rows = f_i.shape[0], c.s_points
         _check_finite(f_i.data, "image feature")
         s_tensor = self.decode_shape(f_i, pt)
         s_cloud = s_tensor.data
         _check_finite(s_cloud, "initial prediction")
+        s_members = [_row_slice(s_tensor, b * s_rows, (b + 1) * s_rows) for b in range(n_members)]
 
         if c.no_local:
-            return ForwardTrace(
+            batch = ForwardTrace(
                 f_i=f_i.data, s_cloud=s_cloud, region_set=None, patterns=None,
                 f_r=None, r_prime=None, shifts=None, u=None, f_cloud=s_cloud,
                 s_tensor=s_tensor, f_tensor=s_tensor,
             )
+            batch.members = [
+                replace(batch, f_i=f_i.data[b : b + 1], s_cloud=s.data, f_cloud=s.data, s_tensor=s, f_tensor=s)
+                for b, s in enumerate(s_members)
+            ]
+            return batch
 
-        split_ref = s_cloud if reference is None else geo.as_cloud(reference)
-        region_set = geo.split_regions(s_cloud, split_ref, c.regions, c.region_capacity)
-        if all(r.is_empty for r in region_set.regions):
-            raise ContractError("degenerate initial prediction: every region is empty")
+        region_sets = []
+        for s, reference in zip(s_members, references):
+            split_ref = s.data if reference is None else geo.as_cloud(reference)
+            region_set = geo.split_regions(s.data, split_ref, c.regions, c.region_capacity)
+            if all(r.is_empty for r in region_set.regions):
+                raise ContractError("degenerate initial prediction: every region is empty")
+            region_sets.append(region_set)
+        regions = [r for region_set in region_sets for r in region_set.regions]
+        n_blocks = len(regions)
+        # each region's rows in the stacked initial prediction
+        sources = [r.source_rows + (m // c.regions) * s_rows for m, r in enumerate(regions)]
 
         patterns = None
         if not c.no_patterns:
@@ -408,8 +464,8 @@ class PatternModel:
                 _check_finite(p.data, "pattern")
 
         # rows computed per region: the real rows, or full capacity on request
-        kept = np.array([r.real_count for r in region_set.regions])
-        rows = np.full(c.regions, c.region_capacity) if full_trace else kept
+        kept = np.array([r.real_count for r in regions])
+        rows = np.full(n_blocks, c.region_capacity) if full_trace else kept
         f_r_all = None
         if c.no_patterns:
             # customizer consumes the region points directly; padding rows
@@ -417,25 +473,26 @@ class PatternModel:
             pad = s_cloud.shape[0]
             source = ad.concat([s_tensor, ad.constant(np.zeros((1, 3)))])
             index = np.concatenate(
-                [np.r_[r.source_rows, np.full(n - r.real_count, pad)] for r, n in zip(region_set.regions, rows)]
+                [np.r_[src, np.full(n - r.real_count, pad)] for src, r, n in zip(sources, regions, rows)]
             )
             stacked = ad.gather_rows(source, index)
         else:
             # every region's real rows at once, region-major; a block per region
-            owner = np.repeat(np.arange(c.regions), kept)
-            real = ad.gather_rows(s_tensor, np.concatenate([r.source_rows for r in region_set.regions]))
-            centers = ad.mean_over_blocks(real, owner, c.regions)
+            owner = np.repeat(np.arange(n_blocks), kept)
+            real = ad.gather_rows(s_tensor, np.concatenate(sources))
+            centers = ad.mean_over_blocks(real, owner, n_blocks)
             centered = ad.sub(real, ad.gather_rows(centers, owner))
-            f_r_all = self.encode_region(centered, pt, owner, c.regions)
+            f_r_all = self.encode_region(centered, pt, owner, n_blocks)
             local = self.modularize_stacked(f_r_all, patterns, pt, rows)
             # back to the object frame
-            stacked = ad.add(local, ad.gather_rows(centers, np.repeat(np.arange(c.regions), rows)))
+            stacked = ad.add(local, ad.gather_rows(centers, np.repeat(np.arange(n_blocks), rows)))
         _check_finite(stacked.data, "modularized region")
 
         if c.no_shift:
             u_stacked = stacked
         else:
-            shifts_t = self.customize(stacked, f_i, pt)
+            member_rows = rows.reshape(n_members, c.regions).sum(axis=1)
+            shifts_t = self.customize(stacked, f_i, pt, np.repeat(np.arange(n_members), member_rows))
             u_stacked = ad.add(stacked, shifts_t)
         _check_finite(u_stacked.data, "customized region")
         # realized residual: identical to the predicted shift up to the final
@@ -449,10 +506,10 @@ class PatternModel:
         f_cloud = f_tensor.data
         _check_finite(f_cloud, "final reconstruction")
 
-        return ForwardTrace(
+        batch = ForwardTrace(
             f_i=f_i.data,
             s_cloud=s_cloud,
-            region_set=region_set,
+            region_set=None,
             patterns=[p.data for p in patterns] if patterns else None,
             f_r=None if f_r_all is None else f_r_all.data,
             r_prime=np.split(stacked.data, bounds),
@@ -462,10 +519,37 @@ class PatternModel:
             s_tensor=s_tensor,
             f_tensor=f_tensor,
         )
+        f_ends = np.r_[0, np.cumsum(kept.reshape(n_members, c.regions).sum(axis=1))]
+        members = []
+        for b, (region_set, s) in enumerate(zip(region_sets, s_members)):
+            blocks = slice(b * c.regions, (b + 1) * c.regions)
+            f_b = _row_slice(f_tensor, f_ends[b], f_ends[b + 1])
+            members.append(
+                replace(
+                    batch,
+                    f_i=f_i.data[b : b + 1],
+                    s_cloud=s.data,
+                    region_set=region_set,
+                    f_r=None if f_r_all is None else f_r_all.data[blocks],
+                    r_prime=batch.r_prime[blocks],
+                    shifts=batch.shifts[blocks],
+                    u=batch.u[blocks],
+                    f_cloud=f_b.data,
+                    s_tensor=s,
+                    f_tensor=f_b,
+                )
+            )
+        batch.members = members
+        return batch
 
     def reconstruct(self, image: np.ndarray) -> ForwardTrace:
         """Inference: the region split reads only the model's own prediction."""
         return self.forward(image, reference=None, tape=None)
+
+
+def _row_slice(t: DTensor, lo: int, hi: int) -> DTensor:
+    """Rows lo..hi of ``t``: ``t`` itself when that is all of it."""
+    return t if (lo, hi) == (0, t.shape[0]) else ad.gather_rows(t, np.arange(lo, hi))
 
 
 def _linear(x: DTensor, pt: dict[str, DTensor], prefix: str, activation: str | None = None) -> DTensor:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,6 +31,13 @@ METRICS_NOTE = (
 
 @dataclass
 class TrainConfig:
+    """Objective, optimizer and schedule of one training run.
+
+    ``threads`` (from ``PATMOD_THREADS`` on the command line) is accepted
+    and validated but no longer changes the computation: a batch runs as
+    one tape, so there are no member passes to spread over threads.
+    """
+
     alpha: float = 0.1
     lr: float = 1e-4
     batch_size: int = 4
@@ -176,17 +182,16 @@ def total_loss(
 ADAM_BLOCK = 2**15
 
 
-def adam_step(params, grads: list[dict[str, np.ndarray]], state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update on the batch-mean gradient, in place.
+def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
+    """Bias-corrected Adam update, in place, from one ``name -> gradient``
+    map: the gradient of the batch loss, which is already the mean over
+    the members.
 
-    ``grads`` holds one ``name -> gradient`` map per batch member, in member
-    order.  Each parameter is walked in blocks of ``ADAM_BLOCK`` elements;
-    per block the members are summed in order and scaled by 1/B, the block
+    Each parameter is walked in blocks of ``ADAM_BLOCK`` elements; a block
     is checked for finiteness, and only then are ``m``, ``v`` and the
     parameter updated.  The arithmetic is the same, operation for
-    operation, as reducing whole gradients first and then applying
-    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-    p -= lr*(m/c1) / (sqrt(v/c2) + eps)``.
+    operation, as applying ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps)`` to whole arrays.
 
     A non-finite block raises NumericalAbort naming its parameter.  By then
     every parameter before it in ``params`` (and the earlier blocks of the
@@ -196,8 +201,7 @@ def adam_step(params, grads: list[dict[str, np.ndarray]], state: AdamState, lr: 
     b1, b2, eps = state.beta1, state.beta2, state.eps
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    scale = 1.0 / len(grads)
-    g_buf, a_buf, b_buf = (np.empty(ADAM_BLOCK) for _ in range(3))
+    a_buf, b_buf = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
     for p in params:
         if not p.data.flags.c_contiguous:  # the flat views below must alias p.data
             p.data = np.ascontiguousarray(p.data)
@@ -205,15 +209,10 @@ def adam_step(params, grads: list[dict[str, np.ndarray]], state: AdamState, lr: 
             state.m[p.name] = np.zeros(p.data.shape)
             state.v[p.name] = np.zeros(p.data.shape)
         p_flat, m_flat, v_flat = (np.ravel(x) for x in (p.data, state.m[p.name], state.v[p.name]))
-        members = [np.ravel(member[p.name]) for member in grads]
+        g_flat = np.ravel(grads[p.name])
         for start in range(0, p_flat.size, ADAM_BLOCK):
             stop = min(start + ADAM_BLOCK, p_flat.size)
-            n = stop - start
-            g, a, b = g_buf[:n], a_buf[:n], b_buf[:n]
-            g[:] = members[0][start:stop]
-            for member in members[1:]:
-                g += member[start:stop]
-            g *= scale
+            g, a, b = g_flat[start:stop], a_buf[: stop - start], b_buf[: stop - start]
             if not np.isfinite(g).all():
                 raise NumericalAbort(f"non-finite gradient for parameter {p.name!r}")
             m, v, w = m_flat[start:stop], v_flat[start:stop], p_flat[start:stop]
@@ -240,36 +239,35 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 
 
 def _batch_gradients(model: PatternModel, batch: list[Sample], config: TrainConfig):
-    """Per-member gradients, each from its own tape, in member order.
+    """Gradient of the batch loss, the mean of the member losses, from one
+    tape over the whole batch.
 
-    Members are evaluated sequentially, or concurrently when config.threads
-    is above one; results come back in member order either way, and
-    ``adam_step`` reduces them in that order, so both modes are identical.
-    Returns (one ``name -> ndarray`` map per member, parts, traces).
+    The members run through ``PatternModel.forward`` as one stacked pass;
+    each member's loss comes from ``total_loss`` on its own trace.  Returns
+    (one ``name -> ndarray`` map, parts per member, traces per member).
     """
-
-    def member(sample: Sample):
-        tape = ad.Tape()
-        trace = model.forward(sample.image, reference=sample.gt_cloud, tape=tape)
-        loss, parts = total_loss(trace, sample.gt_cloud, config, model.config)
+    tape = ad.Tape()
+    images = np.stack([s.image for s in batch])
+    trace = model.forward(images, reference=[s.gt_cloud for s in batch], tape=tape)
+    losses, parts = [], []
+    for sample, member in zip(batch, trace.members):
+        loss, member_parts = total_loss(member, sample.gt_cloud, config, model.config)
         if not np.isfinite(loss.data).all():
             raise NumericalAbort(f"non-finite loss on sample ({sample.class_name}, {sample.seed})")
-        grads = {name: g.data for name, g in ad.backward(loss).items()}
-        return grads, parts, trace
-
-    if config.threads > 1 and len(batch) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(member, batch))
-    else:
-        results = [member(s) for s in batch]
-    return [r[0] for r in results], [r[1] for r in results], [r[2] for r in results]
+        losses.append(loss)
+        parts.append(member_parts)
+    total = losses[0]
+    for loss in losses[1:]:
+        total = ad.add(total, loss)
+    grads = {name: g.data for name, g in ad.backward(ad.scale(total, 1.0 / len(batch))).items()}
+    return grads, parts, trace.members
 
 
 def _train_step(model: PatternModel, batch: list[Sample], config: TrainConfig, state: AdamState, lr: float):
     """One optimizer step on a batch; returns (parts, traces) per member.
 
-    The member gradients die with this frame, so none of them is alive
-    while the next step runs.
+    The batch gradient dies with this frame, so it is not alive while the
+    next step runs.
     """
     grads, parts, traces = _batch_gradients(model, batch, config)
     adam_step(model.parameters(), grads, state, lr)

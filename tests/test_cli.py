@@ -417,6 +417,30 @@ def test_bad_set_value_exit_2_before_any_output(workspace, tmp_path, command, se
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "sets, field",
+    [
+        (["patterns=0"], "patterns"),
+        (["regions=0"], "regions"),
+        (["s_points=0", "f_points=0"], "s_points"),
+        (["image_feat=0"], "image_feat"),
+        (["region_feat=-1"], "region_feat"),
+        (["image_channels=0"], "image_channels"),
+        (["conv_channels=4,4,0,8,8,8,8"], "conv_channels[2]"),
+    ],
+    ids=["patterns", "regions", "s_points", "image_feat", "region_feat", "image_channels", "conv_channel"],
+)
+def test_impossible_model_size_exit_2_naming_field(workspace, tmp_path, caplog, sets, field):
+    """A model size below one is a config error found before any output."""
+    _, cfg = workspace
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    assert f"{field} must be >= 1" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("text", [MINI_CFG, DESK_CFG], ids=["mini", "readme_desk"])
 def test_resolved_config_round_trip(tmp_path, text):
     (tmp_path / "run.cfg").write_text(text)

@@ -318,7 +318,7 @@ def _per_region_oracle(model, image, reference, gt, tape):
         center_items.append(center)
     local = model.modularize_stacked(ad.concat(f_r_items), patterns, pt, kept)
     stacked = ad.add(local, ad.gather_rows(ad.concat(center_items), np.repeat(np.arange(c.regions), kept)))
-    u = ad.add(stacked, model.customize(stacked, f_i, pt))
+    u = ad.add(stacked, model.customize(stacked, f_i, pt, np.zeros(stacked.shape[0], dtype=np.intp)))
     ends = np.cumsum(kept)
     gt_regions = geo.split_regions(gt, gt, c.regions, gt.shape[0])
     terms = [
@@ -448,6 +448,33 @@ def test_forward_deterministic(tiny_model, tiny_inputs):
     np.testing.assert_array_equal(a.f_cloud, b.f_cloud)
 
 
+def test_batch_trace_stacks_member_traces(tiny_model, tiny_inputs):
+    """A (B, C, H, W) stack runs as one pass: the batch trace stacks every
+    member's regions and clouds, and each member trace matches the pass on
+    that image alone."""
+    image, gt = tiny_inputs
+    rng = np.random.default_rng(23)
+    images = np.stack([image, rng.uniform(0.0, 1.0, image.shape), image])
+    references = [gt, rng.uniform(-0.45, 0.45, (30, 3)), None]
+    batch = tiny_model.forward(images, reference=references)
+    m = tiny_model.config.regions
+    assert len(batch.members) == 3 and len(batch.u) == 3 * m and batch.f_r.shape[0] == 3 * m
+    np.testing.assert_array_equal(batch.f_cloud, np.vstack([t.f_cloud for t in batch.members]))
+    np.testing.assert_array_equal(batch.s_cloud, np.vstack([t.s_cloud for t in batch.members]))
+    for b, member in enumerate(batch.members):
+        alone = tiny_model.forward(images[b], reference=references[b])
+        assert alone.members is None and member.members is None
+        assert member.f_i.shape == (1, tiny_model.config.image_feat)
+        assert [r.real_count for r in member.region_set.regions] == [r.real_count for r in alone.region_set.regions]
+        np.testing.assert_allclose(member.f_cloud, alone.f_cloud, rtol=0, atol=1e-14)
+        for u, want in zip(member.u, alone.u):
+            np.testing.assert_allclose(u, want, rtol=0, atol=1e-14)
+    with pytest.raises(ContractError, match="as many references"):
+        tiny_model.forward(images, reference=references[:2])
+    with pytest.raises(ContractError, match="image shape"):
+        tiny_model.forward(images[:, :, :4])
+
+
 def test_pattern_learner_count_closed_form(tiny_model):
     counts = tiny_model.param_count()
     per_learner = (3 * 64 + 64) + (64 * 256 + 256) + (256 * 3 + 3)
@@ -496,6 +523,25 @@ def test_initial_checkpoint_digest_is_pinned(tmp_path, flags, digest):
     path = tmp_path / "init.pmod"
     save_checkpoint(path, PatternModel(ModelConfig(**MINI_CONFIG, **flags), seed=0))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "config, model_seed, sample_seed, digest",
+    [
+        (MINI_CONFIG, 1, 40, "17a32e218e2844c2d340c1484cbb22b3aee1da515067f793946a6b5678190b50"),
+        ({}, 0, 500, "40fbf3b4dfc1dfca7212814bf22925af693bb121773c60e5c276a220a12d7d20"),
+    ],
+    ids=["mini", "paper"],
+)
+def test_reconstruct_digest_is_pinned(config, model_seed, sample_seed, digest):
+    """Pins the bytes of a single-image reconstruction (a table render), so
+    the one-image pass stays bit-identical to the per-image pipeline it
+    replaced; a deliberate change to the forward arithmetic updates these."""
+    model = PatternModel(ModelConfig(**config), seed=model_seed)
+    image = make_sample("table", sample_seed, image_size=model.config.image_size).image
+    f_cloud = model.reconstruct(image).f_cloud
+    assert f_cloud.shape == (model.config.f_points, 3)
+    assert hashlib.sha256(f_cloud.tobytes()).hexdigest() == digest
 
 
 def test_parameters_follow_registry_order(tiny_model):

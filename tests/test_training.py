@@ -227,14 +227,14 @@ def test_adam_zero_gradient_leaves_parameters():
     p = ad.Parameter("w", np.array([1.0, -2.0]))
     state = tr.AdamState()
     before = p.data.copy()
-    tr.adam_step([p], [{"w": np.zeros(2)}], state, lr=0.1)
+    tr.adam_step([p], {"w": np.zeros(2)}, state, lr=0.1)
     np.testing.assert_array_equal(p.data, before)
 
 
 def test_adam_first_step_closed_form():
     p = ad.Parameter("w", np.array([0.0, 0.0]))
     g = np.array([3.0, -0.5])
-    tr.adam_step([p], [{"w": g}], tr.AdamState(), lr=0.01)
+    tr.adam_step([p], {"w": g}, tr.AdamState(), lr=0.01)
     expected = -0.01 * g / (np.abs(g) + 1e-8)
     np.testing.assert_allclose(p.data, expected, rtol=1e-9)
 
@@ -244,7 +244,7 @@ def test_adam_scalar_quadratic_matches_simulation_oracle():
     state = tr.AdamState()
     traj = [1.0]
     for _ in range(50):
-        tr.adam_step([p], [{"w": 2.0 * p.data}], state, lr=0.1)
+        tr.adam_step([p], {"w": 2.0 * p.data}, state, lr=0.1)
         traj.append(abs(float(p.data[0])))
     first_below = next(i for i, x in enumerate(traj) if x < 0.2)
     assert all(traj[i + 1] < traj[i] for i in range(first_below))  # monotone descent
@@ -256,28 +256,18 @@ def test_adam_scalar_quadratic_matches_simulation_oracle():
 def test_adam_nan_gradient_aborts_naming_parameter():
     p = ad.Parameter("customizer.fc1.weight_points", np.zeros(2))
     with pytest.raises(NumericalAbort, match="customizer.fc1.weight_points"):
-        tr.adam_step([p], [{p.name: np.array([np.nan, 0.0])}], tr.AdamState(), lr=0.1)
+        tr.adam_step([p], {p.name: np.array([np.nan, 0.0])}, tr.AdamState(), lr=0.1)
 
 
-def _two_stage_adam(params, member_grads, state, lr):
-    """The update as it was before the fused pass: reduce whole gradients in
-    member order, scale by 1/B, then apply Adam to whole arrays."""
-    mean = {}
-    for grads in member_grads:
-        for name, g in grads.items():
-            if name in mean:
-                mean[name] += g
-            else:
-                mean[name] = g.copy()
-    scale = 1.0 / len(member_grads)
-    for name in mean:
-        mean[name] *= scale
+def _whole_array_adam(params, grads, state, lr):
+    """The update as it was before the blocked pass: Adam applied to whole
+    arrays, one temporary per operation."""
     state.t += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for p in params:
-        g = mean[p.name]
+        g = grads[p.name]
         if p.name not in state.m:
             state.m[p.name] = np.zeros_like(p.data)
             state.v[p.name] = np.zeros_like(p.data)
@@ -289,8 +279,10 @@ def _two_stage_adam(params, member_grads, state, lr):
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-@pytest.mark.parametrize("members", [1, 2, 3, 4])
-def test_fused_adam_matches_two_stage_oracle_bitwise(members):
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_fused_adam_matches_two_stage_oracle_bitwise(seed):
+    """The blocked pass over one gradient map equals the whole-array update
+    bit for bit, across block boundaries and ragged tails."""
     block = tr.ADAM_BLOCK
     shapes = {
         "small": (7,),  # below one block
@@ -298,19 +290,16 @@ def test_fused_adam_matches_two_stage_oracle_bitwise(members):
         "ragged": (3, 7, 41, 83),  # 71463 elements: two full blocks and a ragged tail
     }
     assert math.prod(shapes["ragged"]) % block != 0 and math.prod(shapes["ragged"]) > 2 * block
-    rng = np.random.default_rng(members)
+    rng = np.random.default_rng(seed)
     init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
     fused = [ad.Parameter(name, x.copy()) for name, x in init.items()]
     oracle = [ad.Parameter(name, x.copy()) for name, x in init.items()]
     s_fused, s_oracle = tr.AdamState(), tr.AdamState()
     for step in range(6):
-        grads = [
-            {name: rng.normal(scale=10.0 ** rng.integers(-3, 3), size=shape) for name, shape in shapes.items()}
-            for _ in range(members)
-        ]
+        grads = {name: rng.normal(scale=10.0 ** rng.integers(-3, 3), size=shape) for name, shape in shapes.items()}
         lr = 1e-3 * (step + 1)
         tr.adam_step(fused, grads, s_fused, lr)
-        _two_stage_adam(oracle, grads, s_oracle, lr)
+        _whole_array_adam(oracle, grads, s_oracle, lr)
         assert s_fused.t == s_oracle.t == step + 1
         for a, b in zip(fused, oracle):
             np.testing.assert_array_equal(a.data, b.data)
@@ -329,8 +318,8 @@ def test_nan_member_gradient_aborts_before_later_parameters(tmp_path, monkeypatc
 
     def planted(*args):
         grads, parts, traces = real(*args)
-        grads[1][target] = grads[1][target].copy()
-        grads[1][target].flat[-1] = np.nan  # in the second block
+        grads[target] = grads[target].copy()
+        grads[target].flat[-1] = np.nan  # in the second block
         return grads, parts, traces
 
     monkeypatch.setattr(tr, "_batch_gradients", planted)
@@ -348,6 +337,65 @@ def test_nan_member_gradient_aborts_before_later_parameters(tmp_path, monkeypatc
         np.testing.assert_array_equal(flat[tr.ADAM_BLOCK :], flat0[tr.ADAM_BLOCK :])
         assert not np.array_equal(flat[: tr.ADAM_BLOCK], flat0[: tr.ADAM_BLOCK])
         assert not np.array_equal(net.params[names[0]].data, initial[names[0]])
+
+
+def _fallback_sample(image):
+    """A member whose whole prediction lands in the one voxel where the
+    ground truth has no point, so its loss takes the whole-shape fallback:
+    the three points' box is [1, 1.5]^3, every tanh-bounded prediction
+    point clamps to its lowest voxel, and each point sits in another one."""
+    gt = np.array([[1.0, 1.5, 1.5], [1.5, 1.0, 1.5], [1.5, 1.5, 1.0]])
+    return Sample(image, gt, "fallback", 0)
+
+
+@pytest.mark.parametrize(
+    "members, model_flags, train_flags",
+    [
+        (1, {}, {}),
+        (3, {}, {}),
+        (4, {}, {}),
+        (4, {"no_patterns": True}, {}),
+        (4, {"no_shift": True}, {}),
+        (4, {"no_local": True}, {"no_local": True}),
+        (4, {}, {"no_l_region": True}),
+    ],
+    ids=["B1", "B3", "B4", "no_patterns", "no_shift", "no_local", "no_l_region"],
+)
+def test_batch_tape_equals_mean_of_member_tapes(caplog, members, model_flags, train_flags):
+    """One tape over the batch gives the mean of single-sample tapes: each
+    member's loss parts, and every gradient."""
+    rng = np.random.default_rng(5)
+    first, second, last = tiny_samples(3)
+    batch = [first, second, _fallback_sample(rng.uniform(0.0, 1.0, (1, 8, 8))), last][:members]
+    model = tiny_model(seed=2, **model_flags)
+    config = tr.TrainConfig(**train_flags)
+    with caplog.at_level("WARNING", logger="patmod.training"):
+        grads, parts, traces = tr._batch_gradients(model, batch, config)
+
+    want_parts, want_grads = [], {}
+    for sample, batch_trace in zip(batch, traces):
+        tape = ad.Tape()
+        trace = model.forward(sample.image, reference=sample.gt_cloud, tape=tape)
+        loss, member_parts = tr.total_loss(trace, sample.gt_cloud, config, model.config)
+        want_parts.append(member_parts)
+        for name, g in ad.backward(loss).items():
+            want_grads[name] = want_grads.get(name, 0.0) + g.data / len(batch)
+        np.testing.assert_allclose(batch_trace.f_cloud, trace.f_cloud, rtol=0, atol=1e-14)
+
+    assert len(parts) == len(traces) == len(batch)
+    for got, want in zip(parts, want_parts):
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-12 * abs(value), key
+    mean_loss = np.mean([p["loss_total"] for p in want_parts])
+    assert abs(np.mean([p["loss_total"] for p in parts]) - mean_loss) <= 1e-12 * mean_loss
+    assert grads.keys() == want_grads.keys()
+    for name, g in want_grads.items():
+        assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+    if members >= 3 and not model.config.no_local:  # the batch holds the fallback member
+        counts = [r.real_count for t in traces for r in t.region_set.regions]
+        p = model.config.pattern_points
+        assert 0 in counts and any(0 < k < p for k in counts) and any(p < k < 2 * p for k in counts)
+        assert ("substituting whole-shape term" in caplog.text) == (not config.no_l_region)
 
 
 def test_lr_schedule():

@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--dump-trace", action="store_true", help="also write S, patterns, and full-capacity R', U blocks")
+    p.add_argument("--dump-trace", action="store_true", help="also write S, the patterns, and R', U per nonempty region")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("sweep", help="train/evaluate a grid over one parameter")
@@ -249,16 +249,13 @@ def cmd_reconstruct(args) -> int:
     data.write_xyz(out / "reconstruction.xyz", trace.f_cloud)
     data.write_ply(out / "reconstruction.ply", trace.f_cloud)
     if args.dump_trace:
-        full = model.forward(image, full_trace=True)  # region blocks at full capacity, padding included
-        data.write_xyz(out / "initial_prediction.xyz", full.s_cloud)
-        if full.patterns is not None:
-            for n, pattern in enumerate(full.patterns):
-                data.write_xyz(out / f"pattern_{n}.xyz", pattern)
-        if full.r_prime is not None:
-            for m, block in enumerate(full.r_prime):
-                data.write_xyz(out / f"modularized_region_{m}.xyz", block)
-            for m, block in enumerate(full.u):
-                data.write_xyz(out / f"customized_region_{m}.xyz", block)
+        data.write_xyz(out / "initial_prediction.xyz", trace.s_cloud)
+        for n, pattern in enumerate(trace.patterns or []):
+            data.write_xyz(out / f"pattern_{n}.xyz", pattern)
+        for m, (r_prime, u) in enumerate(zip(trace.r_prime or [], trace.u or [])):
+            if len(u):  # an empty region has no rows, and write_xyz refuses empty clouds
+                data.write_xyz(out / f"modularized_region_{m}.xyz", r_prime)
+                data.write_xyz(out / f"customized_region_{m}.xyz", u)
     print(f"reconstructed {trace.f_cloud.shape[0]} points -> {out / 'reconstruction.xyz'}")
     return EXIT_OK
 
@@ -269,12 +266,10 @@ def cmd_sweep(args) -> int:
     dataset = {split: _load_split(manifest, split, cfg.model) for split in ("train", "test_seen", "test_unseen")}
     values = [v for v in args.values.split(",") if v]
     out = _prepare_out(cfg.out_dir, args.force, [f"sweep_{args.parameter}.csv"])
-    cfg.write(out / "config_resolved.txt")
-    rows = sweep(
-        args.parameter, values, cfg.model, cfg.train, dataset, cfg.model_seed
-    )
+    rows = sweep(args.parameter, values, cfg.model, cfg.train, dataset, cfg.model_seed)
     if not rows:
         raise ConfigError(f"no valid values for sweep parameter {args.parameter!r}")
+    cfg.write(out / "config_resolved.txt")
     csv_path = out / f"sweep_{args.parameter}.csv"
     write_sweep_csv(csv_path, rows)
     for r in rows:

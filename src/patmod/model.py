@@ -6,8 +6,7 @@ initial cloud, split it into voxel regions, encode each centered region,
 decode every pattern against the region feature (modularization), translate
 back to the object frame, then shift each point with an image-conditioned
 residual (customization).  A region of k real points keeps the first k of its
-N*P decoded rows (padded-index removal), so only those k rows are computed;
-``forward(..., full_trace=True)`` computes the padding rows too.
+N*P decoded rows (padded-index removal), so only those k rows are computed.
 """
 
 from __future__ import annotations
@@ -65,6 +64,8 @@ class ModelConfig:
         edge = round(self.regions ** (1.0 / 3.0))
         if edge**3 != self.regions:
             raise ConfigError(f"region count must be a perfect cube, got {self.regions}")
+        if not 0 < self.pattern_extent < math.inf:
+            raise ConfigError(f"pattern_extent must be finite and > 0, got {self.pattern_extent}")
         if self.sampling_mode not in ("voxel", "plane"):
             raise ConfigError(f"sampling_mode must be voxel or plane, got {self.sampling_mode!r}")
         if len(self.conv_channels) != 7:
@@ -169,7 +170,7 @@ class ForwardTrace:
     region_set: geo.RegionSet | None
     patterns: list[np.ndarray] | None  # N x (P, 3)
     f_r: np.ndarray | None  # (M, E)
-    # per region: the k_m kept rows, or all N*P rows with full_trace
+    # per region: its k_m kept rows
     r_prime: list[np.ndarray] | None  # M x (k_m, 3), object frame
     shifts: list[np.ndarray] | None  # M x (k_m, 3)
     u: list[np.ndarray] | None  # M x (k_m, 3)
@@ -384,7 +385,6 @@ class PatternModel:
         image: np.ndarray,
         reference: np.ndarray | list[np.ndarray | None] | None = None,
         tape: ad.Tape | None = None,
-        full_trace: bool = False,
     ) -> ForwardTrace:
         """Run the pipeline on one image (C, H, W) or on a batch (B, C, H, W).
 
@@ -395,9 +395,8 @@ class PatternModel:
         member in ``members``.  An image is the batch of one, and forward
         returns that member's trace.
 
-        Each region is decoded for its real rows only; ``full_trace`` decodes
-        every region to full capacity instead, padding rows included, for
-        diagnostics.  The kept rows are the same either way.
+        Each region is decoded for its real rows only: the padding rows that
+        padded-index removal drops are never computed.
         """
         image = np.asarray(image, dtype=np.float64)
         single = image.ndim != 4
@@ -410,7 +409,7 @@ class PatternModel:
             if len(references) != len(image):
                 raise ContractError(f"a batch of {len(image)} images needs as many references, got {len(references)}")
         pt = self._watch_all(tape)
-        batch = self._pipeline(self.encode_image(image, pt), references, pt, full_trace)
+        batch = self._pipeline(self.encode_image(image, pt), references, pt)
         return batch.members[0] if single else batch
 
     def forward_from_code(self, code: np.ndarray, reference: np.ndarray | None = None) -> ForwardTrace:
@@ -418,7 +417,7 @@ class PatternModel:
         pt = self._watch_all(None)
         return self._pipeline(ad.constant(code.reshape(1, -1)), [reference], pt).members[0]
 
-    def _pipeline(self, f_i: DTensor, references: list, pt: dict[str, DTensor], full_trace: bool = False) -> ForwardTrace:
+    def _pipeline(self, f_i: DTensor, references: list, pt: dict[str, DTensor]) -> ForwardTrace:
         """The stages after the image encoder, over the B members of ``f_i``.
 
         Regions are numbered member-major: member b owns blocks b*M..(b+1)*M
@@ -463,48 +462,32 @@ class PatternModel:
             for p in patterns:
                 _check_finite(p.data, "pattern")
 
-        # rows computed per region: the real rows, or full capacity on request
+        # every region's real rows at once, region-major; a block per region
         kept = np.array([r.real_count for r in regions])
-        rows = np.full(n_blocks, c.region_capacity) if full_trace else kept
+        owner = np.repeat(np.arange(n_blocks), kept)
+        real = ad.gather_rows(s_tensor, np.concatenate(sources))
         f_r_all = None
         if c.no_patterns:
-            # customizer consumes the region points directly; padding rows
-            # read the zero row appended after the cloud
-            pad = s_cloud.shape[0]
-            source = ad.concat([s_tensor, ad.constant(np.zeros((1, 3)))])
-            index = np.concatenate(
-                [np.r_[src, np.full(n - r.real_count, pad)] for src, r, n in zip(sources, regions, rows)]
-            )
-            stacked = ad.gather_rows(source, index)
+            stacked = real  # the customizer consumes the region points directly
         else:
-            # every region's real rows at once, region-major; a block per region
-            owner = np.repeat(np.arange(n_blocks), kept)
-            real = ad.gather_rows(s_tensor, np.concatenate(sources))
             centers = ad.mean_over_blocks(real, owner, n_blocks)
             centered = ad.sub(real, ad.gather_rows(centers, owner))
             f_r_all = self.encode_region(centered, pt, owner, n_blocks)
-            local = self.modularize_stacked(f_r_all, patterns, pt, rows)
+            local = self.modularize_stacked(f_r_all, patterns, pt, kept)
             # back to the object frame
-            stacked = ad.add(local, ad.gather_rows(centers, np.repeat(np.arange(n_blocks), rows)))
+            stacked = ad.add(local, ad.gather_rows(centers, owner))
         _check_finite(stacked.data, "modularized region")
 
         if c.no_shift:
-            u_stacked = stacked
+            f_tensor = stacked
         else:
-            member_rows = rows.reshape(n_members, c.regions).sum(axis=1)
-            shifts_t = self.customize(stacked, f_i, pt, np.repeat(np.arange(n_members), member_rows))
-            u_stacked = ad.add(stacked, shifts_t)
-        _check_finite(u_stacked.data, "customized region")
+            f_tensor = ad.add(stacked, self.customize(stacked, f_i, pt, owner // c.regions))
+        f_cloud = f_tensor.data
+        _check_finite(f_cloud, "customized region")
         # realized residual: identical to the predicted shift up to the final
         # rounding of the addition, and exactly U - R' by construction
-        shift_np = u_stacked.data - stacked.data
-
-        # the final cloud: the first k_m rows of each region's block
-        bounds = np.cumsum(rows)[:-1]
-        keep = np.concatenate([np.arange(lo, lo + k) for lo, k in zip(np.r_[0, bounds], kept)])
-        f_tensor = u_stacked if keep.size == u_stacked.shape[0] else ad.gather_rows(u_stacked, keep)
-        f_cloud = f_tensor.data
-        _check_finite(f_cloud, "final reconstruction")
+        shift_np = f_cloud - stacked.data
+        bounds = np.cumsum(kept)[:-1]
 
         batch = ForwardTrace(
             f_i=f_i.data,
@@ -514,7 +497,7 @@ class PatternModel:
             f_r=None if f_r_all is None else f_r_all.data,
             r_prime=np.split(stacked.data, bounds),
             shifts=np.split(shift_np, bounds),
-            u=np.split(u_stacked.data, bounds),
+            u=np.split(f_cloud, bounds),
             f_cloud=f_cloud,
             s_tensor=s_tensor,
             f_tensor=f_tensor,

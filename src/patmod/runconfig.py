@@ -47,8 +47,9 @@ class RunConfig:
     eval_points: int = 0  # 0 = match prediction/ground-truth cardinality
 
     def __post_init__(self):
-        if self.eval_points < 0:
-            raise ConfigError(f"eval_points must be >= 0, got {self.eval_points}")
+        for name in ("eval_points", "model_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def to_text(self) -> str:
         lines = ["# resolved run configuration"]

@@ -18,7 +18,7 @@ from . import geometry as geo
 from .autodiff import DTensor
 from .data import Sample
 from .errors import ConfigError, DomainError, NumericalAbort
-from .model import ForwardTrace, ModelConfig, PatternModel, save_checkpoint, to_flat
+from .model import ForwardTrace, ModelConfig, PatternModel, parse_value, save_checkpoint, to_flat
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +56,13 @@ class TrainConfig:
             raise ConfigError("no_local drops the region pipeline; other ablation flags conflict")
         if self.batch_size < 1 or self.epochs < 0 or self.threads < 1 or self.checkpoint_every < 0:
             raise ConfigError("batch_size/threads must be >= 1 and epochs/checkpoint_every >= 0")
+        if self.decay_every_epochs < 1:
+            raise ConfigError(f"decay_every_epochs must be >= 1, got {self.decay_every_epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("alpha", "lr", "lr_decay"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -357,9 +364,9 @@ def _train_flat(config: TrainConfig) -> dict[str, str]:
     return {f"train.{k}": v for k, v in to_flat(config).items()}
 
 
-def _iou_32(pred: np.ndarray, gt: np.ndarray, resolution: int = 32) -> float:
+def _iou_32(pred: np.ndarray, gt: np.ndarray) -> float:
     bounds = geo.bounding_box(pred, 1e-9).union(geo.bounding_box(gt, 1e-9))
-    return geo.iou(geo.voxelize(pred, resolution, bounds), geo.voxelize(gt, resolution, bounds))
+    return geo.iou(geo.voxelize(pred, 32, bounds), geo.voxelize(gt, 32, bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +378,9 @@ def evaluate(
     samples: list[Sample],
     split_name: str,
     eval_points: int | None = None,
-    epoch: int = 0,
 ) -> list[MetricsRecord]:
-    """Inference-mode metrics: per-class means plus an overall mean row.
+    """Inference-mode metrics: per-class means plus an overall mean row, all
+    recorded as epoch 0.
 
     The region split reads only the model's own prediction.  Prediction and
     ground truth are matched in cardinality (farthest-point downsampling)
@@ -397,14 +404,14 @@ def evaluate(
     for cls in sorted(per_class):
         vals = np.asarray(per_class[cls])
         records.append(
-            MetricsRecord(epoch, split_name, cls, float(vals[:, 0].mean()), float(vals[:, 1].mean()),
+            MetricsRecord(0, split_name, cls, float(vals[:, 0].mean()), float(vals[:, 1].mean()),
                           0.0, 0.0, 0.0, float(vals[:, 2].sum()))
         )
         all_cd.append(vals[:, 0].mean())
         all_iou.append(vals[:, 1].mean())
         all_wall.append(vals[:, 2].sum())
     records.append(
-        MetricsRecord(epoch, split_name, "mean", float(np.mean(all_cd)), float(np.mean(all_iou)),
+        MetricsRecord(0, split_name, "mean", float(np.mean(all_cd)), float(np.mean(all_iou)),
                       0.0, 0.0, 0.0, float(np.sum(all_wall)))
     )
     return records
@@ -483,13 +490,12 @@ def sweep(
 
 
 def _apply_sweep_value(parameter, value, mc: ModelConfig, tc: TrainConfig):
+    """The configs with the swept field set from ``str(value)``, parsed
+    against the field's default; a bad value raises ConfigError."""
     if parameter == "alpha":
-        return mc, replace(tc, alpha=float(value))
-    if parameter == "M":
-        return replace(mc, regions=int(value)), tc
-    if parameter == "N":
-        return replace(mc, patterns=int(value)), tc
-    return replace(mc, sampling_mode=str(value)), tc
+        return mc, replace(tc, alpha=parse_value("alpha", str(value), TrainConfig.alpha))
+    key = {"M": "regions", "N": "patterns"}.get(parameter, parameter)
+    return replace(mc, **{key: parse_value(key, str(value), getattr(ModelConfig, key))}), tc
 
 
 def write_sweep_csv(path, rows: list[dict]) -> None:
@@ -508,13 +514,12 @@ def overfit_harness(
     samples: list[Sample],
     config: TrainConfig,
     max_steps: int = 500,
-    target_fraction: float = 0.25,
-    check_every: int = 10,
 ) -> dict:
-    """Drive optimizer steps until the full-dataset loss falls to the target
-    fraction of its initial value (or the step budget runs out)."""
+    """Drive optimizer steps until the full-dataset loss falls to a quarter
+    of its initial value (or the step budget runs out), checking it every
+    10 steps."""
     initial = dataset_loss(model, samples, config)
-    target = target_fraction * initial
+    target = 0.25 * initial
     state = AdamState()
     rng = np.random.default_rng(config.seed)
     steps = 0
@@ -526,7 +531,7 @@ def overfit_harness(
             batch = [samples[i] for i in order[start : start + config.batch_size]]
             _train_step(model, batch, config, state, lr_at(0, config))
             steps += 1
-            if steps % check_every == 0 or steps >= max_steps:
+            if steps % 10 == 0 or steps >= max_steps:
                 current = dataset_loss(model, samples, config)
                 if current <= target or steps >= max_steps:
                     break

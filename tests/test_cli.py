@@ -204,11 +204,31 @@ def test_reconstruct_outputs_and_determinism(workspace, tmp_path):
     assert 0 < cloud.shape[0] <= 48  # kept rows only; mini capacity may truncate
     assert (a / "reconstruction.xyz").read_bytes() == (b / "reconstruction.xyz").read_bytes()
     assert len(list(a.glob("pattern_*.xyz"))) == 2
-    assert len(list(a.glob("modularized_region_*.xyz"))) == 8
-    assert len(list(a.glob("customized_region_*.xyz"))) == 8
     assert (a / "initial_prediction.xyz").exists()
     ply = data.read_ply(a / "reconstruction.ply")
     assert ply.shape == cloud.shape
+
+
+def test_dump_trace_writes_the_kept_rows_of_each_nonempty_region(tmp_path):
+    """--dump-trace writes the reconstruction's own trace: R' and U files for
+    each nonempty region only, holding its kept rows, and the U rows in region
+    order are the reconstruction."""
+    ckpt = tmp_path / "mini.pmod"
+    save_checkpoint(ckpt, PatternModel(ModelConfig(**MINI_CONFIG), seed=4))
+    image = tmp_path / "img.pgm"
+    data.write_pgm(image, np.full((1, 8, 8), 0.5))
+    model, _ = load_checkpoint(ckpt)
+    counts = [r.real_count for r in model.reconstruct(data.read_pgm(image)).region_set.regions]
+    assert 0 in counts and max(counts) > MINI_CONFIG["pattern_points"]  # an empty and a two-pattern region
+    out = tmp_path / "out"
+    argv = ["reconstruct", "--checkpoint", str(ckpt), "--image", str(image), "--out", str(out), "--dump-trace"]
+    assert cli.main(argv) == 0
+    nonempty = [m for m, k in enumerate(counts) if k]
+    for kind in ("modularized", "customized"):
+        assert sorted(out.glob(f"{kind}_region_*.xyz")) == [out / f"{kind}_region_{m}.xyz" for m in nonempty]
+        assert [len(data.read_xyz(out / f"{kind}_region_{m}.xyz")) for m in nonempty] == [counts[m] for m in nonempty]
+    customized = np.vstack([data.read_xyz(out / f"customized_region_{m}.xyz") for m in nonempty])
+    np.testing.assert_array_equal(customized, data.read_xyz(out / "reconstruction.xyz"))
 
 
 def test_reconstruct_unreadable_image(workspace, tmp_path):
@@ -291,12 +311,21 @@ def test_sweep_row_per_value(workspace, tmp_path):
     assert len(lines) == 3
 
 
-def test_sweep_all_invalid_exit_2(workspace, tmp_path):
+@pytest.mark.parametrize(
+    "parameter, value",
+    [("M", "6"), ("M", "1.5"), ("alpha", "abc")],
+    ids=["impossible_M", "fractional_M", "non_numeric_alpha"],
+)
+def test_sweep_all_invalid_exit_2(workspace, tmp_path, parameter, value):
+    """Each value is skipped with a warning, then the sweep exits 2 before
+    it writes anything."""
     root, cfg = workspace
+    out = tmp_path / "badsweep"
     assert cli.main([
-        "sweep", "--config", str(cfg), "--parameter", "M",
-        "--values", "6", "--out", str(tmp_path / "badsweep"),
+        "sweep", "--config", str(cfg), "--parameter", parameter,
+        "--values", value, "--out", str(out),
     ]) == 2
+    assert list(out.iterdir()) == []
 
 
 def test_unknown_config_key_exit_2(workspace, tmp_path):
@@ -401,8 +430,21 @@ def test_bad_thread_variable_exit_2(workspace, tmp_path, monkeypatch, caplog, va
         ("gen-data", ["regions=9"]),
         ("train", ["sampling_mode=plane", "pattern_points=8"]),
         ("train", ["pattern_points=0"]),
+        ("train", ["lr=nan"]),
+        ("train", ["lr=-1e-4"]),
+        ("train", ["alpha=nan"]),
+        ("train", ["lr_decay=inf"]),
+        ("train", ["decay_every_epochs=0"]),
+        ("train", ["seed=-1"]),
+        ("train", ["model_seed=-1"]),
+        ("train", ["pattern_extent=nan"]),
+        ("train", ["pattern_extent=0"]),
     ],
-    ids=["conv_channels", "class_overlap", "image_size", "gen_data_regions", "plane_lattice", "pattern_points"],
+    ids=[
+        "conv_channels", "class_overlap", "image_size", "gen_data_regions", "plane_lattice", "pattern_points",
+        "lr_nan", "lr_negative", "alpha_nan", "lr_decay_inf", "decay_every_epochs", "seed", "model_seed",
+        "pattern_extent_nan", "pattern_extent_zero",
+    ],
 )
 def test_bad_set_value_exit_2_before_any_output(workspace, tmp_path, command, sets):
     """The whole config is resolved and checked before a command writes;

@@ -189,16 +189,11 @@ def test_region_encoder_permutation_invariance(tiny_model):
 
 def test_forward_trace_shapes_and_ranges(tiny_model, tiny_inputs):
     image, gt = tiny_inputs
-    kept = tiny_model.forward(image, reference=gt)
-    for r, t, u, region in zip(kept.r_prime, kept.shifts, kept.u, kept.region_set.regions):
-        assert r.shape == t.shape == u.shape == (region.real_count, 3)
-    trace = tiny_model.forward(image, reference=gt, full_trace=True)
-    c = tiny_model.config
-    npn = c.patterns * c.pattern_points
+    trace = tiny_model.forward(image, reference=gt)
     assert trace.s_cloud.shape == (24, 3)
     assert len(trace.r_prime) == 8
-    for r, t, u in zip(trace.r_prime, trace.shifts, trace.u):
-        assert r.shape == t.shape == u.shape == (npn, 3)
+    for r, t, u, region in zip(trace.r_prime, trace.shifts, trace.u, trace.region_set.regions):
+        assert r.shape == t.shape == u.shape == (region.real_count, 3)
     assert trace.f_r.shape == (8, 4)
     total_real = sum(r.real_count for r in trace.region_set.regions)
     assert trace.f_cloud.shape == (total_real, 3)
@@ -238,57 +233,18 @@ def test_zeroed_final_customizer_layer_gives_identity(tiny_inputs):
 
 
 def test_pattern_block_structure(tiny_inputs):
-    """Perturbing modularizer j touches only rows [j*P, (j+1)*P) of each region."""
+    """Perturbing modularizer j touches only kept rows [j*P, (j+1)*P) of each region."""
     image, gt = tiny_inputs
     model = PatternModel(ModelConfig(**TINY), seed=21)
-    base = model.forward(image, reference=gt, full_trace=True)
+    base = model.forward(image, reference=gt)
     model.params["modularizer1.fc2.weight"].data = model.params["modularizer1.fc2.weight"].data + 0.05
-    bumped = model.forward(image, reference=gt, full_trace=True)
+    bumped = model.forward(image, reference=gt)
     p_rows = model.config.pattern_points
+    assert any(len(r) > p_rows for r in base.r_prime)  # some region reaches into pattern 1
     for r0, r1 in zip(base.r_prime, bumped.r_prime):
         np.testing.assert_array_equal(r0[:p_rows], r1[:p_rows])  # pattern 0 rows
-        assert not np.allclose(r0[p_rows:], r1[p_rows:])  # pattern 1 rows moved
-
-
-def _assert_kept_rows_agree(model, image, reference, gt):
-    """The default pass and the full-trace pass agree on losses, gradients
-    and kept rows; returns the kept row count per region."""
-    runs = []
-    for full_trace in (False, True):
-        tape = ad.Tape()
-        trace = model.forward(image, reference=reference, tape=tape, full_trace=full_trace)
-        loss, _ = total_loss(trace, gt, TrainConfig(), model.config)
-        runs.append((trace, loss.item(), {k: v.data for k, v in ad.backward(loss).items()}))
-    (pruned, loss_p, grads_p), (full, loss_f, grads_f) = runs
-    assert abs(loss_p - loss_f) <= 1e-12 * abs(loss_f)
-    assert grads_p.keys() == grads_f.keys()
-    for name, g in grads_f.items():
-        assert np.abs(grads_p[name] - g).max() <= 1e-10 * np.abs(g).max(), name
-    np.testing.assert_allclose(pruned.f_cloud, full.f_cloud, rtol=0, atol=1e-14)
-    capacity = model.config.region_capacity
-    for u_p, u_f, region in zip(pruned.u, full.u, pruned.region_set.regions):
-        k = region.real_count
-        assert u_p.shape == (k, 3) and u_f.shape == (capacity, 3)
-        np.testing.assert_allclose(u_p, u_f[:k], rtol=0, atol=1e-14)
-    return [r.real_count for r in pruned.region_set.regions]
-
-
-def test_pruned_pass_equals_full_trace_on_kept_rows(tiny_inputs):
-    image, gt = tiny_inputs
-    model = PatternModel(ModelConfig(**TINY), seed=3)
-    # split by the prediction: empty regions, regions inside pattern 0 and
-    # regions reaching into pattern 1
-    counts = _assert_kept_rows_agree(model, image, None, gt)
-    p = model.config.pattern_points
-    assert 0 in counts and any(0 < k < p for k in counts) and any(p < k < 2 * p for k in counts)
-    _assert_kept_rows_agree(model, image, gt, gt)
-
-
-def test_pruned_pass_equals_full_trace_at_paper_scale():
-    sample = make_sample("chair", 501)
-    model = PatternModel(ModelConfig(), seed=0)
-    counts = _assert_kept_rows_agree(model, sample.image, sample.gt_cloud, sample.gt_cloud)
-    assert sum(counts) == model.config.f_points and max(counts) < model.config.region_capacity
+        if len(r0) > p_rows:
+            assert not np.allclose(r0[p_rows:], r1[p_rows:])  # pattern 1 rows moved
 
 
 def _per_region_oracle(model, image, reference, gt, tape):
@@ -338,7 +294,7 @@ def _per_region_oracle(model, image, reference, gt, tape):
 def test_block_region_stage_equals_per_region_loop(tiny_inputs, case):
     """One block pass over all regions agrees with the per-region loop on
     loss, every gradient, the final cloud and each region's rows; at paper
-    scale the forward records at most 61 op nodes."""
+    scale no region overflows and the forward records at most 61 op nodes."""
     if case == "paper":
         sample = make_sample("table", 500)
         model, image, gt = PatternModel(ModelConfig(), seed=0), sample.image, sample.gt_cloud
@@ -368,6 +324,7 @@ def test_block_region_stage_equals_per_region_loop(tiny_inputs, case):
     if case == "tiny_prediction_split":  # empty, partial and two-pattern regions
         assert 0 in counts and any(0 < k < p for k in counts) and any(p < k < 2 * p for k in counts)
     if case == "paper":
+        assert sum(counts) == model.config.f_points and max(counts) < model.config.region_capacity
         assert op_nodes <= 61
 
 
@@ -425,11 +382,9 @@ def test_no_patterns_feeds_regions_to_customizer(tiny_inputs):
     model = PatternModel(ModelConfig(**TINY, no_patterns=True), seed=9)
     names = set(model.params)
     assert not any(n.startswith(("learner", "modularizer", "region_encoder")) for n in names)
-    trace = model.forward(image, reference=gt, full_trace=True)
+    trace = model.forward(image, reference=gt)
     for block, region in zip(trace.r_prime, trace.region_set.regions):
-        k = region.real_count
-        np.testing.assert_array_equal(block[:k], region.real_points)
-        np.testing.assert_array_equal(block[k:], 0.0)
+        np.testing.assert_array_equal(block, region.real_points)
 
 
 def test_no_local_returns_initial_prediction(tiny_inputs):

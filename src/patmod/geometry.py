@@ -8,6 +8,7 @@ Everything here is a pure function of its inputs; the differentiable pieces
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -175,6 +176,8 @@ def grid_lattice(count: int, extent: float, mode: str = "voxel") -> np.ndarray:
     """Regular lattice of ``count`` points: a 3-D grid, or an n x n sheet at z=0."""
     if count <= 0:
         raise DomainError(f"lattice point count must be positive, got {count}")
+    if not math.isfinite(2.0 * extent):  # linspace(-e, e) steps by 2e / (n - 1)
+        raise DomainError(f"lattice span 2 * {extent} is not finite")
     if mode == "voxel":
         nx, ny, nz = _lattice_factors(count)
         axes = [_axis_coords(n, extent) for n in (nx, ny, nz)]
@@ -323,6 +326,8 @@ def downsample(cloud: np.ndarray, k: int, method: str = "fps") -> np.ndarray:
         raise ContractError(f"unknown downsample method {method!r}")
     cloud = as_cloud(cloud)
     n = cloud.shape[0]
+    if k < 1:
+        raise DomainError(f"downsample target k must be >= 1, got {k}")
     if k > n:
         raise DomainError(f"cannot downsample {n} points to {k}")
     if k == n:
@@ -331,12 +336,34 @@ def downsample(cloud: np.ndarray, k: int, method: str = "fps") -> np.ndarray:
 
 
 def farthest_point_indices(cloud: np.ndarray, k: int) -> np.ndarray:
-    """Greedy farthest-point selection started at row 0; ties pick the lowest index."""
+    """Greedy farthest-point selection started at row 0.
+
+    Each step adds the point whose distance to the chosen set is largest;
+    ties, and the first NaN distance, resolve to the lowest index (the first
+    ``argmax``).  A distance is ``sqrt((dx*dx + dy*dy) + dz*dz)`` in that
+    order, which is how ``np.linalg.norm(cloud - p, axis=1)`` reduces a row,
+    and the running minimum is ``np.minimum``; so the indices equal those of
+    the plain norm-based loop bit for bit, ties and NaNs included.  The loop
+    runs over the cloud's columns with preallocated buffers.
+    """
+    x, y, z = np.ascontiguousarray(cloud.T)
+    n = x.shape[0]
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = 0
-    d = np.linalg.norm(cloud - cloud[0], axis=1)
+    nearest = np.full(n, np.inf)  # minimum(inf, d) == d, NaN included
+    d = np.empty(n)
+    sq = np.empty(n)
     for step in range(1, k):
-        nxt = int(np.argmax(d))
-        chosen[step] = nxt
-        d = np.minimum(d, np.linalg.norm(cloud - cloud[nxt], axis=1))
+        i = chosen[step - 1]
+        np.subtract(x, x[i], out=d)
+        np.multiply(d, d, out=d)
+        np.subtract(y, y[i], out=sq)
+        np.multiply(sq, sq, out=sq)
+        np.add(d, sq, out=d)
+        np.subtract(z, z[i], out=sq)
+        np.multiply(sq, sq, out=sq)
+        np.add(d, sq, out=d)
+        np.sqrt(d, out=d)
+        np.minimum(nearest, d, out=nearest)
+        chosen[step] = np.argmax(nearest)
     return chosen

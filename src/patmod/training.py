@@ -389,6 +389,8 @@ def evaluate(
     """
     if eval_points is not None and eval_points < 1:
         raise DomainError(f"eval_points must be >= 1, got {eval_points}")
+    if not samples:
+        raise DomainError(f"no samples to evaluate in split {split_name!r}")
     per_class: dict[str, list[tuple[float, float, float]]] = {}
     for sample in samples:
         t0 = time.perf_counter()

@@ -439,11 +439,12 @@ def test_bad_thread_variable_exit_2(workspace, tmp_path, monkeypatch, caplog, va
         ("train", ["model_seed=-1"]),
         ("train", ["pattern_extent=nan"]),
         ("train", ["pattern_extent=0"]),
+        ("train", ["pattern_extent=1e308"]),
     ],
     ids=[
         "conv_channels", "class_overlap", "image_size", "gen_data_regions", "plane_lattice", "pattern_points",
         "lr_nan", "lr_negative", "alpha_nan", "lr_decay_inf", "decay_every_epochs", "seed", "model_seed",
-        "pattern_extent_nan", "pattern_extent_zero",
+        "pattern_extent_nan", "pattern_extent_zero", "pattern_extent_huge",
     ],
 )
 def test_bad_set_value_exit_2_before_any_output(workspace, tmp_path, command, sets):

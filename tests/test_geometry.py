@@ -405,6 +405,48 @@ def test_downsample_too_many_rejected():
         geo.downsample(np.ones((3, 3)), 4)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_downsample_below_one_rejected(k):
+    with pytest.raises(DomainError, match=f"k must be >= 1, got {k}"):
+        geo.downsample(np.ones((3, 3)), k)
+
+
+def _fps_norm_loop(cloud, k):
+    """Oracle: the greedy loop over ``np.linalg.norm`` rows."""
+    chosen = np.empty(k, dtype=np.intp)
+    chosen[0] = 0
+    d = np.linalg.norm(cloud - cloud[0], axis=1)
+    for step in range(1, k):
+        nxt = int(np.argmax(d))
+        chosen[step] = nxt
+        d = np.minimum(d, np.linalg.norm(cloud - cloud[nxt], axis=1))
+    return chosen
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 150),
+    st.sampled_from(["one", "all", "some"]),
+    st.sampled_from([None, 1.0, 0.5, 0.25]),
+    st.integers(0, 40),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+    st.integers(0, 2),
+    st.integers(0, 10_000),
+)
+def test_fps_equals_norm_loop_bitwise(n, k_kind, step, duplicates, scale, nans, seed):
+    """Same indices as the norm-based loop, including exact distance ties
+    from lattice-rounded coordinates, duplicated points and NaN coordinates."""
+    rng = np.random.default_rng(seed)
+    cloud = random_cloud(rng, n, 2.0)
+    if step is not None:
+        cloud = np.round(cloud / step) * step
+    cloud = np.vstack([cloud, cloud[rng.integers(0, n, size=duplicates)]]) * scale
+    cloud[rng.integers(0, cloud.shape[0], size=nans), rng.integers(0, 3, size=nans)] = np.nan
+    total = cloud.shape[0]
+    k = {"one": 1, "all": total, "some": int(rng.integers(1, total + 1))}[k_kind]
+    np.testing.assert_array_equal(geo.farthest_point_indices(cloud, k), _fps_norm_loop(cloud, k))
+
+
 def test_downsample_accepts_only_fps():
     with pytest.raises(ContractError, match="unknown downsample method 'random'"):
         geo.downsample(np.ones((3, 3)), 2, "random")

@@ -73,6 +73,10 @@ def test_config_validation():
     for flags in ({}, {"no_patterns": True}):
         with pytest.raises(ConfigError, match="pattern_points"):
             ModelConfig(**{**MINI_CONFIG, "pattern_points": 0}, **flags)
+    # linspace(-e, e) overflows once 2e is not finite
+    with pytest.raises(ConfigError, match="lattice span 2 \\* 1e\\+308 is not finite"):
+        ModelConfig(**{**MINI_CONFIG, "pattern_extent": 1e308})
+    assert np.isfinite(PatternModel(ModelConfig(**{**MINI_CONFIG, "pattern_extent": 8e307})).lattice).all()
     # no lattice is built without patterns, so any point count is a valid plane
     assert ModelConfig(**{**MINI_CONFIG, "sampling_mode": "plane"}, no_patterns=True).pattern_points == 8
 

@@ -11,7 +11,7 @@ from patmod import geometry as geo
 from patmod import training as tr
 from patmod.data import Sample, make_sample
 from patmod.errors import ConfigError, DomainError, NumericalAbort
-from patmod.model import ForwardTrace, ModelConfig, PatternModel, load_checkpoint, save_checkpoint
+from patmod.model import MINI_CONFIG, ForwardTrace, ModelConfig, PatternModel, load_checkpoint, save_checkpoint
 
 TINY = dict(
     s_points=24,
@@ -519,6 +519,39 @@ def test_evaluate_downsampling_path():
 def test_evaluate_rejects_eval_points_below_one(eval_points):
     with pytest.raises(DomainError, match="eval_points"):
         tr.evaluate(tiny_model(seed=1), tiny_samples(1), "seen", eval_points=eval_points)
+
+
+def test_evaluate_rejects_empty_split():
+    with pytest.raises(DomainError, match="split 'unseen'"):
+        tr.evaluate(tiny_model(seed=1), [], "unseen")
+
+
+# (class, cd_eval, iou) per row; the untrained model's 8 or 32 points share
+# no 32^3 voxel with the ground truth, so every iou reads 0.0
+PINNED_EVAL = {
+    8: [
+        ("chair", 0.34011194295562164, 0.0),
+        ("lamp", 0.17202481865052502, 0.0),
+        ("ring", 0.4200563121883736, 0.0),
+        ("table", 0.49147118827049385, 0.0),
+        ("mean", 0.35591606551625354, 0.0),
+    ],
+    None: [
+        ("chair", 0.20919094976292568, 0.0),
+        ("lamp", 0.18701213945264014, 0.0),
+        ("ring", 0.38417224909261005, 0.0),
+        ("table", 0.3646364467487552, 0.0),
+        ("mean", 0.28625294626423275, 0.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("eval_points", [8, None])
+def test_evaluate_values_pinned(eval_points):
+    """Both sides downsampled (8) or only the ground truth (None, 2048 -> 32)."""
+    model = PatternModel(ModelConfig(**MINI_CONFIG), seed=1)
+    records = tr.evaluate(model, tiny_samples(4), "seen", eval_points=eval_points)
+    assert [(r.class_label, r.cd_eval, r.iou) for r in records] == PINNED_EVAL[eval_points]
 
 
 # ---------------------------------------------------------------------------

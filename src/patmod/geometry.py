@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -45,31 +45,13 @@ class AABB:
 
 
 @dataclass
-class Region:
-    """One voxel cell of a split cloud: its points and where they came from."""
+class RegionSplit:
+    """B member clouds split into M voxel regions each (see split_regions)."""
 
-    real_points: np.ndarray  # (k, 3), in source row order
-    center: np.ndarray  # (3,), mean of the points, zeros when empty
-    voxel_index: tuple[int, int, int]
-    source_rows: np.ndarray  # (k,) indices into the source cloud
-
-    @property
-    def real_count(self) -> int:
-        return len(self.source_rows)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.real_count == 0
-
-
-@dataclass
-class RegionSet:
-    regions: list[Region]
+    rows: np.ndarray  # region-major rows into the stacked sources
+    counts: np.ndarray  # (B*M,) kept rows per region; member b owns b*M..(b+1)*M
+    boxes: list[AABB]  # one per member, the box its voxels divide
     m_per_edge: int
-    box: AABB
-
-    def __len__(self) -> int:
-        return len(self.regions)
 
 
 @dataclass
@@ -117,59 +99,48 @@ def voxel_assign(points: np.ndarray, box: AABB, m_per_edge: int) -> np.ndarray:
 
 
 def split_regions(
-    source: np.ndarray,
-    reference: np.ndarray,
+    sources: list[np.ndarray],
+    references: list[np.ndarray],
     m_regions: int,
     capacity: int,
-) -> RegionSet:
-    """Partition source points into the voxels of the reference bounding box.
+) -> RegionSplit:
+    """Partition each member's source into the voxels of its reference's box.
 
-    A region holds at most ``capacity`` points; an overflowing region keeps
-    its lowest-index points and logs a warning.
+    In an e-per-edge grid, member b's point in cell (i, j, k) goes to region
+    b*M + (i*e + j)*e + k; points outside the box clamp to the boundary
+    cells.  ``rows`` indexes the sources stacked in member order and lists
+    region 0's rows, then region 1's, and so on, each region's in ascending
+    order.  A region keeps at most ``capacity`` rows: an overflowing region
+    keeps its lowest-index rows and logs a warning giving its number within
+    the member.
     """
-    source = as_cloud(source)
-    reference = as_cloud(reference)
-    if reference.shape[0] == 0:
-        raise DomainError("reference cloud for region splitting is empty")
     m_edge = _cube_edge(m_regions)
-    box = bounding_box(reference, epsilon=_split_epsilon(reference))
-    flat = voxel_assign(source, box, m_edge)
-
-    regions = []
-    for m in range(m_regions):
-        rows = np.flatnonzero(flat == m)
-        if rows.size > capacity:
-            logger.warning(
-                "region %d overflows capacity (%d > %d); keeping lowest-index points",
-                m,
-                rows.size,
-                capacity,
-            )
-            rows = rows[:capacity]
-        real = source[rows]
-        center = real.mean(axis=0) if rows.size else np.zeros(3)
-        i, rem = divmod(m, m_edge * m_edge)
-        j, k = divmod(rem, m_edge)
-        regions.append(Region(real, center, (i, j, k), rows))
-    return RegionSet(regions, m_edge, box)
+    voxels, boxes = [], []
+    for b, (source, reference) in enumerate(zip(sources, references, strict=True)):
+        reference = as_cloud(reference)
+        if reference.shape[0] == 0:
+            raise DomainError("reference cloud for region splitting is empty")
+        boxes.append(bounding_box(reference, epsilon=_split_epsilon(reference)))
+        voxels.append(voxel_assign(as_cloud(source), boxes[-1], m_edge) + b * m_regions)
+    region = np.concatenate(voxels)
+    order = np.argsort(region, kind="stable")
+    counts = np.bincount(region, minlength=len(boxes) * m_regions)
+    # each sorted row's position within its region's run
+    rank = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    for r in np.flatnonzero(counts > capacity):
+        logger.warning(
+            "region %d overflows capacity (%d > %d); keeping lowest-index points",
+            r % m_regions,
+            counts[r],
+            capacity,
+        )
+    return RegionSplit(order[rank < capacity], np.minimum(counts, capacity), boxes, m_edge)
 
 
 def _split_epsilon(reference: np.ndarray) -> float:
     box = bounding_box(reference)
     side = box.max_side
     return 1e-6 * side if side > 0.0 else 1e-12
-
-
-def center_region(region: Region) -> Region:
-    """Translate the points so their mean sits at the origin."""
-    if region.is_empty:
-        return replace(region, center=np.zeros(3))
-    return replace(region, real_points=region.real_points - region.center)
-
-
-def decenter(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Translate points back to the object frame; inverse of center_region."""
-    return np.asarray(points, dtype=np.float64) + np.asarray(center, dtype=np.float64)
 
 
 def grid_lattice(count: int, extent: float, mode: str = "voxel") -> np.ndarray:
@@ -298,12 +269,8 @@ def voxelize(cloud: np.ndarray, resolution: int, bounds: AABB) -> VoxelGrid:
     cloud = as_cloud(cloud)
     if resolution < 1:
         raise DomainError(f"voxel resolution must be >= 1, got {resolution}")
-    cell = bounds.sides / resolution
-    cell = np.where(cell > 0.0, cell, 1.0)
-    ijk = np.floor((cloud - bounds.lo) / cell).astype(np.intp)
-    ijk = np.clip(ijk, 0, resolution - 1)
     occ = np.zeros((resolution,) * 3, dtype=bool)
-    occ[ijk[:, 0], ijk[:, 1], ijk[:, 2]] = True
+    occ.reshape(-1)[voxel_assign(cloud, bounds, resolution)] = True  # flat ids are C-order indices
     return VoxelGrid(resolution, occ, bounds)
 
 
@@ -320,10 +287,8 @@ def iou(a: VoxelGrid, b: VoxelGrid) -> float:
     return float(inter) / float(union)
 
 
-def downsample(cloud: np.ndarray, k: int, method: str = "fps") -> np.ndarray:
-    """Pick k points by deterministic farthest-point sampling, the only method."""
-    if method != "fps":
-        raise ContractError(f"unknown downsample method {method!r}")
+def downsample(cloud: np.ndarray, k: int) -> np.ndarray:
+    """Pick k points by deterministic farthest-point sampling."""
     cloud = as_cloud(cloud)
     n = cloud.shape[0]
     if k < 1:

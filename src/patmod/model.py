@@ -53,7 +53,8 @@ class ModelConfig:
     no_shift: bool = False
 
     def __post_init__(self):
-        names = ("patterns", "pattern_points", "regions", "s_points", "image_feat", "region_feat", "image_channels")
+        names = ("patterns", "pattern_points", "regions", "s_points", "image_feat", "region_feat", "image_size",
+                 "image_channels")
         sizes = {name: getattr(self, name) for name in names}
         sizes.update((f"conv_channels[{i}]", c) for i, c in enumerate(self.conv_channels))
         for name, size in sizes.items():
@@ -167,7 +168,8 @@ class ForwardTrace:
 
     f_i: np.ndarray  # (1, H)
     s_cloud: np.ndarray  # (S, 3)
-    region_set: geo.RegionSet | None
+    # the region split: M counts, rows into s_cloud region-major, the box
+    split: geo.RegionSplit | None
     patterns: list[np.ndarray] | None  # N x (P, 3)
     f_r: np.ndarray | None  # (M, E)
     # per region: its k_m kept rows
@@ -176,12 +178,12 @@ class ForwardTrace:
     u: list[np.ndarray] | None  # M x (k_m, 3)
     f_cloud: np.ndarray  # final reconstruction
     # the losses' handles; tapeless passes hold constants.  f_tensor stacks
-    # each region's kept rows, region-major, in region_set order
+    # each region's kept rows, region-major, in split order
     s_tensor: DTensor | None = None
     f_tensor: DTensor | None = None
     # a batch pass: one trace per member.  The batch trace itself stacks the
     # members along every axis above (B rows of f_i, B*S rows of s_cloud,
-    # B*M regions, the members' final clouds) and has no region_set
+    # the split of all B*M regions, the members' final clouds)
     members: list["ForwardTrace"] | None = None
 
 
@@ -434,7 +436,7 @@ class PatternModel:
 
         if c.no_local:
             batch = ForwardTrace(
-                f_i=f_i.data, s_cloud=s_cloud, region_set=None, patterns=None,
+                f_i=f_i.data, s_cloud=s_cloud, split=None, patterns=None,
                 f_r=None, r_prime=None, shifts=None, u=None, f_cloud=s_cloud,
                 s_tensor=s_tensor, f_tensor=s_tensor,
             )
@@ -444,17 +446,10 @@ class PatternModel:
             ]
             return batch
 
-        region_sets = []
-        for s, reference in zip(s_members, references):
-            split_ref = s.data if reference is None else geo.as_cloud(reference)
-            region_set = geo.split_regions(s.data, split_ref, c.regions, c.region_capacity)
-            if all(r.is_empty for r in region_set.regions):
-                raise ContractError("degenerate initial prediction: every region is empty")
-            region_sets.append(region_set)
-        regions = [r for region_set in region_sets for r in region_set.regions]
-        n_blocks = len(regions)
-        # each region's rows in the stacked initial prediction
-        sources = [r.source_rows + (m // c.regions) * s_rows for m, r in enumerate(regions)]
+        split_refs = [s.data if ref is None else ref for s, ref in zip(s_members, references)]
+        split = geo.split_regions([s.data for s in s_members], split_refs, c.regions, c.region_capacity)
+        kept = split.counts
+        n_blocks = len(kept)
 
         patterns = None
         if not c.no_patterns:
@@ -463,9 +458,8 @@ class PatternModel:
                 _check_finite(p.data, "pattern")
 
         # every region's real rows at once, region-major; a block per region
-        kept = np.array([r.real_count for r in regions])
         owner = np.repeat(np.arange(n_blocks), kept)
-        real = ad.gather_rows(s_tensor, np.concatenate(sources))
+        real = ad.gather_rows(s_tensor, split.rows)
         f_r_all = None
         if c.no_patterns:
             stacked = real  # the customizer consumes the region points directly
@@ -492,7 +486,7 @@ class PatternModel:
         batch = ForwardTrace(
             f_i=f_i.data,
             s_cloud=s_cloud,
-            region_set=None,
+            split=split,
             patterns=[p.data for p in patterns] if patterns else None,
             f_r=None if f_r_all is None else f_r_all.data,
             r_prime=np.split(stacked.data, bounds),
@@ -504,15 +498,16 @@ class PatternModel:
         )
         f_ends = np.r_[0, np.cumsum(kept.reshape(n_members, c.regions).sum(axis=1))]
         members = []
-        for b, (region_set, s) in enumerate(zip(region_sets, s_members)):
+        for b, s in enumerate(s_members):
             blocks = slice(b * c.regions, (b + 1) * c.regions)
             f_b = _row_slice(f_tensor, f_ends[b], f_ends[b + 1])
+            own_rows = split.rows[f_ends[b] : f_ends[b + 1]] - b * s_rows
             members.append(
                 replace(
                     batch,
                     f_i=f_i.data[b : b + 1],
                     s_cloud=s.data,
-                    region_set=region_set,
+                    split=geo.RegionSplit(own_rows, kept[blocks], split.boxes[b : b + 1], split.m_per_edge),
                     f_r=None if f_r_all is None else f_r_all.data[blocks],
                     r_prime=batch.r_prime[blocks],
                     shifts=batch.shifts[blocks],

@@ -125,19 +125,18 @@ def loss_region(trace: ForwardTrace, gt_cloud: np.ndarray, model_config: ModelCo
 
     Ground-truth regions come from splitting the ground truth against its own
     bounding box, which is the same box the forward pass used in training
-    mode, so pairs align by voxel index.  Region m's prediction is its run of
-    kept rows in ``trace.f_tensor``.
+    mode, so pairs align by region number.  Region m's prediction is its run
+    of ``trace.split.counts[m]`` kept rows in ``trace.f_tensor``.
     """
     # capacity = cloud size: ground-truth regions never truncate
-    gt_regions = geo.split_regions(gt_cloud, gt_cloud, model_config.regions, gt_cloud.shape[0])
-    terms = []
-    end = 0
-    for region, gt_region in zip(trace.region_set.regions, gt_regions.regions):
-        start, end = end, end + region.real_count
-        if start == end or gt_region.is_empty:
-            continue
-        kept = ad.gather_rows(trace.f_tensor, np.arange(start, end))
-        terms.append(geo.chamfer(kept, gt_region.real_points))
+    gt = geo.split_regions([gt_cloud], [gt_cloud], model_config.regions, gt_cloud.shape[0])
+    gt_rows = np.split(gt.rows, np.cumsum(gt.counts)[:-1])
+    counts = trace.split.counts
+    terms = [
+        geo.chamfer(ad.gather_rows(trace.f_tensor, np.arange(end - k, end)), gt_cloud[rows])
+        for end, k, rows in zip(np.cumsum(counts), counts, gt_rows)
+        if k and len(rows)
+    ]
     if not terms:
         raise DomainError("no region pair is nonempty on both sides")
     total = terms[0]
@@ -422,8 +421,8 @@ def evaluate(
 def _match_cardinality(pred: np.ndarray, gt: np.ndarray, eval_points: int | None):
     target = eval_points if eval_points is not None else min(pred.shape[0], gt.shape[0])
     target = min(target, pred.shape[0], gt.shape[0])
-    pred = geo.downsample(pred, target, "fps") if pred.shape[0] > target else pred
-    gt = geo.downsample(gt, target, "fps") if gt.shape[0] > target else gt
+    pred = geo.downsample(pred, target) if pred.shape[0] > target else pred
+    gt = geo.downsample(gt, target) if gt.shape[0] > target else gt
     return pred, gt
 
 

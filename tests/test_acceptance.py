@@ -31,7 +31,7 @@ def _report(num, ok, detail=""):
 def _mini_model_and_sample():
     model = PatternModel(ModelConfig(**MINI_CONFIG), seed=1)
     cloud = data.generate_shape("table", 40)
-    gt = geo.downsample(cloud, 64, "fps")
+    gt = geo.downsample(cloud, 64)
     image = data.render_image(cloud, size=8)
     # the check is only meaningful on a live network
     pt = model._watch_all(None)
@@ -39,8 +39,7 @@ def _mini_model_and_sample():
     # finite differences need a differentiable point: a single-point region
     # centers to an exact zero row, parking the region encoder on its ReLU
     # kink, so the chosen instance must not produce any
-    counts = [r.real_count for r in model.forward(image, reference=gt).region_set.regions]
-    assert 1 not in counts
+    assert 1 not in model.forward(image, reference=gt).split.counts
     return model, image, gt
 
 
@@ -140,24 +139,23 @@ def test_criterion_03_pipeline_algebra():
         assert np.array_equal(u - r, t)
         assert np.abs(t).max() < 1.0  # tanh range on the shift
 
+    # the centering round trip through the model's own ops: gather each
+    # region's rows, subtract the block means, add them back
     rng = np.random.default_rng(3)
     cloud = rng.uniform(-0.4, 0.4, (200, 3))
-    rs = geo.split_regions(cloud, cloud, 8, 200)
-    rows = np.concatenate([r.source_rows for r in rs.regions])
-    assert sorted(rows.tolist()) == list(range(200))
-    worst_rt = 0.0
-    for region in rs.regions:
-        if region.is_empty:
-            continue
-        centered = geo.center_region(region)
-        restored = geo.decenter(centered.real_points, centered.center)
-        worst_rt = max(worst_rt, np.abs(restored - region.real_points).max())
+    small = geo.split_regions([cloud], [cloud], 8, 200)
+    assert sorted(small.rows.tolist()) == list(range(200))
+    owner = np.repeat(np.arange(8), small.counts)
+    real = ad.gather_rows(ad.constant(cloud), small.rows)
+    centers = ad.mean_over_blocks(real, owner, 8)
+    centered = ad.sub(real, ad.gather_rows(centers, owner))
+    restored = ad.add(centered, ad.gather_rows(centers, owner))
+    worst_rt = np.abs(restored.data - real.data).max()
 
     # identical geometry at two padding capacities -> identical loss values
-    small = geo.split_regions(cloud, cloud, 8, 200)
-    big = geo.split_regions(cloud, cloud, 8, 512)
-    for a, b in zip(small.regions, big.regions):
-        np.testing.assert_array_equal(a.real_points, b.real_points)
+    big = geo.split_regions([cloud], [cloud], 8, 512)
+    np.testing.assert_array_equal(small.counts, big.counts)
+    np.testing.assert_array_equal(cloud[small.rows], cloud[big.rows])
 
     assert np.abs(trace.s_cloud).max() < 1.0
     for p in trace.patterns:

@@ -218,7 +218,7 @@ def test_dump_trace_writes_the_kept_rows_of_each_nonempty_region(tmp_path):
     image = tmp_path / "img.pgm"
     data.write_pgm(image, np.full((1, 8, 8), 0.5))
     model, _ = load_checkpoint(ckpt)
-    counts = [r.real_count for r in model.reconstruct(data.read_pgm(image)).region_set.regions]
+    counts = model.reconstruct(data.read_pgm(image)).split.counts.tolist()
     assert 0 in counts and max(counts) > MINI_CONFIG["pattern_points"]  # an empty and a two-pattern region
     out = tmp_path / "out"
     argv = ["reconstruct", "--checkpoint", str(ckpt), "--image", str(image), "--out", str(out), "--dump-trace"]
@@ -440,11 +440,14 @@ def test_bad_thread_variable_exit_2(workspace, tmp_path, monkeypatch, caplog, va
         ("train", ["pattern_extent=nan"]),
         ("train", ["pattern_extent=0"]),
         ("train", ["pattern_extent=1e308"]),
+        ("gen-data", ["image_size=0"]),
+        ("gen-data", ["image_size=-3"]),
     ],
     ids=[
         "conv_channels", "class_overlap", "image_size", "gen_data_regions", "plane_lattice", "pattern_points",
         "lr_nan", "lr_negative", "alpha_nan", "lr_decay_inf", "decay_every_epochs", "seed", "model_seed",
         "pattern_extent_nan", "pattern_extent_zero", "pattern_extent_huge",
+        "gen_data_image_size_zero", "gen_data_image_size_negative",
     ],
 )
 def test_bad_set_value_exit_2_before_any_output(workspace, tmp_path, command, sets):

@@ -45,71 +45,81 @@ def test_bounding_box_contains_all_points():
 # region splitting
 
 
+def _split_one(source, reference, m, capacity):
+    return geo.split_regions([source], [reference], m, capacity)
+
+
+def _region_rows(split):
+    """Each region's rows, one array per region."""
+    return np.split(split.rows, np.cumsum(split.counts)[:-1])
+
+
 def test_split_m8_has_two_segments_per_edge():
     rng = np.random.default_rng(1)
     cloud = random_cloud(rng, 64)
-    rs = geo.split_regions(cloud, cloud, 8, capacity=64)
-    assert rs.m_per_edge == 2
-    assert len(rs) == 8
+    split = _split_one(cloud, cloud, 8, capacity=64)
+    assert split.m_per_edge == 2
+    assert len(split.counts) == 8
 
 
 def test_split_m1_single_region_center_is_mean():
+    """One region holds every point, and the model's block mean of its rows
+    is the cloud's mean."""
     rng = np.random.default_rng(2)
     cloud = random_cloud(rng, 50)
-    rs = geo.split_regions(cloud, cloud, 1, capacity=64)
-    region = rs.regions[0]
-    assert region.real_count == 50
-    np.testing.assert_allclose(region.center, cloud.mean(axis=0))
+    split = _split_one(cloud, cloud, 1, capacity=64)
+    assert split.counts.tolist() == [50]
+    center = ad.mean_over_blocks(cloud[split.rows], np.zeros(50, dtype=np.intp), 1).data[0]
+    np.testing.assert_allclose(center, cloud.mean(axis=0))
 
 
 def test_split_partitions_source_exactly():
     rng = np.random.default_rng(3)
     cloud = random_cloud(rng, 500)
-    rs = geo.split_regions(cloud, cloud, 8, capacity=500)
-    seen = np.concatenate([r.source_rows for r in rs.regions])
+    split = _split_one(cloud, cloud, 8, capacity=500)
+    seen = split.rows
     assert len(seen) == 500
     assert len(np.unique(seen)) == 500  # pairwise disjoint
-    assert all(r.real_points.shape == (r.real_count, 3) for r in rs.regions)  # no padding rows
-    rebuilt = np.vstack([r.real_points for r in rs.regions])
+    assert split.counts.sum() == len(seen)  # no padding rows
+    rebuilt = cloud[seen]
     np.testing.assert_array_equal(np.sort(rebuilt, axis=0), np.sort(cloud, axis=0))
 
 
 def test_split_matches_brute_force_binning():
     rng = np.random.default_rng(4)
     cloud = random_cloud(rng, 200)
-    rs = geo.split_regions(cloud, cloud, 27, capacity=200)
-    box = rs.box
+    split = _split_one(cloud, cloud, 27, capacity=200)
+    (box,) = split.boxes
     cell = box.sides / 3
-    for r in rs.regions:
-        i, j, k = r.voxel_index
+    for m, rows in enumerate(_region_rows(split)):
+        i, rem = divmod(m, 9)
+        j, k = divmod(rem, 3)
         lo = box.lo + cell * np.array([i, j, k])
         hi = lo + cell
         inside = np.all((cloud >= lo) & (cloud < hi), axis=1)
-        assert set(np.flatnonzero(inside)) == set(r.source_rows)
+        assert set(np.flatnonzero(inside)) == set(rows)
 
 
 def test_split_clamps_outside_points():
     reference = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     source = np.array([[5.0, 5.0, 5.0], [-3.0, 0.2, 0.2]])
-    rs = geo.split_regions(source, reference, 8, capacity=4)
-    counts = sum(r.real_count for r in rs.regions)
-    assert counts == 2  # no silent point loss
-    assert rs.regions[7].real_count == 1  # (1,1,1) voxel holds the far point
+    split = _split_one(source, reference, 8, capacity=4)
+    assert split.counts.sum() == 2  # no silent point loss
+    assert split.counts[7] == 1  # (1,1,1) voxel holds the far point
 
 
 def test_split_overflow_truncates_lowest_index(caplog):
     cloud = np.tile([[0.1, 0.1, 0.1]], (10, 1)) + np.arange(10)[:, None] * 1e-6
     with caplog.at_level("WARNING"):
-        rs = geo.split_regions(cloud, np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), 1, capacity=4)
-    region = rs.regions[0]
-    assert region.real_count == 4
-    np.testing.assert_array_equal(region.source_rows, [0, 1, 2, 3])
+        split = _split_one(cloud, np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), 1, capacity=4)
+    assert split.counts.tolist() == [4]
+    np.testing.assert_array_equal(split.rows, [0, 1, 2, 3])
     assert any("overflow" in r.message for r in caplog.records)
 
 
 def test_split_non_cube_rejected():
     with pytest.raises(DomainError):
-        geo.split_regions(np.ones((3, 3)), np.ones((3, 3)), 9, capacity=8)
+        _split_one(np.ones((3, 3)), np.ones((3, 3)), 9, capacity=8)
 
 
 @settings(max_examples=25, deadline=None)
@@ -117,58 +127,97 @@ def test_split_non_cube_rejected():
 def test_partition_property(n, m, seed):
     rng = np.random.default_rng(seed)
     cloud = random_cloud(rng, n)
-    rs = geo.split_regions(cloud, cloud, m, capacity=n)
-    rows = np.concatenate([r.source_rows for r in rs.regions])
-    assert sorted(rows.tolist()) == list(range(n))
+    split = _split_one(cloud, cloud, m, capacity=n)
+    assert sorted(split.rows.tolist()) == list(range(n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(0, 120), min_size=1, max_size=4),
+    st.sampled_from([1, 8, 27]),
+    st.sampled_from([1, 3, 10, None]),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+def test_batched_split_equals_per_member_loop(sizes, m, capacity, own_reference, seed):
+    """One split of B members gives, bit for bit, the rows and counts of a
+    per-member ``flatnonzero`` loop: unequal (even empty) members, sources
+    reaching outside a separate reference's box, overflowing regions."""
+    rng = np.random.default_rng(seed)
+    sources = [random_cloud(rng, n, 1.5) for n in sizes]
+    references = [s if own_reference and len(s) else random_cloud(rng, 5) for s in sources]
+    capacity = capacity or max(sizes) + 1
+    split = geo.split_regions(sources, references, m, capacity)
+
+    want_rows, want_counts, offset = [], [], 0
+    for source, reference in zip(sources, references):
+        box = geo.bounding_box(reference, epsilon=geo._split_epsilon(reference))
+        flat = geo.voxel_assign(source, box, split.m_per_edge)
+        for region in range(m):
+            rows = np.flatnonzero(flat == region)[:capacity]
+            want_rows.append(rows + offset)
+            want_counts.append(len(rows))
+        offset += len(source)
+    np.testing.assert_array_equal(split.rows, np.concatenate(want_rows))
+    np.testing.assert_array_equal(split.counts, want_counts)
+    assert split.rows.dtype == np.intp and len(split.boxes) == len(sizes)
 
 
 # ---------------------------------------------------------------------------
-# centering
+# centering, as the model runs it: gather a region's rows, subtract their
+# block mean, and add the mean back in the object frame
+
+
+def _centered(points, capacity=None):
+    """(rows, centers, centered) of the single region holding ``points``."""
+    capacity = capacity or len(points)
+    split = _split_one(points, points, 1, capacity=capacity)
+    owner = np.zeros(len(split.rows), dtype=np.intp)
+    real = ad.gather_rows(ad.constant(points), split.rows)
+    centers = ad.mean_over_blocks(real, owner, 1)
+    return real, centers, ad.sub(real, ad.gather_rows(centers, owner))
 
 
 def test_center_region_example():
-    region = _region_of(np.array([[1.0, 1.0, 1.0], [3.0, 3.0, 3.0]]))
-    centered = geo.center_region(region)
-    np.testing.assert_array_equal(centered.center, [2.0, 2.0, 2.0])
-    np.testing.assert_array_equal(centered.real_points, [[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
+    _, centers, centered = _centered(np.array([[1.0, 1.0, 1.0], [3.0, 3.0, 3.0]]))
+    np.testing.assert_array_equal(centers.data[0], [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(centered.data, [[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
 
 
 def test_center_already_centered_is_identity():
     pts = np.array([[-1.0, 0.0, 2.0], [1.0, 0.0, -2.0]])
-    centered = geo.center_region(_region_of(pts))
-    np.testing.assert_allclose(centered.real_points, pts, atol=1e-15)
+    _, _, centered = _centered(pts)
+    np.testing.assert_allclose(centered.data, pts, atol=1e-15)
 
 
 def test_centered_mean_is_zero():
     rng = np.random.default_rng(5)
-    centered = geo.center_region(_region_of(random_cloud(rng, 37)))
-    assert np.abs(centered.real_points.mean(axis=0)).max() < 1e-12
+    _, _, centered = _centered(random_cloud(rng, 37))
+    assert np.abs(centered.data.mean(axis=0)).max() < 1e-12
 
 
 def test_decenter_round_trip():
     rng = np.random.default_rng(6)
-    region = _region_of(random_cloud(rng, 21), capacity=32)
-    centered = geo.center_region(region)
-    restored = geo.decenter(centered.real_points, centered.center)
-    assert np.abs(restored - region.real_points).max() < 1e-12
+    real, centers, centered = _centered(random_cloud(rng, 21), capacity=32)
+    restored = ad.add(centered, ad.gather_rows(centers, np.zeros(21, dtype=np.intp)))
+    assert np.abs(restored.data - real.data).max() < 1e-12
 
 
 def test_decenter_zero_center_is_identity():
     pts = np.array([[1.0, 2.0, 3.0]])
-    np.testing.assert_array_equal(geo.decenter(pts, np.zeros(3)), pts)
+    restored = ad.add(ad.constant(pts), ad.gather_rows(ad.constant(np.zeros((1, 3))), [0]))
+    np.testing.assert_array_equal(restored.data, pts)
 
 
 def test_center_empty_region_untouched():
-    empty = geo.Region(np.zeros((0, 3)), np.zeros(3), (0, 0, 0), np.array([], dtype=np.intp))
-    out = geo.center_region(empty)
-    np.testing.assert_array_equal(out.center, np.zeros(3))
-    assert out.real_points.shape == (0, 3)
-
-
-def _region_of(points, capacity=None):
-    capacity = capacity or len(points)
-    rs = geo.split_regions(points, points, 1, capacity=capacity)
-    return rs.regions[0]
+    """A region without rows has a zero center and no centered rows."""
+    split = _split_one(np.array([[0.1, 0.1, 0.1]]), np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), 8, capacity=4)
+    owner = np.repeat(np.arange(8), split.counts)
+    empty = np.flatnonzero(split.counts == 0)
+    assert len(empty) == 7
+    centers = ad.mean_over_blocks(ad.constant(np.array([[0.1, 0.1, 0.1]])[split.rows]), owner, 8)
+    np.testing.assert_array_equal(centers.data[empty], np.zeros((7, 3)))
+    assert not np.isin(empty, owner).any()
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +426,20 @@ def test_iou_contract_errors():
 def test_downsample_k_equals_n():
     rng = np.random.default_rng(15)
     cloud = random_cloud(rng, 10)
-    out = geo.downsample(cloud, 10, "fps")
+    out = geo.downsample(cloud, 10)
     np.testing.assert_array_equal(np.sort(out, axis=0), np.sort(cloud, axis=0))
 
 
 def test_fps_collinear_picks_endpoints():
     cloud = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-    out = geo.downsample(cloud, 2, "fps")
+    out = geo.downsample(cloud, 2)
     np.testing.assert_array_equal(out, [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
 
 
 def test_fps_spreads_better_than_random():
     rng = np.random.default_rng(16)
     cloud = random_cloud(rng, 200)
-    fps_pts = geo.downsample(cloud, 20, "fps")
+    fps_pts = geo.downsample(cloud, 20)
     fps_spread = _min_pairwise(fps_pts)
     wins = 0
     for seed in range(50):
@@ -445,11 +494,6 @@ def test_fps_equals_norm_loop_bitwise(n, k_kind, step, duplicates, scale, nans, 
     total = cloud.shape[0]
     k = {"one": 1, "all": total, "some": int(rng.integers(1, total + 1))}[k_kind]
     np.testing.assert_array_equal(geo.farthest_point_indices(cloud, k), _fps_norm_loop(cloud, k))
-
-
-def test_downsample_accepts_only_fps():
-    with pytest.raises(ContractError, match="unknown downsample method 'random'"):
-        geo.downsample(np.ones((3, 3)), 2, "random")
 
 
 def _min_pairwise(points):

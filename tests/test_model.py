@@ -196,10 +196,10 @@ def test_forward_trace_shapes_and_ranges(tiny_model, tiny_inputs):
     trace = tiny_model.forward(image, reference=gt)
     assert trace.s_cloud.shape == (24, 3)
     assert len(trace.r_prime) == 8
-    for r, t, u, region in zip(trace.r_prime, trace.shifts, trace.u, trace.region_set.regions):
-        assert r.shape == t.shape == u.shape == (region.real_count, 3)
+    for r, t, u, k in zip(trace.r_prime, trace.shifts, trace.u, trace.split.counts):
+        assert r.shape == t.shape == u.shape == (k, 3)
     assert trace.f_r.shape == (8, 4)
-    total_real = sum(r.real_count for r in trace.region_set.regions)
+    total_real = trace.split.counts.sum()
     assert trace.f_cloud.shape == (total_real, 3)
     assert np.isfinite(trace.f_cloud).all()
 
@@ -209,11 +209,13 @@ def test_forward_padding_rows_never_reach_region_encoder(tiny_model, tiny_inputs
     image, gt = tiny_inputs
     trace = tiny_model.forward(image, reference=gt)
     pt = tiny_model._watch_all(None)
-    for m, region in enumerate(trace.region_set.regions):
-        if region.is_empty:
+    ends = np.cumsum(trace.split.counts)
+    for m, (end, k) in enumerate(zip(ends, trace.split.counts)):
+        if not k:
             np.testing.assert_array_equal(trace.f_r[m], np.zeros(4))
             continue
-        centered = region.real_points - region.real_points.mean(axis=0)
+        real = trace.s_cloud[trace.split.rows[end - k : end]]
+        centered = real - real.mean(axis=0)
         expected = tiny_model.encode_region(ad.constant(centered), pt, np.zeros(len(centered), dtype=np.intp), 1)
         np.testing.assert_allclose(trace.f_r[m], expected.data[0], atol=1e-12)
 
@@ -261,14 +263,14 @@ def _per_region_oracle(model, image, reference, gt, tape):
     f_i = model.encode_image(image, pt)
     s_tensor = model.decode_shape(f_i, pt)
     split_ref = s_tensor.data if reference is None else reference
-    region_set = geo.split_regions(s_tensor.data, split_ref, c.regions, c.region_capacity)
+    split = geo.split_regions([s_tensor.data], [split_ref], c.regions, c.region_capacity)
     patterns = model.compute_patterns(pt)
-    kept = np.array([r.real_count for r in region_set.regions])
+    kept = split.counts
     f_r_items, center_items = [], []
-    for region in region_set.regions:
-        if region.real_count:
-            one_block = np.zeros(region.real_count, dtype=np.intp)
-            real = ad.gather_rows(s_tensor, region.source_rows)
+    for rows in np.split(split.rows, np.cumsum(kept)[:-1]):
+        if len(rows):
+            one_block = np.zeros(len(rows), dtype=np.intp)
+            real = ad.gather_rows(s_tensor, rows)
             center = ad.mean_over_blocks(real, one_block, 1)
             f_r = model.encode_region(ad.sub(real, ad.gather_rows(center, one_block)), pt, one_block, 1)
         else:
@@ -280,11 +282,12 @@ def _per_region_oracle(model, image, reference, gt, tape):
     stacked = ad.add(local, ad.gather_rows(ad.concat(center_items), np.repeat(np.arange(c.regions), kept)))
     u = ad.add(stacked, model.customize(stacked, f_i, pt, np.zeros(stacked.shape[0], dtype=np.intp)))
     ends = np.cumsum(kept)
-    gt_regions = geo.split_regions(gt, gt, c.regions, gt.shape[0])
+    gt_split = geo.split_regions([gt], [gt], c.regions, gt.shape[0])
+    gt_regions = np.split(gt[gt_split.rows], np.cumsum(gt_split.counts)[:-1])
     terms = [
-        geo.chamfer(ad.gather_rows(u, np.arange(hi - k, hi)), gt_region.real_points)
-        for hi, k, gt_region in zip(ends, kept, gt_regions.regions)
-        if k and not gt_region.is_empty
+        geo.chamfer(ad.gather_rows(u, np.arange(hi - k, hi)), gt_region)
+        for hi, k, gt_region in zip(ends, kept, gt_regions)
+        if k and len(gt_region)
     ]
     l_reg = terms[0]
     for t in terms[1:]:
@@ -323,7 +326,7 @@ def test_block_region_stage_equals_per_region_loop(tiny_inputs, case):
     assert len(trace.u) == len(want_u)
     for u, want in zip(trace.u, want_u):
         np.testing.assert_allclose(u, want, rtol=0, atol=1e-14)
-    counts = [r.real_count for r in trace.region_set.regions]
+    counts = trace.split.counts.tolist()
     p = model.config.pattern_points
     if case == "tiny_prediction_split":  # empty, partial and two-pattern regions
         assert 0 in counts and any(0 < k < p for k in counts) and any(p < k < 2 * p for k in counts)
@@ -340,7 +343,7 @@ def test_region_stage_records_one_node_per_op(tiny_inputs, regions):
     model = PatternModel(ModelConfig(**{**TINY, "regions": regions}), seed=3)
     tape = ad.Tape()
     trace = model.forward(image, reference=gt, tape=tape)
-    assert len(trace.region_set.regions) == regions
+    assert len(trace.split.counts) == regions
     kinds = [node.kind for node in tape.nodes]
     assert (kinds.count("mean_over_blocks"), kinds.count("sub"), kinds.count("max_over_blocks")) == (1, 1, 1)
 
@@ -365,7 +368,7 @@ def test_inference_ignores_poisoned_ground_truth(tiny_model, tiny_inputs):
     np.testing.assert_array_equal(inference.f_cloud, poisoned_inference.f_cloud)
     assert np.isfinite(inference.f_cloud).all()
     # and the split really came from the prediction, not the (different) gt box
-    assert inference.region_set.box.max_side != reference_run.region_set.box.max_side
+    assert inference.split.boxes[0].max_side != reference_run.split.boxes[0].max_side
 
 
 def test_no_shift_equals_modularized_regions(tiny_inputs):
@@ -375,9 +378,7 @@ def test_no_shift_equals_modularized_regions(tiny_inputs):
     for r, t, u in zip(trace.r_prime, trace.shifts, trace.u):
         np.testing.assert_array_equal(t, np.zeros_like(t))
         np.testing.assert_array_equal(u, r)
-    rebuilt = np.vstack(
-        [u[: reg.real_count] for u, reg in zip(trace.u, trace.region_set.regions) if reg.real_count]
-    )
+    rebuilt = np.vstack([u[:k] for u, k in zip(trace.u, trace.split.counts) if k])
     np.testing.assert_array_equal(trace.f_cloud, rebuilt)
 
 
@@ -387,8 +388,9 @@ def test_no_patterns_feeds_regions_to_customizer(tiny_inputs):
     names = set(model.params)
     assert not any(n.startswith(("learner", "modularizer", "region_encoder")) for n in names)
     trace = model.forward(image, reference=gt)
-    for block, region in zip(trace.r_prime, trace.region_set.regions):
-        np.testing.assert_array_equal(block, region.real_points)
+    real = np.split(trace.s_cloud[trace.split.rows], np.cumsum(trace.split.counts)[:-1])
+    for block, region in zip(trace.r_prime, real):
+        np.testing.assert_array_equal(block, region)
 
 
 def test_no_local_returns_initial_prediction(tiny_inputs):
@@ -424,7 +426,8 @@ def test_batch_trace_stacks_member_traces(tiny_model, tiny_inputs):
         alone = tiny_model.forward(images[b], reference=references[b])
         assert alone.members is None and member.members is None
         assert member.f_i.shape == (1, tiny_model.config.image_feat)
-        assert [r.real_count for r in member.region_set.regions] == [r.real_count for r in alone.region_set.regions]
+        np.testing.assert_array_equal(member.split.counts, alone.split.counts)
+        np.testing.assert_array_equal(member.split.rows, alone.split.rows)
         np.testing.assert_allclose(member.f_cloud, alone.f_cloud, rtol=0, atol=1e-14)
         for u, want in zip(member.u, alone.u):
             np.testing.assert_allclose(u, want, rtol=0, atol=1e-14)

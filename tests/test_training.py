@@ -58,20 +58,23 @@ def test_loss_shape_matches_brute_force():
     assert abs(tr.loss_shape(ad.constant(a), b).item() - geo.chamfer_brute_force(a, b)) < 1e-12
 
 
+def _gt_regions(gt_cloud, capacity, m_regions=8):
+    """Each region's points of the ground truth split against itself."""
+    split = geo.split_regions([gt_cloud], [gt_cloud], m_regions, capacity)
+    return np.split(gt_cloud[split.rows], np.cumsum(split.counts)[:-1])
+
+
 def _trace_with_kept(kept_clouds, gt_cloud, m_regions=8):
     """Minimal trace whose region m keeps the rows kept_clouds[m] (None for an
-    empty region), stacked region-major in f_tensor; regions carry the voxel
-    indices of the gt split."""
-    gt_regions = geo.split_regions(gt_cloud, gt_cloud, m_regions, gt_cloud.shape[0])
+    empty region), stacked region-major in f_tensor; the split carries the
+    box of the gt split."""
+    gt_split = geo.split_regions([gt_cloud], [gt_cloud], m_regions, gt_cloud.shape[0])
     clouds = [np.zeros((0, 3)) if cloud is None else np.asarray(cloud) for cloud in kept_clouds]
-    regions = [
-        geo.Region(cloud, cloud.mean(axis=0) if len(cloud) else np.zeros(3), gt.voxel_index, np.arange(len(cloud)))
-        for cloud, gt in zip(clouds, gt_regions.regions)
-    ]
+    counts = np.array([len(cloud) for cloud in clouds])
     f_cloud = np.vstack(clouds)
     return ForwardTrace(
         f_i=np.zeros((1, 2)), s_cloud=gt_cloud,
-        region_set=geo.RegionSet(regions, gt_regions.m_per_edge, gt_regions.box), patterns=None,
+        split=geo.RegionSplit(np.arange(counts.sum()), counts, gt_split.boxes, gt_split.m_per_edge), patterns=None,
         f_r=None, r_prime=None, shifts=None, u=None, f_cloud=f_cloud,
         s_tensor=ad.constant(gt_cloud), f_tensor=ad.constant(f_cloud),
     )
@@ -80,8 +83,7 @@ def _trace_with_kept(kept_clouds, gt_cloud, m_regions=8):
 def test_loss_region_zero_when_regions_match():
     rng = np.random.default_rng(2)
     gt = rng.uniform(-0.4, 0.4, (64, 3))
-    regions = geo.split_regions(gt, gt, 8, 64)
-    kept = [r.real_points if r.real_count else None for r in regions.regions]
+    kept = [r if len(r) else None for r in _gt_regions(gt, 64)]
     trace = _trace_with_kept(kept, gt)
     assert tr.loss_region(trace, gt, ModelConfig(**TINY)).item() == 0.0
 
@@ -90,9 +92,9 @@ def test_loss_region_single_pair_no_averaging():
     # two clustered points share a voxel; the far anchor's pair is left empty,
     # so exactly one pair survives and no averaging happens
     gt = np.array([[0.1, 0.1, 0.1], [0.12, 0.1, 0.1], [0.9, 0.9, 0.9]])
-    regions = geo.split_regions(gt, gt, 8, 3)
-    target = next(i for i, r in enumerate(regions.regions) if r.real_count == 2)
-    cluster = regions.regions[target].real_points
+    regions = _gt_regions(gt, 3)
+    target = next(i for i, r in enumerate(regions) if len(r) == 2)
+    cluster = regions[target]
     offset = cluster + 0.01
     kept = [None] * 8
     kept[target] = offset
@@ -104,13 +106,12 @@ def test_loss_region_single_pair_no_averaging():
 def test_loss_region_matches_hand_assembled_brute_force():
     rng = np.random.default_rng(3)
     gt = rng.uniform(-0.4, 0.4, (128, 3))
-    gt_regions = geo.split_regions(gt, gt, 8, 128)
     kept, expected_terms = [], []
-    for region in gt_regions.regions:
-        if region.real_count:
-            fake = region.real_points + rng.normal(0, 0.02, region.real_points.shape)
+    for region in _gt_regions(gt, 128):
+        if len(region):
+            fake = region + rng.normal(0, 0.02, region.shape)
             kept.append(fake)
-            expected_terms.append(geo.chamfer_brute_force(fake, region.real_points))
+            expected_terms.append(geo.chamfer_brute_force(fake, region))
         else:
             kept.append(None)
     trace = _trace_with_kept(kept, gt)
@@ -129,8 +130,7 @@ def test_total_loss_falls_back_to_whole_shape_term(caplog):
     """When every nonempty prediction region faces an empty ground-truth
     region, the region term becomes the whole-shape Chamfer on F."""
     gt = np.array([[0.1, 0.1, 0.1], [0.12, 0.1, 0.1], [0.9, 0.9, 0.9]])
-    regions = geo.split_regions(gt, gt, 8, 3)
-    empty = [m for m, r in enumerate(regions.regions) if r.is_empty]
+    empty = [m for m, r in enumerate(_gt_regions(gt, 3)) if not len(r)]
     kept = [None] * 8
     kept[empty[0]] = np.array([[0.5, 0.2, 0.3], [0.4, 0.6, 0.2]])
     kept[empty[-1]] = np.array([[0.3, 0.7, 0.8]])
@@ -207,11 +207,11 @@ def test_padded_rows_contribute_nothing_to_losses():
     """The same geometry at two padding capacities yields identical losses."""
     rng = np.random.default_rng(4)
     gt = rng.uniform(-0.4, 0.4, (64, 3))
-    regions_small = geo.split_regions(gt, gt, 8, 64)
-    regions_big = geo.split_regions(gt, gt, 8, 256)
-    for a, b in zip(regions_small.regions, regions_big.regions):
-        np.testing.assert_array_equal(a.real_points, b.real_points)
-    kept = [r.real_points + 0.01 if r.real_count else None for r in regions_small.regions]
+    regions_small = _gt_regions(gt, 64)
+    regions_big = _gt_regions(gt, 256)
+    for a, b in zip(regions_small, regions_big):
+        np.testing.assert_array_equal(a, b)
+    kept = [r + 0.01 if len(r) else None for r in regions_small]
     t1 = _trace_with_kept(kept, gt)
     t2 = _trace_with_kept(kept, gt)
     v1 = tr.loss_region(t1, gt, ModelConfig(**TINY)).item()
@@ -392,7 +392,7 @@ def test_batch_tape_equals_mean_of_member_tapes(caplog, members, model_flags, tr
     for name, g in want_grads.items():
         assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
     if members >= 3 and not model.config.no_local:  # the batch holds the fallback member
-        counts = [r.real_count for t in traces for r in t.region_set.regions]
+        counts = [k for t in traces for k in t.split.counts]
         p = model.config.pattern_points
         assert 0 in counts and any(0 < k < p for k in counts) and any(p < k < 2 * p for k in counts)
         assert ("substituting whole-shape term" in caplog.text) == (not config.no_l_region)

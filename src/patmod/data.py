@@ -338,28 +338,37 @@ def write_xyz(path, cloud: np.ndarray) -> None:
     if cloud.shape[0] == 0:
         raise DomainError("refusing to write an empty point cloud")
     with open(path, "w") as fh:
-        for x, y, z in cloud:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+        fh.write(("%.17g %.17g %.17g\n" * len(cloud)) % tuple(cloud.ravel().tolist()))
 
 
 def read_xyz(path) -> np.ndarray:
-    rows, linenos = [], []
+    """Three coordinates per non-blank line; a bad line raises DomainError
+    naming it, the first in file order when there are several."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise DomainError(f"{path}:{lineno}: expected 3 coordinates, got {len(parts)}")
+        lines = fh.read().split("\n")  # numbered as iterating the file numbers them
+    tokens, linenos, short = [], [], None
+    for lineno, line in enumerate(lines, 1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            short = DomainError(f"{path}:{lineno}: expected 3 coordinates, got {len(parts)}")
+            break
+        tokens += parts
+        linenos.append(lineno)
+    try:
+        values = list(map(float, tokens))
+    except ValueError:
+        for i, token in enumerate(tokens):  # find the first bad token's line
             try:
-                rows.append([float(p) for p in parts])
+                float(token)
             except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: {exc}") from None
-            linenos.append(lineno)
-    if not rows:
+                raise DomainError(f"{path}:{linenos[i // 3]}: {exc}") from None
+    if short is not None:
+        raise short
+    if not values:
         raise DomainError(f"{path}: empty point cloud")
-    cloud = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    cloud = np.asarray(values, dtype=np.float64).reshape(-1, 3)
     # checked once per cloud: a numpy call per line would double the parse time
     bad = np.flatnonzero(~np.isfinite(cloud).all(axis=1))
     if bad.size:
@@ -384,28 +393,6 @@ def write_ply(path, cloud: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(np.ascontiguousarray(cloud, dtype="<f4").tobytes())
-
-
-def read_ply(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    end = blob.find(b"end_header\n")
-    if not blob.startswith(b"ply\n") or end < 0:
-        raise DomainError(f"{path}: not a PLY file (offset 0)")
-    header = blob[:end].decode("ascii", errors="replace").splitlines()
-    if "format binary_little_endian 1.0" not in header:
-        raise DomainError(f"{path}: unsupported PLY format line")
-    count = None
-    for line in header:
-        if line.startswith("element vertex "):
-            count = int(line.split()[-1])
-    if count is None:
-        raise DomainError(f"{path}: missing vertex element in header")
-    payload = blob[end + len(b"end_header\n") :]
-    expected = count * 12
-    if len(payload) < expected:
-        raise DomainError(f"{path}: truncated payload at byte {end + 11 + len(payload)}")
-    return np.frombuffer(payload[:expected], dtype="<f4").reshape(count, 3).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

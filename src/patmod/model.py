@@ -11,11 +11,12 @@ N*P decoded rows (padded-index removal), so only those k rows are computed.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,50 +203,100 @@ def learner_offsets(n: int) -> np.ndarray:
     return (pts - 0.5) * 0.5  # inside [-0.25, 0.25]^3
 
 
+class _ParamSpec(NamedTuple):
+    name: str
+    shape: tuple[int, ...]
+    init: str  # "zeros", "normal" (std ``scale``) or "uniform" (on [-scale, scale])
+    scale: float = 0.0
+
+
+def _param_layout(c: ModelConfig, flat_dim: int) -> list[_ParamSpec]:
+    """Every parameter's name, shape and initial distribution, in registry
+    (= checkpoint = RNG draw) order."""
+    specs = []
+    k = _CONV_KERNEL
+    c_in = c.image_channels
+    for i, c_out in enumerate(c.conv_channels):
+        std = np.sqrt(2.0 / (c_in * k * k))
+        specs.append(_ParamSpec(f"encoder.conv{i + 1}.weight", (c_out, c_in, k, k), "normal", std))
+        specs.append(_ParamSpec(f"encoder.conv{i + 1}.bias", (c_out, 1), "zeros"))
+        c_in = c_out
+
+    def fc(prefix: str, fan_in: int, fan_out: int, split: int | None = None) -> None:
+        """Glorot-uniform weight and zero bias; ``split`` stores the weight's
+        first rows as ``.weight_points`` and the rest as ``.weight_feature``.
+        The generator draws a matrix's entries in row-major order, so the two
+        consecutive draws of a split weight equal one draw of the whole."""
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        if split is None:
+            specs.append(_ParamSpec(f"{prefix}.weight", (fan_in, fan_out), "uniform", limit))
+        else:
+            specs.append(_ParamSpec(f"{prefix}.weight_points", (split, fan_out), "uniform", limit))
+            specs.append(_ParamSpec(f"{prefix}.weight_feature", (fan_in - split, fan_out), "uniform", limit))
+        specs.append(_ParamSpec(f"{prefix}.bias", (1, fan_out), "zeros"))
+
+    fc("encoder.fc1", flat_dim, c.image_feat)
+    fc("encoder.fc2", c.image_feat, c.image_feat)
+    fc("decoder.fc", c.image_feat, 3 * c.s_points)
+    # the learners, the region encoder, one modularizer per pattern
+    if not (c.no_local or c.no_patterns):
+        for n in range(c.patterns):
+            fc(f"learner{n}.fc1", 3, 64)
+            fc(f"learner{n}.fc2", 64, 256)
+            fc(f"learner{n}.fc3", 256, 3)
+        fc("region_encoder.fc", 3, c.region_feat)
+        for n in range(c.patterns):
+            fc(f"modularizer{n}.fc1", 3 + c.region_feat, 512, split=3)
+            fc(f"modularizer{n}.fc2", 512, 256)
+            fc(f"modularizer{n}.fc3", 256, 128)
+            fc(f"modularizer{n}.fc4", 128, 3)
+    if not c.no_local:
+        fc("customizer.fc1", 3 + c.image_feat, 512, split=3)
+        fc("customizer.fc2", 512, 128)
+        fc("customizer.fc3", 128, 3)
+    return specs
+
+
 class PatternModel:
     """Holds all parameters and runs the reconstruction pipeline.  ``params``
     registers each parameter once by name, in initialization (= checkpoint) order."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        self.config = config
-        self.params: dict[str, Parameter] = {}
         rng = np.random.default_rng(seed)
-        c = config
 
-        k = _CONV_KERNEL
-        c_in = c.image_channels
-        for i, c_out in enumerate(c.conv_channels):
-            std = np.sqrt(2.0 / (c_in * k * k))
-            self._register(f"encoder.conv{i + 1}.weight", rng.normal(0.0, std, size=(c_out, c_in, k, k)))
-            self._register(f"encoder.conv{i + 1}.bias", np.zeros((c_out, 1)))
-            c_in = c_out
+        def draw(spec: _ParamSpec) -> np.ndarray:
+            if spec.init == "normal":
+                return rng.normal(0.0, spec.scale, size=spec.shape)
+            if spec.init == "uniform":
+                return rng.uniform(-spec.scale, spec.scale, size=spec.shape)
+            return np.zeros(spec.shape)
+
+        self._build(config, draw)
+
+    @classmethod
+    def _uninitialised(cls, config: ModelConfig) -> "PatternModel":
+        """The model with every parameter allocated but not written: for a
+        caller that overwrites each one, as ``load_checkpoint`` does."""
+        model = cls.__new__(cls)
+        model._build(config, lambda spec: np.empty(spec.shape))
+        return model
+
+    def _build(self, config: ModelConfig, fill) -> None:
+        """Set up the model; ``fill(spec)`` gives each parameter's values, in
+        the order of ``_param_layout``."""
+        self.config = c = config
+        self.params: dict[str, Parameter] = {}
         side = c.image_size
         for s in _CONV_STRIDES:
             side = (side + 2 * _CONV_PAD - _CONV_KERNEL) // s + 1
         self._flat_dim = c.conv_channels[-1] * side * side
-        self._fc(rng, "encoder.fc1", self._flat_dim, c.image_feat)
-        self._fc(rng, "encoder.fc2", c.image_feat, c.image_feat)
-        self._fc(rng, "decoder.fc", c.image_feat, 3 * c.s_points)
-
-        # learner MLPs over a shared lattice, the region encoder, one modularizer per pattern
+        # learner MLPs run over a shared lattice, each from its own offset
         self.lattice = self.offsets = None
         if not (c.no_local or c.no_patterns):
             self.lattice = geo.grid_lattice(c.pattern_points, c.pattern_extent, c.sampling_mode)
             self.offsets = learner_offsets(c.patterns)
-            for n in range(c.patterns):
-                self._fc(rng, f"learner{n}.fc1", 3, 64)
-                self._fc(rng, f"learner{n}.fc2", 64, 256)
-                self._fc(rng, f"learner{n}.fc3", 256, 3)
-            self._fc(rng, "region_encoder.fc", 3, c.region_feat)
-            for n in range(c.patterns):
-                self._fc(rng, f"modularizer{n}.fc1", 3 + c.region_feat, 512, split=3)
-                self._fc(rng, f"modularizer{n}.fc2", 512, 256)
-                self._fc(rng, f"modularizer{n}.fc3", 256, 128)
-                self._fc(rng, f"modularizer{n}.fc4", 128, 3)
-        if not c.no_local:
-            self._fc(rng, "customizer.fc1", 3 + c.image_feat, 512, split=3)
-            self._fc(rng, "customizer.fc2", 512, 128)
-            self._fc(rng, "customizer.fc3", 128, 3)
+        for spec in _param_layout(c, self._flat_dim):
+            self._register(spec.name, fill(spec))
 
     # ------------------------------------------------------------------
     # parameter bookkeeping
@@ -254,18 +305,6 @@ class PatternModel:
         if name in self.params:
             raise ContractError(f"parameter {name!r} registered twice")
         self.params[name] = Parameter(name, values)
-
-    def _fc(self, rng: np.random.Generator, prefix: str, fan_in: int, fan_out: int, split: int | None = None) -> None:
-        """Glorot-uniform weight and zero bias; ``split`` stores the weight's first
-        rows as ``.weight_points`` and the rest as ``.weight_feature``."""
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weight = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        if split is None:
-            self._register(f"{prefix}.weight", weight)
-        else:
-            self._register(f"{prefix}.weight_points", weight[:split].copy())
-            self._register(f"{prefix}.weight_feature", weight[split:].copy())
-        self._register(f"{prefix}.bias", np.zeros((1, fan_out)))
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
@@ -546,34 +585,29 @@ def _check_finite(arr: np.ndarray, stage: str) -> None:
 def save_checkpoint(path, model: PatternModel, extra_config: dict[str, str] | None = None) -> None:
     """Write magic, version, flat config block, then raw little-endian parameters.
 
-    The bytes go to ``<path>.tmp`` in the same directory, which then replaces
-    ``path`` in one step, so a failed write leaves the previous file as it
-    was; the temporary file is removed on failure.
+    Each parameter's payload goes to the file straight from a byte view of
+    its array (no copy for a contiguous little-endian array), so no
+    whole-file buffer is built; the format is byte for byte that of every
+    earlier writer.  The bytes go to ``<path>.tmp`` in the same directory,
+    which then replaces ``path`` in one step, so a failed write leaves the
+    previous file as it was; the temporary file is removed on failure.
     """
     flat = to_flat(model.config)
     if extra_config:
         flat.update(extra_config)
     config_blob = "\n".join(f"{k}={v}" for k, v in sorted(flat.items())).encode()
     params = model.parameters()
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<H", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<I", len(config_blob)))
-    buf.write(config_blob)
-    buf.write(struct.pack("<I", len(params)))
-    for p in params:
-        name = p.name.encode()
-        buf.write(struct.pack("<H", len(name)))
-        buf.write(name)
-        buf.write(struct.pack("<B", p.data.ndim))
-        for dim in p.data.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
     tmp = f"{os.fspath(path)}.tmp"
     fh = open(tmp, "wb")
     try:
         with fh:
-            fh.write(buf.getvalue())
+            fh.write(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(config_blob)) + config_blob)
+            fh.write(struct.pack("<I", len(params)))
+            for p in params:
+                name = p.name.encode()
+                shape = p.data.shape
+                fh.write(struct.pack(f"<H{len(name)}sB{len(shape)}I", len(name), name, len(shape), *shape))
+                fh.write(np.ascontiguousarray(p.data, dtype="<f8").reshape(-1).view(np.uint8))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -586,62 +620,80 @@ def load_checkpoint(path) -> tuple[PatternModel, dict[str, str]]:
     The config block must hold every ModelConfig key and no other key except
     ``train.*``; the file must hold every model parameter exactly once and
     end where the last parameter ends.  Anything else raises ContractError.
+
+    The file is read record by record: each payload lands straight in its
+    parameter's array, allocated uninitialised (every one is overwritten,
+    since each name must appear exactly once), so loading holds one copy of
+    the parameters and draws no random values.  The format is unchanged.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    view = memoryview(blob)
-    offset = 0
+        size = os.fstat(fh.fileno()).st_size
+        offset = 0
 
-    def take(n: int) -> memoryview:
-        nonlocal offset
-        if offset + n > len(view):
-            raise ContractError(f"{path}: truncated checkpoint ({len(view)} bytes, needs at least {offset + n})")
-        offset += n
-        return view[offset - n : offset]
+        def claim(n: int) -> None:
+            nonlocal offset
+            if offset + n > size:
+                raise ContractError(f"{path}: truncated checkpoint ({size} bytes, needs at least {offset + n})")
+            offset += n
 
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+        def short_read(got: int) -> ContractError:
+            """The file shrank after its size was taken."""
+            return ContractError(f"{path}: truncated checkpoint ({got} bytes, needs at least {offset})")
 
-    def text(n: int) -> str:
+        def take(n: int) -> bytes:
+            claim(n)
+            chunk = fh.read(n)
+            if len(chunk) != n:
+                raise short_read(offset - n + len(chunk))
+            return chunk
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+        def text(n: int) -> str:
+            try:
+                return take(n).decode()
+            except UnicodeDecodeError:
+                raise ContractError(f"{path}: corrupt checkpoint (undecodable text at byte {offset - n})") from None
+
+        if size < 4 or take(4) != CHECKPOINT_MAGIC:
+            raise ContractError(f"{path}: not a checkpoint (bad magic)")
+        (version,) = unpack("<H")
+        if version != CHECKPOINT_VERSION:
+            raise ContractError(f"{path}: unsupported checkpoint version {version}")
+        (cfg_len,) = unpack("<I")
         try:
-            return bytes(take(n)).decode()
-        except UnicodeDecodeError:
-            raise ContractError(f"{path}: corrupt checkpoint (undecodable text at byte {offset - n})") from None
-
-    if len(view) < 4 or bytes(take(4)) != CHECKPOINT_MAGIC:
-        raise ContractError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = unpack("<H")
-    if version != CHECKPOINT_VERSION:
-        raise ContractError(f"{path}: unsupported checkpoint version {version}")
-    (cfg_len,) = unpack("<I")
-    try:
-        flat = parse_config_text(text(cfg_len), "config block")
-        config = ModelConfig.from_flat({k: v for k, v in flat.items() if not k.startswith("train.")})
-    except ConfigError as exc:
-        raise ContractError(f"{path}: {exc}") from None
-    model = PatternModel(config, seed=0)
-    (n_params,) = unpack("<I")
-    by_name = model.params
-    if n_params != len(by_name):
-        raise ContractError(f"{path}: checkpoint has {n_params} parameters, model has {len(by_name)}")
-    seen = set()
-    for _ in range(n_params):
-        (name_len,) = unpack("<H")
-        name = text(name_len)
-        (ndim,) = unpack("<B")
-        shape = unpack(f"<{ndim}I")
-        values = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
-        if name not in by_name:
-            raise ContractError(f"{path}: unknown parameter {name!r}")
-        if name in seen:
-            raise ContractError(f"{path}: parameter {name!r} is stored twice")
-        seen.add(name)
-        param = by_name[name]
-        if param.data.shape != tuple(shape):
-            raise ContractError(
-                f"{path}: shape mismatch for {name!r}: checkpoint {tuple(shape)} vs model {param.data.shape}"
-            )
-        param.data = values.copy()
-    if offset != len(view):
-        raise ContractError(f"{path}: {len(view) - offset} trailing bytes after the last parameter")
+            flat = parse_config_text(text(cfg_len), "config block")
+            config = ModelConfig.from_flat({k: v for k, v in flat.items() if not k.startswith("train.")})
+        except ConfigError as exc:
+            raise ContractError(f"{path}: {exc}") from None
+        model = PatternModel._uninitialised(config)
+        (n_params,) = unpack("<I")
+        by_name = model.params
+        if n_params != len(by_name):
+            raise ContractError(f"{path}: checkpoint has {n_params} parameters, model has {len(by_name)}")
+        seen = set()
+        for _ in range(n_params):
+            (name_len,) = unpack("<H")
+            name = text(name_len)
+            (ndim,) = unpack("<B")
+            shape = unpack(f"<{ndim}I")
+            claim(8 * math.prod(shape))
+            if name not in by_name:
+                raise ContractError(f"{path}: unknown parameter {name!r}")
+            if name in seen:
+                raise ContractError(f"{path}: parameter {name!r} is stored twice")
+            seen.add(name)
+            values = by_name[name].data
+            if values.shape != tuple(shape):
+                raise ContractError(
+                    f"{path}: shape mismatch for {name!r}: checkpoint {tuple(shape)} vs model {values.shape}"
+                )
+            got = fh.readinto(values.reshape(-1).view(np.uint8))
+            if got != values.nbytes:
+                raise short_read(offset - values.nbytes + got)
+            if sys.byteorder == "big":  # the payload is little-endian on every host
+                values.byteswap(inplace=True)
+        if offset != size:
+            raise ContractError(f"{path}: {size - offset} trailing bytes after the last parameter")
     return model, flat

@@ -1,6 +1,8 @@
 """Dataset tests: generator determinism and bounds, area-weighted sampling,
 render determinism, split disjointness, and file-format round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,20 @@ def test_xyz_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(data.read_xyz(path), cloud)
 
 
+def test_xyz_text_is_pinned(tmp_path):
+    """Pins the bytes write_xyz produces: %.17g per coordinate, so negative
+    zero, subnormals, huge values, inexact decimals and integers all keep
+    their form; a deliberate format change updates this digest."""
+    cloud = np.array([[-0.0, 5e-324, 1e308], [0.1, 1 / 3, 2.0], [-7.0, 0.0, 123456789.0], [1 / 3, -0.1, -1e308]])
+    path = tmp_path / "pin.xyz"
+    data.write_xyz(path, cloud)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "fd48afa2861f4e4d300ba1832d6c22475b1aa83e8bdfab522b30686b9c91ac19"
+    )
+    np.testing.assert_array_equal(data.read_xyz(path), cloud)
+    assert np.signbit(data.read_xyz(path)[0, 0])
+
+
 def test_xyz_empty_cloud_rejected_naming_file(tmp_path):
     path = tmp_path / "empty.xyz"
     path.write_text("\n\n")
@@ -216,23 +232,26 @@ def test_ply_single_point_layout(tmp_path):
     )
 
 
+def _ply_vertices(path) -> np.ndarray:
+    """The vertices of a PLY file as ``write_ply`` lays it out: a 7-line
+    header, then float32 x y z records."""
+    blob = path.read_bytes()
+    lines = blob.split(b"\n", 7)
+    assert lines[:2] == [b"ply", b"format binary_little_endian 1.0"]
+    assert lines[3:7] == [b"property float x", b"property float y", b"property float z", b"end_header"]
+    count = int(lines[2].removeprefix(b"element vertex "))
+    assert len(lines[7]) == 12 * count
+    return np.frombuffer(lines[7], dtype="<f4").reshape(count, 3).astype(np.float64)
+
+
 def test_ply_round_trip_within_float32(tmp_path):
     rng = np.random.default_rng(1)
     cloud = rng.standard_normal((50, 3))
     path = tmp_path / "c.ply"
     data.write_ply(path, cloud)
-    back = data.read_ply(path)
+    back = _ply_vertices(path)
     ulp = np.abs(np.spacing(cloud.astype(np.float32)))
     assert np.all(np.abs(back - cloud) <= ulp)
-
-
-def test_ply_truncation_detected(tmp_path):
-    path = tmp_path / "t.ply"
-    data.write_ply(path, np.ones((4, 3)))
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-5])
-    with pytest.raises(DomainError, match="truncated"):
-        data.read_ply(path)
 
 
 def test_empty_cloud_write_rejected(tmp_path):

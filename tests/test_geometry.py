@@ -131,7 +131,7 @@ def test_partition_property(n, m, seed):
     assert sorted(split.rows.tolist()) == list(range(n))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(0, 120), min_size=1, max_size=4),
     st.sampled_from([1, 8, 27]),

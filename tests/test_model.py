@@ -546,6 +546,51 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, tiny_model, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.pmod"]
 
 
+def test_checkpoint_load_draws_no_random_values(tmp_path, tiny_model, monkeypatch):
+    import patmod.model as model_module
+
+    path = tmp_path / "model.pmod"
+    save_checkpoint(path, tiny_model)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random values")
+
+    monkeypatch.setattr(model_module.np.random, "default_rng", no_rng)
+    loaded, _ = load_checkpoint(path)
+    for p in loaded.parameters():
+        np.testing.assert_array_equal(p.data, tiny_model.params[p.name].data)
+
+
+def test_loaded_parameters_are_plain_owned_arrays(tmp_path, tiny_model):
+    """Adam updates parameters in place: each loaded array must be a
+    writeable, C-contiguous, native float64 array that owns its memory."""
+    path = tmp_path / "model.pmod"
+    save_checkpoint(path, tiny_model)
+    loaded, _ = load_checkpoint(path)
+    for p in loaded.parameters():
+        assert p.data.flags.writeable and p.data.flags.c_contiguous and p.data.flags.owndata, p.name
+        assert p.data.dtype == np.float64 and p.data.dtype.isnative, p.name
+
+
+def test_training_a_loaded_model_equals_training_the_original(tmp_path):
+    """One Adam step on a reloaded MINI model, saved, gives the same bytes as
+    the same step on the model it was saved from."""
+    from patmod.training import AdamState, _train_step
+
+    config = TrainConfig(epochs=1, batch_size=2)
+    batch = [make_sample(cls, 40 + i, image_size=MINI_CONFIG["image_size"]) for i, cls in enumerate(("table", "lamp"))]
+    original = PatternModel(ModelConfig(**MINI_CONFIG), seed=5)
+    save_checkpoint(tmp_path / "init.pmod", original)
+    loaded, _ = load_checkpoint(tmp_path / "init.pmod")
+    blobs = []
+    for name, model in (("original", original), ("loaded", loaded)):
+        _train_step(model, batch, config, AdamState(), lr=1e-3)
+        save_checkpoint(tmp_path / f"{name}.pmod", model)
+        blobs.append((tmp_path / f"{name}.pmod").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert blobs[0] != (tmp_path / "init.pmod").read_bytes()
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.pmod"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -13,13 +13,14 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data
 from .errors import ConfigError, ContractError, DomainError, NumericalAbort
-from .model import ModelConfig, PatternModel, load_checkpoint, to_flat
+from .model import ModelConfig, PatternModel, load_checkpoint
 from .runconfig import RunConfig, load_run_config
 from .training import (
     SWEEP_PARAMETERS,
@@ -145,13 +146,6 @@ def _resolve(args) -> RunConfig:
     return load_run_config(args.config, overrides)
 
 
-def _with_model(cfg: RunConfig, model: PatternModel) -> RunConfig:
-    """The run config with the checkpoint's model config in place of the
-    configured one (``no_local`` set on the objective too), so the echo
-    describes the model that ran."""
-    return cfg.apply(to_flat(model.config))
-
-
 def _check_image(path, image: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Return ``image`` if its shape is the model's input shape; otherwise
     raise ContractError naming the file."""
@@ -241,7 +235,7 @@ def cmd_eval(args) -> int:
 def cmd_reconstruct(args) -> int:
     cfg = _resolve(args)
     model, _ = load_checkpoint(args.checkpoint)
-    echo = _with_model(cfg, model)
+    echo = replace(cfg, model=model.config)  # the echo describes the model that ran
     image = _check_image(args.image, data.read_pgm(args.image), model.config)
     out = _prepare_out(cfg.out_dir, args.force, ["reconstruction.xyz", "reconstruction.ply"])
     echo.write(out / "config_resolved.txt")
@@ -283,7 +277,7 @@ def cmd_interpolate(args) -> int:
     if args.steps < 2:
         raise ConfigError(f"--steps must be >= 2, got {args.steps}")
     model, _ = load_checkpoint(args.checkpoint)
-    echo = _with_model(cfg, model)
+    echo = replace(cfg, model=model.config)  # the echo describes the model that ran
     image_a = _check_image(args.image_a, data.read_pgm(args.image_a), model.config)
     image_b = _check_image(args.image_b, data.read_pgm(args.image_b), model.config)
     out = _prepare_out(cfg.out_dir, args.force, ["interp_0.000.xyz"])

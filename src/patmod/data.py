@@ -295,6 +295,15 @@ class DatasetSplit:
     master_seed: int = 0
 
     def __post_init__(self):
+        if not self.seen_classes:
+            raise ConfigError("seen_classes must name at least one class")
+        for key in ("seen_classes", "unseen_classes"):
+            names = getattr(self, key)
+            for name in names:
+                if name not in SHAPE_CLASSES:
+                    raise ConfigError(f"{key}: unknown shape class {name!r}; have {sorted(SHAPE_CLASSES)}")
+                if names.count(name) > 1:
+                    raise ConfigError(f"{key}: shape class {name!r} is listed more than once")
         overlap = set(self.seen_classes) & set(self.unseen_classes)
         if overlap:
             raise ConfigError(f"classes cannot be both seen and unseen: {sorted(overlap)}")

@@ -8,15 +8,16 @@ single keys textually.  Each key belongs to the dataclass that declares it:
   image_channels, sampling_mode, pattern_extent, conv_channels, no_local,
   no_patterns, no_shift;
 - ``TrainConfig`` (``RunConfig.train``): alpha, lr, batch_size, lr_decay,
-  decay_every_epochs, epochs, seed, threads, checkpoint_every, no_local,
-  no_l_region, no_l_shape;
+  decay_every_epochs, epochs, seed, threads, checkpoint_every, no_l_region,
+  no_l_shape;
 - ``DatasetSplit`` (``RunConfig.split``): seen_classes, unseen_classes,
   train_per_class, test_per_class, master_seed;
 - ``RunConfig`` itself: model_seed, dataset_dir, out_dir, eval_points.
 
-``no_local`` is declared by both the model and the training config and is
-set on both.  Unknown keys are rejected, and resolving a config runs every
-dataclass's checks, so a command validates the whole configuration before it
+No key is declared twice: ``no_local`` belongs to the model, and the
+objective reads it from there.  Unknown keys are rejected, and resolving a
+config runs every dataclass's checks, then ``RunConfig``'s check of flags
+that span parts, so a command validates the whole configuration before it
 writes anything.  Every command except ``eval`` (whose model comes from the
 checkpoint) echoes its resolved configuration next to its outputs for exact
 replay; ``reconstruct`` and ``interpolate`` echo the checkpoint's model
@@ -50,6 +51,8 @@ class RunConfig:
         for name in ("eval_points", "model_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.model.no_local and (self.train.no_l_region or self.train.no_l_shape):
+            raise ConfigError("no_local drops the region pipeline; other ablation flags conflict")
 
     def to_text(self) -> str:
         lines = ["# resolved run configuration"]
@@ -64,21 +67,20 @@ class RunConfig:
         and bad values.
 
         Each value is parsed to the type of its field's default and set on
-        every dataclass that declares the key; each dataclass is then rebuilt
-        once, so its checks run on the combined result.
+        the one dataclass that declares the key; each dataclass is then
+        rebuilt once, so its checks run on the combined result.
         """
-        parts = (self.model, self.train, self.split, self)
+        parts = {"model": self.model, "train": self.train, "split": self.split, "": self}
         # every key has a plain default; the three nested parts have factories
-        declared = [{f.name: f.default for f in fields(p) if f.default is not MISSING} for p in parts]
-        changes = [{} for _ in parts]
+        owner = {f.name: (name, f.default) for name, p in parts.items() for f in fields(p) if f.default is not MISSING}
+        changes = {name: {} for name in parts}
         for key, raw in overrides.items():
-            owners = [i for i, keys in enumerate(declared) if key in keys]
-            if not owners:
+            if key not in owner:
                 raise ConfigError(f"unknown config key {key!r}")
-            for i in owners:
-                changes[i][key] = parse_value(key, raw, declared[i][key])
-        model, train, split = (replace(p, **c) for p, c in zip(parts[:3], changes))
-        return replace(self, **changes[3], model=model, train=train, split=split)
+            name, like = owner[key]
+            changes[name][key] = parse_value(key, raw, like)
+        own = changes.pop("")
+        return replace(self, **own, **{name: replace(parts[name], **c) for name, c in changes.items()})
 
 
 def load_run_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig:

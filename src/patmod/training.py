@@ -33,9 +33,11 @@ METRICS_NOTE = (
 class TrainConfig:
     """Objective, optimizer and schedule of one training run.
 
-    ``threads`` (from ``PATMOD_THREADS`` on the command line) is accepted
-    and validated but no longer changes the computation: a batch runs as
-    one tape, so there are no member passes to spread over threads.
+    The global-only objective has no switch here: ``total_loss`` reads the
+    model's ``no_local``.  ``threads`` (from ``PATMOD_THREADS`` on the
+    command line) is accepted and validated but no longer changes the
+    computation: a batch runs as one tape, so there are no member passes to
+    spread over threads.
     """
 
     alpha: float = 0.1
@@ -47,19 +49,14 @@ class TrainConfig:
     seed: int = 0
     threads: int = 1
     checkpoint_every: int = 0  # 0 = final checkpoint only
-    no_local: bool = False  # must equal ModelConfig.no_local (checked by total_loss)
     no_l_region: bool = False
     no_l_shape: bool = False
 
     def __post_init__(self):
-        if self.no_local and (self.no_l_region or self.no_l_shape):
-            raise ConfigError("no_local drops the region pipeline; other ablation flags conflict")
-        if self.batch_size < 1 or self.epochs < 0 or self.threads < 1 or self.checkpoint_every < 0:
-            raise ConfigError("batch_size/threads must be >= 1 and epochs/checkpoint_every >= 0")
-        if self.decay_every_epochs < 1:
-            raise ConfigError(f"decay_every_epochs must be >= 1, got {self.decay_every_epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("batch_size", 1), ("decay_every_epochs", 1), ("epochs", 0), ("seed", 0), ("threads", 1),
+                          ("checkpoint_every", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("alpha", "lr", "lr_decay"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
@@ -70,9 +67,6 @@ class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass
@@ -148,13 +142,10 @@ def loss_region(trace: ForwardTrace, gt_cloud: np.ndarray, model_config: ModelCo
 def total_loss(
     trace: ForwardTrace, gt_cloud: np.ndarray, config: TrainConfig, model_config: ModelConfig
 ) -> tuple[DTensor, dict[str, float]]:
-    """Combined objective with ablation switches; returns (loss, component values)."""
-    if config.no_local != model_config.no_local:
-        raise ConfigError(
-            f"training no_local={config.no_local} does not match the model's no_local={model_config.no_local}"
-        )
+    """Combined objective with ablation switches; returns (loss, component
+    values).  A ``no_local`` model is trained on the whole-shape term alone."""
     l_shape = loss_shape(trace.s_tensor, gt_cloud)
-    if config.no_local:
+    if model_config.no_local:
         return l_shape, {"loss_shape": l_shape.item(), "loss_region": 0.0, "loss_total": l_shape.item()}
     if config.no_l_region:
         l_reg = geo.chamfer(trace.f_tensor, gt_cloud)  # second whole-shape term on F
@@ -186,6 +177,9 @@ def total_loss(
 # a block's gradients, moments and scratch stay in cache from the reduction
 # to the update.
 ADAM_BLOCK = 2**15
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
@@ -204,7 +198,7 @@ def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float)
     same parameter) has taken this step; no later one has.
     """
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     a_buf, b_buf = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)

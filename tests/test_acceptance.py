@@ -246,7 +246,7 @@ def _desk_dataset(master_seed):
 
 def _desk_train(dataset, seed, no_local=False):
     model = PatternModel(ModelConfig(**DESK_CONFIG, no_local=no_local), seed=seed)
-    config = tr.TrainConfig(epochs=10, batch_size=4, seed=seed, lr=1e-3, no_local=no_local)
+    config = tr.TrainConfig(epochs=10, batch_size=4, seed=seed, lr=1e-3)
     tr.train(dataset["train"], model, config)
     return tr.evaluate(model, dataset["test_unseen"], "unseen")[-1].cd_eval
 

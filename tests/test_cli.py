@@ -3,6 +3,8 @@ exit codes, output layouts, and byte-level determinism."""
 
 import json
 import shutil
+from dataclasses import fields
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ import pytest
 from patmod import cli, data
 from patmod.errors import ConfigError
 from patmod.model import MINI_CONFIG, ModelConfig, PatternModel, load_checkpoint, save_checkpoint
-from patmod.runconfig import load_run_config
+from patmod.runconfig import RunConfig, load_run_config
+from patmod.training import TrainConfig
 
 MINI_CFG = """
 s_points=48
@@ -297,7 +300,6 @@ def test_echo_describes_the_checkpoint_model(tmp_path, command, flags):
     assert cli.main(argv) == 0
     echo = load_run_config(out / "config_resolved.txt")
     assert echo.model == model.config
-    assert echo.train.no_local == model.config.no_local
 
 
 def test_sweep_row_per_value(workspace, tmp_path):
@@ -443,12 +445,22 @@ def test_bad_thread_variable_exit_2(workspace, tmp_path, monkeypatch, caplog, va
         ("train", ["pattern_extent=1e308"]),
         ("gen-data", ["image_size=0"]),
         ("gen-data", ["image_size=-3"]),
+        ("gen-data", ["seen_classes=foo"]),
+        ("train", ["seen_classes=foo"]),
+        ("gen-data", ["seen_classes=table,table"]),
+        ("train", ["seen_classes=table,table"]),
+        ("gen-data", ["seen_classes="]),
+        ("train", ["seen_classes="]),
+        ("train", ["no_local=true", "no_l_region=true"]),
+        ("train", ["no_local=true", "no_l_shape=true"]),
     ],
     ids=[
         "conv_channels", "class_overlap", "image_size", "gen_data_regions", "plane_lattice", "pattern_points",
         "lr_nan", "lr_negative", "alpha_nan", "lr_decay_inf", "decay_every_epochs", "seed", "model_seed",
         "pattern_extent_nan", "pattern_extent_zero", "pattern_extent_huge",
         "gen_data_image_size_zero", "gen_data_image_size_negative",
+        "gen_data_unknown_class", "unknown_class", "gen_data_repeated_class", "repeated_class",
+        "gen_data_no_seen_class", "no_seen_class", "no_local_with_no_l_region", "no_local_with_no_l_shape",
     ],
 )
 def test_bad_set_value_exit_2_before_any_output(workspace, tmp_path, command, sets):
@@ -486,6 +498,33 @@ def test_impossible_model_size_exit_2_naming_field(workspace, tmp_path, caplog, 
     assert cli.main(argv) == 2
     assert f"{field} must be >= 1" in caplog.text
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "key, value, low",
+    [("batch_size", "0", 1), ("epochs", "-1", 0), ("checkpoint_every", "-1", 0), ("threads", "0", 1)],
+)
+def test_impossible_training_count_exit_2_naming_field(workspace, tmp_path, caplog, key, value, low):
+    """A training count below its floor is named with its value before any output."""
+    _, cfg = workspace
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out"), "--set", f"{key}={value}"]
+    assert cli.main(argv) == 2
+    assert f"{key} must be >= {low}, got {value}" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_config_key_has_one_owner():
+    """No key is declared by two parts of the run configuration, so a key
+    sets exactly one setting."""
+    nested = {"model", "train", "split"}
+    key_sets = [
+        {f.name for f in fields(ModelConfig)},
+        {f.name for f in fields(TrainConfig)},
+        {f.name for f in fields(data.DatasetSplit)},
+        {f.name for f in fields(RunConfig)} - nested,
+    ]
+    for a, b in combinations(key_sets, 2):
+        assert not a & b, sorted(a & b)
 
 
 @pytest.mark.parametrize("text", [MINI_CFG, DESK_CFG], ids=["mini", "readme_desk"])

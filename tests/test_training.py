@@ -12,6 +12,7 @@ from patmod import training as tr
 from patmod.data import Sample, make_sample
 from patmod.errors import ConfigError, DomainError, NumericalAbort
 from patmod.model import MINI_CONFIG, ForwardTrace, ModelConfig, PatternModel, load_checkpoint, save_checkpoint
+from patmod.runconfig import RunConfig
 
 TINY = dict(
     s_points=24,
@@ -175,32 +176,22 @@ def test_total_loss_ablations():
 
     nl_model = tiny_model(no_local=True)
     nl_trace = nl_model.forward(sample.image)
-    nl_total, nl_parts = tr.total_loss(nl_trace, gt, tr.TrainConfig(no_local=True), nl_model.config)
+    nl_total, nl_parts = tr.total_loss(nl_trace, gt, tr.TrainConfig(), nl_model.config)
     assert nl_total.item() == nl_parts["loss_shape"]
 
 
 def test_contradictory_flags_rejected():
+    """A no_local model has no region losses to ablate."""
     with pytest.raises(ConfigError):
-        tr.TrainConfig(no_local=True, no_l_region=True)
+        RunConfig(model=ModelConfig(no_local=True), train=tr.TrainConfig(no_l_region=True))
     with pytest.raises(ConfigError):
-        tr.TrainConfig(no_local=True, no_l_shape=True)
+        RunConfig(model=ModelConfig(no_local=True), train=tr.TrainConfig(no_l_shape=True))
 
 
 def test_negative_checkpoint_interval_rejected():
     """A negative interval would divide every epoch count evenly."""
     with pytest.raises(ConfigError, match="checkpoint_every"):
         tr.TrainConfig(checkpoint_every=-1)
-
-
-@pytest.mark.parametrize("model_no_local", [True, False])
-def test_no_local_must_match_model(model_no_local):
-    """A no_local model with the full objective, and a full model with the
-    no_local objective, are both rejected."""
-    model = tiny_model(no_local=model_no_local)
-    sample = tiny_samples(1)[0]
-    trace = model.forward(sample.image, reference=sample.gt_cloud)
-    with pytest.raises(ConfigError, match="no_local"):
-        tr.total_loss(trace, sample.gt_cloud, tr.TrainConfig(no_local=not model_no_local), model.config)
 
 
 def test_padded_rows_contribute_nothing_to_losses():
@@ -263,7 +254,7 @@ def _whole_array_adam(params, grads, state, lr):
     """The update as it was before the blocked pass: Adam applied to whole
     arrays, one temporary per operation."""
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = tr.ADAM_BETA1, tr.ADAM_BETA2, tr.ADAM_EPS
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for p in params:
@@ -356,7 +347,7 @@ def _fallback_sample(image):
         (4, {}, {}),
         (4, {"no_patterns": True}, {}),
         (4, {"no_shift": True}, {}),
-        (4, {"no_local": True}, {"no_local": True}),
+        (4, {"no_local": True}, {}),
         (4, {}, {"no_l_region": True}),
     ],
     ids=["B1", "B3", "B4", "no_patterns", "no_shift", "no_local", "no_l_region"],

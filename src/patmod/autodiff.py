@@ -73,7 +73,7 @@ class Node:
     def __init__(self, kind: str, inputs: tuple, backward: Callable | None):
         self.kind = kind
         self.inputs = inputs  # node ids (or None for constant slots)
-        self.backward = backward  # grad_out -> list of grads aligned with inputs
+        self.backward = backward  # grad_out -> list of grads aligned with inputs; None for a watched leaf
 
 
 class Parameter:
@@ -494,8 +494,6 @@ def backward(loss: DTensor) -> dict[str, DTensor]:
         node = tape.nodes[nid]
         if nid in tape._param_nodes:
             collected[nid] = g if nid not in collected else collected[nid] + g
-            continue
-        if node.backward is None:
             continue
         for input_id, gin in zip(node.inputs, node.backward(g)):
             if input_id is None:

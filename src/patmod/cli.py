@@ -258,6 +258,9 @@ def cmd_sweep(args) -> int:
     cfg = _resolve(args)
     manifest = Path(cfg.dataset_dir) / "manifest.jsonl"
     dataset = {split: _load_split(manifest, split, cfg.model) for split in ("train", "test_seen", "test_unseen")}
+    for name in ("seen", "unseen"):  # every value is evaluated on both test splits
+        if not dataset[f"test_{name}"]:
+            raise ConfigError(f"no samples in split {name!r}")
     values = [v for v in args.values.split(",") if v]
     out = _prepare_out(cfg.out_dir, args.force, [f"sweep_{args.parameter}.csv"])
     rows = sweep(args.parameter, values, cfg.model, cfg.train, dataset, cfg.model_seed)

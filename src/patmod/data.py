@@ -307,8 +307,9 @@ class DatasetSplit:
         overlap = set(self.seen_classes) & set(self.unseen_classes)
         if overlap:
             raise ConfigError(f"classes cannot be both seen and unseen: {sorted(overlap)}")
-        if self.train_per_class < 1 or self.test_per_class < 1:
-            raise ConfigError("per-class sample counts must be >= 1")
+        for key in ("train_per_class", "test_per_class"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 def sample_seed(master_seed: int, class_name: str, index: int) -> int:
@@ -350,9 +351,16 @@ def write_xyz(path, cloud: np.ndarray) -> None:
         fh.write(("%.17g %.17g %.17g\n" * len(cloud)) % tuple(cloud.ravel().tolist()))
 
 
+XYZ_MAX_ABS = 1e150  # the largest coordinate magnitude read_xyz accepts
+
+
 def read_xyz(path) -> np.ndarray:
     """Three coordinates per non-blank line; a bad line raises DomainError
-    naming it, the first in file order when there are several."""
+    naming it, the first in file order when there are several.  A coordinate
+    must be finite and at most XYZ_MAX_ABS = 1e150 in magnitude, so that the
+    squared distance of two points, which the nearest-neighbour search and
+    the Chamfer distance form, cannot overflow: it is at most 3 * (2e150)**2
+    = 1.2e301, below the float64 maximum of about 1.8e308."""
     with open(path) as fh:
         lines = fh.read().split("\n")  # numbered as iterating the file numbers them
     tokens, linenos, short = [], [], None
@@ -379,9 +387,11 @@ def read_xyz(path) -> np.ndarray:
         raise DomainError(f"{path}: empty point cloud")
     cloud = np.asarray(values, dtype=np.float64).reshape(-1, 3)
     # checked once per cloud: a numpy call per line would double the parse time
-    bad = np.flatnonzero(~np.isfinite(cloud).all(axis=1))
+    bad = np.flatnonzero(~(np.abs(cloud) <= XYZ_MAX_ABS).all(axis=1))
     if bad.size:
-        raise DomainError(f"{path}:{linenos[bad[0]]}: non-finite coordinate {cloud[bad[0]].tolist()}")
+        point = cloud[bad[0]].tolist()
+        cause = f"exceeds {XYZ_MAX_ABS:g} in magnitude" if np.isfinite(point).all() else "is not finite"
+        raise DomainError(f"{path}:{linenos[bad[0]]}: coordinate {point} {cause}")
     return cloud
 
 

@@ -15,7 +15,7 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -165,27 +165,51 @@ MINI_CONFIG = dict(
 
 @dataclass
 class ForwardTrace:
-    """Everything a loss or a visualization needs from one forward pass."""
+    """Everything a loss or a visualization needs from one forward pass.
+
+    Each stage is stored once: the clouds are the tensors' values, and the
+    per-region lists are views cut from the stacked rows when read."""
 
     f_i: np.ndarray  # (1, H)
-    s_cloud: np.ndarray  # (S, 3)
-    # the region split: M counts, rows into s_cloud region-major, the box
-    split: geo.RegionSplit | None
-    patterns: list[np.ndarray] | None  # N x (P, 3)
-    f_r: np.ndarray | None  # (M, E)
-    # per region: its k_m kept rows
-    r_prime: list[np.ndarray] | None  # M x (k_m, 3), object frame
-    shifts: list[np.ndarray] | None  # M x (k_m, 3)
-    u: list[np.ndarray] | None  # M x (k_m, 3)
-    f_cloud: np.ndarray  # final reconstruction
     # the losses' handles; tapeless passes hold constants.  f_tensor stacks
     # each region's kept rows, region-major, in split order
-    s_tensor: DTensor | None = None
-    f_tensor: DTensor | None = None
+    s_tensor: DTensor  # (S, 3) initial prediction
+    f_tensor: DTensor  # final reconstruction
+    # the region split: M counts, rows into s_cloud region-major, the box
+    split: geo.RegionSplit | None = None
+    patterns: list[np.ndarray] | None = None  # N x (P, 3)
+    f_r: np.ndarray | None = None  # (M, E)
+    modularized: np.ndarray | None = None  # R', stacked like f_tensor, object frame
     # a batch pass: one trace per member.  The batch trace itself stacks the
     # members along every axis above (B rows of f_i, B*S rows of s_cloud,
     # the split of all B*M regions, the members' final clouds)
     members: list["ForwardTrace"] | None = None
+
+    @property
+    def s_cloud(self) -> np.ndarray:
+        return self.s_tensor.data
+
+    @property
+    def f_cloud(self) -> np.ndarray:
+        return self.f_tensor.data
+
+    @property
+    def r_prime(self) -> list[np.ndarray] | None:  # M x (k_m, 3), object frame
+        return self._per_region(self.modularized)
+
+    @property
+    def shifts(self) -> list[np.ndarray] | None:  # M x (k_m, 3): U - R', exact by construction
+        return self._per_region(None if self.modularized is None else self.f_cloud - self.modularized)
+
+    @property
+    def u(self) -> list[np.ndarray] | None:  # M x (k_m, 3)
+        return self._per_region(self.f_cloud)
+
+    def _per_region(self, stacked: np.ndarray | None) -> list[np.ndarray] | None:
+        """Cut ``stacked`` into one block per region by ``split.counts``."""
+        if self.split is None or stacked is None:
+            return None
+        return np.split(stacked, np.cumsum(self.split.counts)[:-1])
 
 
 def _halton(index: int, base: int) -> float:
@@ -453,10 +477,10 @@ class PatternModel:
         batch = self._pipeline(self.encode_image(image, pt), references, pt)
         return batch.members[0] if single else batch
 
-    def forward_from_code(self, code: np.ndarray, reference: np.ndarray | None = None) -> ForwardTrace:
+    def forward_from_code(self, code: np.ndarray) -> ForwardTrace:
         """Run the pipeline from an image feature directly (latent interpolation)."""
         pt = self._watch_all(None)
-        return self._pipeline(ad.constant(code.reshape(1, -1)), [reference], pt).members[0]
+        return self._pipeline(ad.constant(code.reshape(1, -1)), [None], pt).members[0]
 
     def _pipeline(self, f_i: DTensor, references: list, pt: dict[str, DTensor]) -> ForwardTrace:
         """The stages after the image encoder, over the B members of ``f_i``.
@@ -469,21 +493,12 @@ class PatternModel:
         n_members, s_rows = f_i.shape[0], c.s_points
         _check_finite(f_i.data, "image feature")
         s_tensor = self.decode_shape(f_i, pt)
-        s_cloud = s_tensor.data
-        _check_finite(s_cloud, "initial prediction")
+        _check_finite(s_tensor.data, "initial prediction")
         s_members = [_row_slice(s_tensor, b * s_rows, (b + 1) * s_rows) for b in range(n_members)]
 
-        if c.no_local:
-            batch = ForwardTrace(
-                f_i=f_i.data, s_cloud=s_cloud, split=None, patterns=None,
-                f_r=None, r_prime=None, shifts=None, u=None, f_cloud=s_cloud,
-                s_tensor=s_tensor, f_tensor=s_tensor,
-            )
-            batch.members = [
-                replace(batch, f_i=f_i.data[b : b + 1], s_cloud=s.data, f_cloud=s.data, s_tensor=s, f_tensor=s)
-                for b, s in enumerate(s_members)
-            ]
-            return batch
+        if c.no_local:  # the initial prediction is the reconstruction
+            members = [ForwardTrace(f_i.data[b : b + 1], s, s) for b, s in enumerate(s_members)]
+            return ForwardTrace(f_i.data, s_tensor, s_tensor, members=members)
 
         split_refs = [s.data if ref is None else ref for s, ref in zip(s_members, references)]
         split = geo.split_regions([s.data for s in s_members], split_refs, c.regions, c.region_capacity)
@@ -515,49 +530,22 @@ class PatternModel:
             f_tensor = stacked
         else:
             f_tensor = ad.add(stacked, self.customize(stacked, f_i, pt, owner // c.regions))
-        f_cloud = f_tensor.data
-        _check_finite(f_cloud, "customized region")
-        # realized residual: identical to the predicted shift up to the final
-        # rounding of the addition, and exactly U - R' by construction
-        shift_np = f_cloud - stacked.data
-        bounds = np.cumsum(kept)[:-1]
+        _check_finite(f_tensor.data, "customized region")
 
-        batch = ForwardTrace(
-            f_i=f_i.data,
-            s_cloud=s_cloud,
-            split=split,
-            patterns=[p.data for p in patterns] if patterns else None,
-            f_r=None if f_r_all is None else f_r_all.data,
-            r_prime=np.split(stacked.data, bounds),
-            shifts=np.split(shift_np, bounds),
-            u=np.split(f_cloud, bounds),
-            f_cloud=f_cloud,
-            s_tensor=s_tensor,
-            f_tensor=f_tensor,
-        )
+        pattern_data = [p.data for p in patterns] if patterns else None
+        f_r = None if f_r_all is None else f_r_all.data
         f_ends = np.r_[0, np.cumsum(kept.reshape(n_members, c.regions).sum(axis=1))]
         members = []
         for b, s in enumerate(s_members):
-            blocks = slice(b * c.regions, (b + 1) * c.regions)
-            f_b = _row_slice(f_tensor, f_ends[b], f_ends[b + 1])
-            own_rows = split.rows[f_ends[b] : f_ends[b + 1]] - b * s_rows
-            members.append(
-                replace(
-                    batch,
-                    f_i=f_i.data[b : b + 1],
-                    s_cloud=s.data,
-                    split=geo.RegionSplit(own_rows, kept[blocks], split.boxes[b : b + 1], split.m_per_edge),
-                    f_r=None if f_r_all is None else f_r_all.data[blocks],
-                    r_prime=batch.r_prime[blocks],
-                    shifts=batch.shifts[blocks],
-                    u=batch.u[blocks],
-                    f_cloud=f_b.data,
-                    s_tensor=s,
-                    f_tensor=f_b,
-                )
-            )
-        batch.members = members
-        return batch
+            blocks, rows = slice(b * c.regions, (b + 1) * c.regions), slice(f_ends[b], f_ends[b + 1])
+            own_split = geo.RegionSplit(split.rows[rows] - b * s_rows, kept[blocks], split.boxes[b : b + 1],
+                                        split.m_per_edge)
+            members.append(ForwardTrace(
+                f_i.data[b : b + 1], s, _row_slice(f_tensor, f_ends[b], f_ends[b + 1]), split=own_split,
+                patterns=pattern_data, f_r=None if f_r is None else f_r[blocks], modularized=stacked.data[rows],
+            ))
+        return ForwardTrace(f_i.data, s_tensor, f_tensor, split=split, patterns=pattern_data, f_r=f_r,
+                            modularized=stacked.data, members=members)
 
     def reconstruct(self, image: np.ndarray) -> ForwardTrace:
         """Inference: the region split reads only the model's own prediction."""

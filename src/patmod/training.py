@@ -446,7 +446,7 @@ def interpolate_latent(
             code = code_b
         else:
             code = (1.0 - lam) * code_a + lam * code_b
-        trace = model.forward_from_code(code, reference=None)
+        trace = model.forward_from_code(code)
         out.append((lam, trace.f_cloud))
     return out
 

@@ -331,6 +331,33 @@ def test_sweep_all_invalid_exit_2(workspace, tmp_path, parameter, value):
     assert list(out.iterdir()) == []
 
 
+def test_sweep_empty_test_split_exit_2_before_training(workspace, tmp_path, caplog, monkeypatch):
+    """A dataset without unseen classes has no test_unseen samples; the sweep
+    exits as eval does for an empty split, before it trains or writes."""
+    _, cfg = workspace
+    ds, out = tmp_path / "ds", tmp_path / "out"
+    assert cli.main(["gen-data", "--config", str(cfg), "--dataset", str(ds), "--set", "unseen_classes="]) == 0
+    monkeypatch.setattr(cli, "sweep", lambda *args: pytest.fail("the sweep trained"))
+    argv = ["sweep", "--config", str(cfg), "--dataset", str(ds), "--out", str(out), "--parameter", "alpha",
+            "--values", "0.1"]
+    assert cli.main(argv) == 2
+    assert "no samples in split 'unseen'" in caplog.text
+    assert not out.exists()
+
+
+def test_diverging_training_exit_4_keeps_last_good_parameters(workspace, tmp_path, caplog):
+    """A learning rate that drives the parameters non-finite ends training
+    with exit 4: the last good parameters are dumped, and no final
+    checkpoint or metrics file is written."""
+    _, cfg = workspace
+    out = tmp_path / "out"
+    argv = ["train", "--config", str(cfg), "--out", str(out), "--set", "lr=1e300", "--set", "epochs=3"]
+    assert cli.main(argv) == 4
+    assert "numerical abort" in caplog.text
+    assert sorted(f.name for f in out.iterdir()) == ["abort_last_good.pmod", "config_resolved.txt"]
+    load_checkpoint(out / "abort_last_good.pmod")
+
+
 def test_unknown_config_key_exit_2(workspace, tmp_path):
     _, cfg = workspace
     assert cli.main(["train", "--config", str(cfg), "--set", "nope=1", "--out", str(tmp_path / "x")]) == 2
@@ -358,8 +385,9 @@ def test_missing_dataset_exit_3(workspace, tmp_path):
         ("image_path", lambda rec: b"P5\n-8 -8\n255\n" + bytes(64)),
         ("cloud_path", lambda rec: b"0 0 0\nnan nan nan\n"),
         ("cloud_path", lambda rec: b""),
+        ("cloud_path", lambda rec: b"0 0 0\n1e200 0 0\n"),
     ],
-    ids=["manifest_not_object", "manifest_missing_seed", "pgm_negative_size", "xyz_nan", "xyz_empty"],
+    ids=["manifest_not_object", "manifest_missing_seed", "pgm_negative_size", "xyz_nan", "xyz_empty", "xyz_huge"],
 )
 def test_bad_dataset_input_exit_3(workspace, tmp_path, caplog, target, payload):
     """A bad manifest record, image header or cloud file in the first
@@ -502,7 +530,10 @@ def test_impossible_model_size_exit_2_naming_field(workspace, tmp_path, caplog, 
 
 @pytest.mark.parametrize(
     "key, value, low",
-    [("batch_size", "0", 1), ("epochs", "-1", 0), ("checkpoint_every", "-1", 0), ("threads", "0", 1)],
+    [
+        ("batch_size", "0", 1), ("epochs", "-1", 0), ("checkpoint_every", "-1", 0), ("threads", "0", 1),
+        ("train_per_class", "0", 1), ("test_per_class", "-2", 1),
+    ],
 )
 def test_impossible_training_count_exit_2_naming_field(workspace, tmp_path, caplog, key, value, low):
     """A training count below its floor is named with its value before any output."""

@@ -203,6 +203,10 @@ def test_xyz_text_is_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "fd48afa2861f4e4d300ba1832d6c22475b1aa83e8bdfab522b30686b9c91ac19"
     )
+    with pytest.raises(DomainError, match=r"pin.xyz:1: coordinate .* exceeds"):
+        data.read_xyz(path)  # written, but refused on reading: 1e308 could overflow a squared distance
+    cloud[[0, 3], 2] = [data.XYZ_MAX_ABS, -data.XYZ_MAX_ABS]
+    data.write_xyz(path, cloud)
     np.testing.assert_array_equal(data.read_xyz(path), cloud)
     assert np.signbit(data.read_xyz(path)[0, 0])
 
@@ -219,6 +223,17 @@ def test_xyz_parse_error_names_line(tmp_path):
     path.write_text("0 0 0\n1 2\n")
     with pytest.raises(DomainError, match="bad.xyz:2"):
         data.read_xyz(path)
+
+
+def test_xyz_huge_coordinate_rejected_naming_line(tmp_path):
+    """A finite coordinate above XYZ_MAX_ABS would overflow a squared
+    distance; the bound itself and its negative are accepted."""
+    path = tmp_path / "huge.xyz"
+    path.write_text("0 0 0\n1e200 0 0\n")
+    with pytest.raises(DomainError, match=r"huge.xyz:2: coordinate .* exceeds 1e\+150 in magnitude"):
+        data.read_xyz(path)
+    path.write_text(f"{data.XYZ_MAX_ABS} 0 {-data.XYZ_MAX_ABS}\n")
+    np.testing.assert_array_equal(data.read_xyz(path), [[data.XYZ_MAX_ABS, 0.0, -data.XYZ_MAX_ABS]])
 
 
 def test_ply_single_point_layout(tmp_path):

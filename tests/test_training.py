@@ -74,10 +74,8 @@ def _trace_with_kept(kept_clouds, gt_cloud, m_regions=8):
     counts = np.array([len(cloud) for cloud in clouds])
     f_cloud = np.vstack(clouds)
     return ForwardTrace(
-        f_i=np.zeros((1, 2)), s_cloud=gt_cloud,
-        split=geo.RegionSplit(np.arange(counts.sum()), counts, gt_split.boxes, gt_split.m_per_edge), patterns=None,
-        f_r=None, r_prime=None, shifts=None, u=None, f_cloud=f_cloud,
-        s_tensor=ad.constant(gt_cloud), f_tensor=ad.constant(f_cloud),
+        f_i=np.zeros((1, 2)), s_tensor=ad.constant(gt_cloud), f_tensor=ad.constant(f_cloud),
+        split=geo.RegionSplit(np.arange(counts.sum()), counts, gt_split.boxes, gt_split.m_per_edge),
     )
 
 
@@ -471,6 +469,36 @@ def test_non_finite_loss_aborts_and_dumps_checkpoint(tmp_path):
     with pytest.raises(NumericalAbort):
         tr.train(samples, model, tr.TrainConfig(epochs=1, batch_size=2, seed=0), out_dir=out)
     assert (out / "abort_last_good.pmod").exists()
+
+
+def test_checkpoint_every_saves_after_each_multiple_of_epochs(tmp_path, monkeypatch):
+    """checkpoint_every=2 over 4 epochs of 2 steps writes checkpoint.pmod
+    after epochs 2 and 4, then once more at the end; the last periodic file
+    holds the final parameters."""
+    samples, model = tiny_samples(4), tiny_model(seed=5)
+    steps, saves = [], []
+    real_step, real_save = tr._train_step, tr.save_checkpoint
+
+    def counting_step(*args):
+        steps.append(None)
+        return real_step(*args)
+
+    def recording_save(path, *args):
+        real_save(path, *args)
+        saves.append((path.name, len(steps), path.read_bytes()))
+
+    monkeypatch.setattr(tr, "_train_step", counting_step)
+    monkeypatch.setattr(tr, "save_checkpoint", recording_save)
+    out = tmp_path / "run"
+    out.mkdir()
+    tr.train(samples, model, tr.TrainConfig(epochs=4, batch_size=2, seed=0, checkpoint_every=2), out_dir=out)
+    assert [(name, n) for name, n, _ in saves] == [("checkpoint.pmod", n) for n in (4, 8, 8)]  # 2 steps an epoch
+    assert saves[0][2] != saves[1][2] == saves[2][2]
+    periodic = tmp_path / "periodic.pmod"
+    periodic.write_bytes(saves[1][2])
+    loaded, _ = load_checkpoint(periodic)
+    for p in model.parameters():
+        np.testing.assert_array_equal(loaded.params[p.name].data, p.data)
 
 
 def test_empty_dataset_rejected():

@@ -291,18 +291,19 @@ def linear_blockfeat(x, feats, w_x, w_f, b, block_index, activation: str | None 
 
 
 def conv2d(x, kernel, bias, stride: int = 1, pad: int = 0) -> DTensor:
-    """ReLU of the direct cross-correlation of a CxHxW input with an OxCxkxk
-    kernel plus an Ox1 bias.
+    """ReLU of the direct cross-correlation of a BxCxHxW stack with an
+    OxCxkxk kernel plus an Ox1 bias -> BxOxH'xW'; H' = (H + 2*pad - k)//stride + 1.
 
-    Accumulates over kernel taps (no im2col); H' = (H + 2*pad - k)//stride + 1.
-    One tape node; the bias add and ReLU run in place, as in ``linear``.
+    Accumulates over kernel taps (no im2col), one (O x C) @ (C x B*H'*W')
+    product each, channel-major inside: the output is a view the next conv2d
+    reads without a copy.  One tape node; bias and ReLU run in place.
     """
     x, kernel, bias = _coerce(x), _coerce(kernel), _coerce(bias)
-    if x.data.ndim != 3 or kernel.data.ndim != 4:
-        raise DimensionError(f"conv2d: expects CxHxW and OxCxkxk, got {x.shape}, {kernel.shape}")
+    if x.data.ndim != 4 or kernel.data.ndim != 4:
+        raise DimensionError(f"conv2d: expects BxCxHxW and OxCxkxk, got {x.shape}, {kernel.shape}")
     if stride < 1:
         raise DomainError(f"conv2d: stride must be >= 1, got {stride}")
-    c_in, h, w = x.shape
+    n, c_in, h, w = x.shape
     c_out, c_k, kh, kw = kernel.shape
     if c_k != c_in:
         raise DimensionError(f"conv2d: channel mismatch, input {x.shape} vs kernel {kernel.shape}")
@@ -315,31 +316,30 @@ def conv2d(x, kernel, bias, stride: int = 1, pad: int = 0) -> DTensor:
     h_out = (h + 2 * pad - kh) // stride + 1
     w_out = (w + 2 * pad - kw) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
+    def window(a: Array, ky: int, kx: int) -> Array:  # the CxBxH'xW' positions tap (ky, kx) reads
+        return a[:, :, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
+
+    xp = np.pad(x.data.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     kd = kernel.data
-    out = np.zeros((c_out, h_out, w_out))
+    out = np.zeros((c_out, n, h_out, w_out))
     for ky in range(kh):
         for kx in range(kw):
-            xs = xp[:, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
-            out += (kd[:, :, ky, kx] @ xs.reshape(c_in, -1)).reshape(c_out, h_out, w_out)
-    out += bias.data[:, :, None]
+            out += (kd[:, :, ky, kx] @ window(xp, ky, kx).reshape(c_in, -1)).reshape(out.shape)
+    out += bias.data[:, :, None, None]
     _apply_activation(out, "relu")
 
     def backward(g):
-        gm = _activation_grad(g, out, "relu").reshape(c_out, -1)
+        gm = _activation_grad(g.transpose(1, 0, 2, 3), out, "relu").reshape(c_out, -1)
         dk = np.zeros_like(kd)
         dxp = np.zeros_like(xp)
         for ky in range(kh):
             for kx in range(kw):
-                xs = xp[:, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
-                dk[:, :, ky, kx] = gm @ xs.reshape(c_in, -1).T
-                dxp[:, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride] += (
-                    kd[:, :, ky, kx].T @ gm
-                ).reshape(c_in, h_out, w_out)
-        dx = dxp[:, pad : pad + h, pad : pad + w] if pad else dxp
-        return [dx, dk, gm.sum(axis=1, keepdims=True)]
+                dk[:, :, ky, kx] = gm @ window(xp, ky, kx).reshape(c_in, -1).T
+                window(dxp, ky, kx)[...] += (kd[:, :, ky, kx].T @ gm).reshape(c_in, n, h_out, w_out)
+        dx = dxp[:, :, pad : pad + h, pad : pad + w]
+        return [dx.transpose(1, 0, 2, 3), dk, gm.sum(axis=1, keepdims=True)]
 
-    return _emit("conv2d", out, (x, kernel, bias), backward)
+    return _emit("conv2d", out.transpose(1, 0, 2, 3), (x, kernel, bias), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,17 @@ def make_dataset(split: DatasetSplit, image_size: int = 64) -> dict[str, list[Sa
 # point cloud files
 
 
+def read_text(path, error: type[Exception] = DomainError) -> str:
+    """A file's UTF-8 text, line ends read as text-mode ``open`` reads them;
+    bytes that are not UTF-8 raise ``error`` naming the file and line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+
+
 def write_xyz(path, cloud: np.ndarray) -> None:
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.shape[0] == 0:
@@ -361,8 +372,7 @@ def read_xyz(path) -> np.ndarray:
     squared distance of two points, which the nearest-neighbour search and
     the Chamfer distance form, cannot overflow: it is at most 3 * (2e150)**2
     = 1.2e301, below the float64 maximum of about 1.8e308."""
-    with open(path) as fh:
-        lines = fh.read().split("\n")  # numbered as iterating the file numbers them
+    lines = read_text(path).split("\n")  # numbered as iterating the file numbers them
     tokens, linenos, short = [], [], None
     for lineno, line in enumerate(lines, 1):
         parts = line.split()
@@ -494,26 +504,24 @@ _MANIFEST_KEYS = {"class": str, "seed": int, "cloud_path": str, "image_path": st
 
 
 def read_manifest(manifest_path) -> list[dict]:
-    manifest_path = Path(manifest_path)
     records = []
-    with open(manifest_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{manifest_path}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DomainError(f"{where}: {exc}") from None
-            if not isinstance(rec, dict):
-                raise DomainError(f"{where}: expected a JSON object, got {type(rec).__name__}")
-            for key, kind in _MANIFEST_KEYS.items():
-                if key not in rec:
-                    raise DomainError(f"{where}: missing key {key!r}")
-                if not isinstance(rec[key], kind) or isinstance(rec[key], bool):
-                    raise DomainError(f"{where}: key {key!r} must be {kind.__name__}, got {rec[key]!r}")
-            records.append(rec)
+    for lineno, line in enumerate(read_text(manifest_path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{manifest_path}:{lineno}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{where}: {exc}") from None
+        if not isinstance(rec, dict):
+            raise DomainError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+        for key, kind in _MANIFEST_KEYS.items():
+            if key not in rec:
+                raise DomainError(f"{where}: missing key {key!r}")
+            if not isinstance(rec[key], kind) or isinstance(rec[key], bool):
+                raise DomainError(f"{where}: key {key!r} must be {kind.__name__}, got {rec[key]!r}")
+        records.append(rec)
     return records
 
 

@@ -51,7 +51,6 @@ class RegionSplit:
     rows: np.ndarray  # region-major rows into the stacked sources
     counts: np.ndarray  # (B*M,) kept rows per region; member b owns b*M..(b+1)*M
     boxes: list[AABB]  # one per member, the box its voxels divide
-    m_per_edge: int
 
 
 @dataclass
@@ -134,7 +133,7 @@ def split_regions(
             counts[r],
             capacity,
         )
-    return RegionSplit(order[rank < capacity], np.minimum(counts, capacity), boxes, m_edge)
+    return RegionSplit(order[rank < capacity], np.minimum(counts, capacity), boxes)
 
 
 def _split_epsilon(reference: np.ndarray) -> float:
@@ -221,23 +220,27 @@ def nearest_neighbor(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     return indices, distances
 
 
-def chamfer(a, b):
-    """Symmetric sum of nearest-neighbor Euclidean distances (raw training form).
+def chamfer(a, b, pairs=None):
+    """Symmetric sum of nearest-neighbor Euclidean distances (raw training
+    form) over ``pairs`` of row arrays (of a, of b), by default the whole clouds.
 
-    Differentiable through both point sets: each term pairs points by the
-    argmin found with the KD-tree, then measures the paired distances on the
-    tape.  Accepts DTensors or arrays; returns a scalar DTensor.
+    Each pair's nearest neighbors are found with the KD-tree within the pair;
+    all pairs' distances are measured on the tape at once, differentiable
+    through both point sets.  Accepts DTensors or arrays; returns a scalar.
     """
     at = a if isinstance(a, DTensor) else ad.constant(as_cloud(a))
     bt = b if isinstance(b, DTensor) else ad.constant(as_cloud(b))
-    a_np, b_np = at.data, bt.data
-    if a_np.shape[0] == 0 or b_np.shape[0] == 0:
-        raise DomainError("chamfer distance of an empty cloud")
-    idx_a_for_b, _ = nearest_neighbor(b_np, a_np)  # nearest a for every b
-    idx_b_for_a, _ = nearest_neighbor(a_np, b_np)  # nearest b for every a
-    term_b = ad.reduce_sum(ad.row_norm(ad.sub(ad.gather_rows(at, idx_a_for_b), bt)))
-    term_a = ad.reduce_sum(ad.row_norm(ad.sub(ad.gather_rows(bt, idx_b_for_a), at)))
-    return ad.add(term_b, term_a)
+    if pairs is None:
+        pairs = [(np.arange(at.shape[0]), np.arange(bt.shape[0]))]
+    if not pairs or any(len(rows) == 0 for pair in pairs for rows in pair):
+        raise DomainError("chamfer distance of an empty cloud or pair list")
+    rows_a, rows_b = zip(*pairs)
+    terms = []
+    for q, q_rows, t, t_rows in ((bt, rows_b, at, rows_a), (at, rows_a, bt, rows_b)):  # b queries a, a queries b
+        near = [tr[nearest_neighbor(q.data[qr], t.data[tr])[0]] for qr, tr in zip(q_rows, t_rows)]
+        paired = ad.sub(ad.gather_rows(t, np.concatenate(near)), ad.gather_rows(q, np.concatenate(q_rows)))
+        terms.append(ad.reduce_sum(ad.row_norm(paired)))
+    return ad.add(*terms)
 
 
 def chamfer_brute_force(a: np.ndarray, b: np.ndarray) -> float:

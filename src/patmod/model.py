@@ -353,23 +353,20 @@ class PatternModel:
             return {name: p.tensor for name, p in self.params.items()}
         return {name: tape.watch(p) for name, p in self.params.items()}
 
+    @np.errstate(over="ignore", invalid="ignore")  # _pipeline checks the image feature
     def encode_image(self, image: np.ndarray, pt: dict[str, DTensor]) -> DTensor:
         """Image feature of one image (C, H, W) -> (1, H_f), or of a batch
-        (B, C, H, W) -> (B, H_f): each image runs its own conv stack, then the
-        stacked flattened maps run through the dense layers as one matrix."""
+        (B, C, H, W) -> (B, H_f): the stack runs through the conv layers and
+        the dense layers as one batch."""
         c = self.config
         want = (c.image_channels, c.image_size, c.image_size)
         images = image[None] if image.ndim == 3 else image
         if images.ndim != 4 or images.shape[1:] != want or not len(images):
             raise ContractError(f"image shape {image.shape} does not match configured {want}")
-        flats = []
-        for one in images:
-            x = ad.constant(one)
-            for i, stride in enumerate(_CONV_STRIDES):
-                x = ad.conv2d(x, pt[f"encoder.conv{i + 1}.weight"], pt[f"encoder.conv{i + 1}.bias"], stride, _CONV_PAD)
-            flats.append(ad.reshape(x, (1, self._flat_dim)))
-        flat = flats[0] if len(flats) == 1 else ad.concat(flats)
-        h = _linear(flat, pt, "encoder.fc1", "relu")
+        x = ad.constant(images)
+        for i, stride in enumerate(_CONV_STRIDES):
+            x = ad.conv2d(x, pt[f"encoder.conv{i + 1}.weight"], pt[f"encoder.conv{i + 1}.bias"], stride, _CONV_PAD)
+        h = _linear(ad.reshape(x, (len(images), self._flat_dim)), pt, "encoder.fc1", "relu")
         return _linear(h, pt, "encoder.fc2")
 
     def decode_shape(self, f_i: DTensor, pt: dict[str, DTensor]) -> DTensor:
@@ -482,6 +479,7 @@ class PatternModel:
         pt = self._watch_all(None)
         return self._pipeline(ad.constant(code.reshape(1, -1)), [None], pt).members[0]
 
+    @np.errstate(over="ignore", invalid="ignore")  # every stage output is checked
     def _pipeline(self, f_i: DTensor, references: list, pt: dict[str, DTensor]) -> ForwardTrace:
         """The stages after the image encoder, over the B members of ``f_i``.
 
@@ -538,8 +536,7 @@ class PatternModel:
         members = []
         for b, s in enumerate(s_members):
             blocks, rows = slice(b * c.regions, (b + 1) * c.regions), slice(f_ends[b], f_ends[b + 1])
-            own_split = geo.RegionSplit(split.rows[rows] - b * s_rows, kept[blocks], split.boxes[b : b + 1],
-                                        split.m_per_edge)
+            own_split = geo.RegionSplit(split.rows[rows] - b * s_rows, kept[blocks], split.boxes[b : b + 1])
             members.append(ForwardTrace(
                 f_i.data[b : b + 1], s, _row_slice(f_tensor, f_ends[b], f_ends[b + 1]), split=own_split,
                 patterns=pattern_data, f_r=None if f_r is None else f_r[blocks], modularized=stacked.data[rows],

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import DatasetSplit
+from .data import DatasetSplit, read_text
 from .errors import ConfigError
 from .model import ModelConfig, parse_config_text, parse_value, to_flat
 from .training import TrainConfig
@@ -85,5 +85,5 @@ class RunConfig:
 
 def load_run_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig:
     """Defaults, then the file's keys, then ``overrides``, resolved in one pass."""
-    flat = parse_config_text(Path(path).read_text(), path) if path is not None else {}
+    flat = parse_config_text(read_text(path, ConfigError), path) if path is not None else {}
     return RunConfig().apply({**flat, **(overrides or {})})

@@ -109,11 +109,6 @@ def write_metrics_csv(path, records: list[MetricsRecord]) -> None:
 # losses
 
 
-def loss_shape(s_tensor, gt_cloud) -> DTensor:
-    """Raw-sum Chamfer between the initial prediction and the full ground truth."""
-    return geo.chamfer(s_tensor, gt_cloud)
-
-
 def loss_region(trace: ForwardTrace, gt_cloud: np.ndarray, model_config: ModelConfig) -> DTensor:
     """Mean Chamfer over region pairs that are nonempty on both sides.
 
@@ -124,19 +119,12 @@ def loss_region(trace: ForwardTrace, gt_cloud: np.ndarray, model_config: ModelCo
     """
     # capacity = cloud size: ground-truth regions never truncate
     gt = geo.split_regions([gt_cloud], [gt_cloud], model_config.regions, gt_cloud.shape[0])
+    f_rows = np.split(np.arange(len(trace.f_cloud)), np.cumsum(trace.split.counts)[:-1])
     gt_rows = np.split(gt.rows, np.cumsum(gt.counts)[:-1])
-    counts = trace.split.counts
-    terms = [
-        geo.chamfer(ad.gather_rows(trace.f_tensor, np.arange(end - k, end)), gt_cloud[rows])
-        for end, k, rows in zip(np.cumsum(counts), counts, gt_rows)
-        if k and len(rows)
-    ]
-    if not terms:
+    pairs = [(f, g) for f, g in zip(f_rows, gt_rows) if len(f) and len(g)]
+    if not pairs:
         raise DomainError("no region pair is nonempty on both sides")
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(terms))
+    return ad.scale(geo.chamfer(trace.f_tensor, gt_cloud, pairs), 1.0 / len(pairs))
 
 
 def total_loss(
@@ -144,7 +132,7 @@ def total_loss(
 ) -> tuple[DTensor, dict[str, float]]:
     """Combined objective with ablation switches; returns (loss, component
     values).  A ``no_local`` model is trained on the whole-shape term alone."""
-    l_shape = loss_shape(trace.s_tensor, gt_cloud)
+    l_shape = geo.chamfer(trace.s_tensor, gt_cloud)
     if model_config.no_local:
         return l_shape, {"loss_shape": l_shape.item(), "loss_region": 0.0, "loss_total": l_shape.item()}
     if config.no_l_region:
@@ -238,6 +226,7 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 # training loop
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the losses are checked here, the gradients by adam_step
 def _batch_gradients(model: PatternModel, batch: list[Sample], config: TrainConfig):
     """Gradient of the batch loss, the mean of the member losses, from one
     tape over the whole batch.

@@ -11,25 +11,29 @@ GC_TOL = 1e-4  # worst relative error allowed at eps=1e-6 in float64
 
 
 def _conv_taps(x, k, stride, pad):
-    """Cross-correlation summed tap by tap in conv2d's order, so results compare bitwise."""
-    c_in = x.shape[0]
-    c_out, _, kh, kw = k.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    h_out = (xp.shape[1] - kh) // stride + 1
-    w_out = (xp.shape[2] - kw) // stride + 1
-    out = np.zeros((c_out, h_out, w_out))
-    for ky in range(kh):
-        for kx in range(kw):
-            xs = xp[:, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
-            out += (k[:, :, ky, kx] @ xs.reshape(c_in, -1)).reshape(c_out, h_out, w_out)
-    return out
+    """Cross-correlation of each image of a BxCxHxW stack on its own, summed
+    tap by tap in conv2d's order, so results compare bitwise."""
+    c_out, c_in, kh, kw = k.shape
+    outs = []
+    for image in x:
+        xp = np.pad(image, ((0, 0), (pad, pad), (pad, pad)))
+        h_out = (xp.shape[1] - kh) // stride + 1
+        w_out = (xp.shape[2] - kw) // stride + 1
+        out = np.zeros((c_out, h_out, w_out))
+        for ky in range(kh):
+            for kx in range(kw):
+                xs = xp[:, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
+                out += (k[:, :, ky, kx] @ xs.reshape(c_in, -1)).reshape(c_out, h_out, w_out)
+        outs.append(out)
+    return np.stack(outs)
 
 
 def _bias_off_kink(taps):
     """Per-channel bias that centres the widest gap between the middle half of
-    each channel's outputs on zero: ReLU keeps some outputs and zeroes others,
-    and none sits near the kink where finite differences break down."""
-    flat = np.sort(taps.reshape(taps.shape[0], -1), axis=1)
+    each channel's outputs (over all images) on zero: ReLU keeps some outputs
+    and zeroes others, and none sits near the kink where finite differences
+    break down."""
+    flat = np.sort(taps.swapaxes(0, 1).reshape(taps.shape[1], -1), axis=1)
     quarter = flat.shape[1] // 4
     mid = flat[:, quarter : flat.shape[1] - quarter]
     j = np.diff(mid, axis=1).argmax(axis=1)
@@ -39,37 +43,42 @@ def _bias_off_kink(taps):
 
 def test_conv2d_identity_kernel():
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((1, 3, 3))
+    x = rng.standard_normal((1, 1, 3, 3))
     k = np.ones((1, 1, 1, 1))
     out = ad.conv2d(x, k, np.zeros((1, 1)), stride=1, pad=0)
     np.testing.assert_array_equal(out.data, np.maximum(x, 0.0))
 
 
 def test_conv2d_summing_kernel():
-    out = ad.conv2d(np.ones((1, 4, 4)), np.ones((1, 1, 2, 2)), np.zeros((1, 1)), stride=2, pad=0)
-    assert out.shape == (1, 2, 2)
-    np.testing.assert_array_equal(out.data, np.full((1, 2, 2), 4.0))
+    out = ad.conv2d(np.ones((1, 1, 4, 4)), np.ones((1, 1, 2, 2)), np.zeros((1, 1)), stride=2, pad=0)
+    assert out.shape == (1, 1, 2, 2)
+    np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
 
 def test_conv2d_output_size_formula():
-    out = ad.conv2d(np.zeros((2, 5, 5)), np.zeros((3, 2, 3, 3)), np.zeros((3, 1)), stride=2, pad=1)
-    assert out.shape == (3, 3, 3)  # (5 + 2 - 3)//2 + 1
+    out = ad.conv2d(np.zeros((4, 2, 5, 5)), np.zeros((3, 2, 3, 3)), np.zeros((3, 1)), stride=2, pad=1)
+    assert out.shape == (4, 3, 3, 3)  # (5 + 2 - 3)//2 + 1
 
 
 def test_conv2d_kernel_too_large():
     with pytest.raises(DimensionError):
-        ad.conv2d(np.zeros((1, 2, 2)), np.zeros((1, 1, 4, 4)), np.zeros((1, 1)), stride=1, pad=0)
+        ad.conv2d(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 4, 4)), np.zeros((1, 1)), stride=1, pad=0)
 
 
 def test_conv2d_rejects_bias_of_wrong_shape():
     with pytest.raises(DimensionError, match="bias"):
-        ad.conv2d(np.zeros((2, 5, 5)), np.zeros((3, 2, 3, 3)), np.zeros((1, 3)))
+        ad.conv2d(np.zeros((1, 2, 5, 5)), np.zeros((3, 2, 3, 3)), np.zeros((1, 3)))
+
+
+def test_conv2d_rejects_an_input_without_batch_axis():
+    with pytest.raises(DimensionError, match="BxCxHxW"):
+        ad.conv2d(np.zeros((2, 5, 5)), np.zeros((3, 2, 3, 3)), np.zeros((3, 1)))
 
 
 @pytest.mark.parametrize("stride, pad", [(1, 1), (2, 1), (2, 0)])
 def test_conv2d_fuses_bias_and_relu_bitwise(stride, pad):
     rng = np.random.default_rng(10)
-    x = rng.standard_normal((2, 5, 5))
+    x = rng.standard_normal((1, 2, 5, 5))
     k = rng.standard_normal((3, 2, 3, 3))
     b = rng.standard_normal((3, 1))
     out = ad.conv2d(x, k, b, stride, pad).data
@@ -78,9 +87,35 @@ def test_conv2d_fuses_bias_and_relu_bitwise(stride, pad):
     np.testing.assert_array_equal(out, expected)
 
 
+@pytest.mark.parametrize("stride, pad", [(1, 1), (2, 1), (2, 0)])
+def test_conv2d_stack_equals_each_image_alone_bitwise(stride, pad):
+    """A B = 3 stack gives every image the output of its own B = 1 call,
+    bit for bit, and the same per-image gradients summed over the stack."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((3, 2, 6, 6))
+    k = rng.standard_normal((4, 2, 3, 3))
+    b = rng.standard_normal((4, 1))
+    out = ad.conv2d(x, k, b, stride, pad).data
+    for i in range(3):
+        np.testing.assert_array_equal(out[i], ad.conv2d(x[i : i + 1], k, b, stride, pad).data[0])
+
+    def grads(images):
+        tape = ad.Tape()
+        params = [ad.Parameter(name, v) for name, v in (("x", images), ("k", k), ("b", b))]
+        y = ad.conv2d(*(tape.watch(p) for p in params), stride, pad)
+        g = ad.backward(ad.reduce_sum(y))
+        return [g[name].data for name in ("x", "k", "b")]
+
+    dx, dk, db = grads(x)
+    alone = [grads(x[i : i + 1]) for i in range(3)]
+    np.testing.assert_array_equal(dx, np.concatenate([g[0] for g in alone]))
+    np.testing.assert_allclose(dk, sum(g[1] for g in alone), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(db, sum(g[2] for g in alone), rtol=1e-13, atol=0)
+
+
 def test_conv2d_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((2, 5, 5))
+    x = rng.standard_normal((2, 2, 5, 5))
     k = rng.standard_normal((3, 2, 3, 3))
     for stride in (1, 2):
         b = _bias_off_kink(_conv_taps(x, k, stride, 1))
@@ -296,7 +331,7 @@ def test_all_ops_grad_check_20_seeded_instances(trial):
     rng = np.random.default_rng(100 + trial)
     a = rng.standard_normal((4, 3))
     b = rng.standard_normal((4, 3))
-    img = rng.standard_normal((2, 4, 4))
+    img = rng.standard_normal((1, 2, 4, 4))
     ker = rng.standard_normal((2, 2, 3, 3))
     idx = rng.integers(0, 4, size=6)
 

@@ -363,10 +363,16 @@ def test_unknown_config_key_exit_2(workspace, tmp_path):
     assert cli.main(["train", "--config", str(cfg), "--set", "nope=1", "--out", str(tmp_path / "x")]) == 2
 
 
-def test_bad_config_file_exit_2(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("epochs: 5\n")
-    assert cli.main(["gen-data", "--config", str(cfg)]) == 2
+def test_bad_config_file_exit_2(tmp_path, caplog):
+    """A line without '=' and bytes that are not UTF-8 each end the command
+    with exit 2 and a message naming the file and line, before it writes."""
+    cfg, ds = tmp_path / "bad.cfg", tmp_path / "ds"
+    for content in (b"epochs: 5\n", b"\xff\xfe\x00bad"):
+        cfg.write_bytes(content)
+        caplog.clear()
+        assert cli.main(["gen-data", "--config", str(cfg), "--dataset", str(ds)]) == 2
+        assert f"{cfg}:1" in caplog.text
+    assert not ds.exists()
 
 
 def test_missing_dataset_exit_3(workspace, tmp_path):
@@ -380,14 +386,17 @@ def test_missing_dataset_exit_3(workspace, tmp_path):
 @pytest.mark.parametrize(
     "target, payload",
     [
-        ("manifest", lambda rec: "[1, 2]"),
-        ("manifest", lambda rec: json.dumps({k: v for k, v in rec.items() if k != "seed"})),
+        ("manifest", lambda rec: b"[1, 2]"),
+        ("manifest", lambda rec: json.dumps({k: v for k, v in rec.items() if k != "seed"}).encode()),
+        ("manifest", lambda rec: b"\xff\xfe\x00"),
         ("image_path", lambda rec: b"P5\n-8 -8\n255\n" + bytes(64)),
         ("cloud_path", lambda rec: b"0 0 0\nnan nan nan\n"),
         ("cloud_path", lambda rec: b""),
         ("cloud_path", lambda rec: b"0 0 0\n1e200 0 0\n"),
+        ("cloud_path", lambda rec: b"\xff\xfe\x00"),
     ],
-    ids=["manifest_not_object", "manifest_missing_seed", "pgm_negative_size", "xyz_nan", "xyz_empty", "xyz_huge"],
+    ids=["manifest_not_object", "manifest_missing_seed", "manifest_not_utf8", "pgm_negative_size", "xyz_nan",
+         "xyz_empty", "xyz_huge", "xyz_not_utf8"],
 )
 def test_bad_dataset_input_exit_3(workspace, tmp_path, caplog, target, payload):
     """A bad manifest record, image header or cloud file in the first
@@ -399,9 +408,9 @@ def test_bad_dataset_input_exit_3(workspace, tmp_path, caplog, target, payload):
     manifest = ds / "manifest.jsonl"
     lineno, rec = next((n, r) for n, r in enumerate(data.read_manifest(manifest), 1) if r["split"] == "train")
     if target == "manifest":
-        lines = manifest.read_text().splitlines()
+        lines = manifest.read_bytes().splitlines()
         lines[lineno - 1] = payload(rec)
-        manifest.write_text("\n".join(lines) + "\n")
+        manifest.write_bytes(b"\n".join(lines) + b"\n")
         named = f"manifest.jsonl:{lineno}"
     else:
         (ds / rec[target]).write_bytes(payload(rec))

@@ -58,8 +58,9 @@ def test_split_m8_has_two_segments_per_edge():
     rng = np.random.default_rng(1)
     cloud = random_cloud(rng, 64)
     split = _split_one(cloud, cloud, 8, capacity=64)
-    assert split.m_per_edge == 2
     assert len(split.counts) == 8
+    box = geo.bounding_box(cloud, epsilon=geo._split_epsilon(cloud))
+    np.testing.assert_array_equal(split.counts, np.bincount(geo.voxel_assign(cloud, box, 2), minlength=8))
 
 
 def test_split_m1_single_region_center_is_mean():
@@ -152,7 +153,7 @@ def test_batched_split_equals_per_member_loop(sizes, m, capacity, own_reference,
     want_rows, want_counts, offset = [], [], 0
     for source, reference in zip(sources, references):
         box = geo.bounding_box(reference, epsilon=geo._split_epsilon(reference))
-        flat = geo.voxel_assign(source, box, split.m_per_edge)
+        flat = geo.voxel_assign(source, box, geo._cube_edge(m))
         for region in range(m):
             rows = np.flatnonzero(flat == region)[:capacity]
             want_rows.append(rows + offset)
@@ -360,6 +361,57 @@ def test_chamfer_gradient_both_sides():
 def test_chamfer_empty_rejected():
     with pytest.raises(DomainError):
         geo.chamfer(np.zeros((0, 3)), np.ones((2, 3)))
+
+
+def _row_pairs(rng, n_a, n_b, n_pairs):
+    """Disjoint, shuffled row sets of a and b, one nonempty pair each (rows
+    of a or b that no pair takes are left out)."""
+    cuts_a = np.sort(rng.choice(np.arange(1, n_a), n_pairs, replace=False))
+    cuts_b = np.sort(rng.choice(np.arange(1, n_b), n_pairs, replace=False))
+    rows_a = np.split(rng.permutation(n_a), cuts_a)[:n_pairs]
+    rows_b = np.split(rng.permutation(n_b), cuts_b)[:n_pairs]
+    return list(zip(rows_a, rows_b))
+
+
+def test_chamfer_over_pairs_equals_sum_of_pair_chamfers():
+    """One call over row pairs sums the Chamfer of each pair, to 1e-12, in
+    value and in the gradient of both sides; both gradients pass the
+    finite-difference check."""
+    rng = np.random.default_rng(12)
+    a, b = random_cloud(rng, 60), random_cloud(rng, 50)
+    pairs = _row_pairs(rng, 60, 50, 5)
+    want = sum(geo.chamfer(a[ra], b[rb]).item() for ra, rb in pairs)
+    assert abs(geo.chamfer(a, b, pairs).item() - want) <= 1e-12 * want
+
+    def grads(loss_of):
+        tape = ad.Tape()
+        pa, pb = ad.Parameter("a", a), ad.Parameter("b", b)
+        g = ad.backward(loss_of(tape.watch(pa), tape.watch(pb)))
+        return g["a"].data, g["b"].data
+
+    def per_pair(at, bt):
+        terms = [geo.chamfer(ad.gather_rows(at, ra), ad.gather_rows(bt, rb)) for ra, rb in pairs]
+        return ad.reduce_sum(ad.concat([ad.reshape(t, (1, 1)) for t in terms]))
+
+    for got, expected in zip(grads(lambda at, bt: geo.chamfer(at, bt, pairs)), grads(per_pair)):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    assert ad.grad_check(lambda x: geo.chamfer(x, b, pairs), a) < 1e-4
+    assert ad.grad_check(lambda x: geo.chamfer(a, x, pairs), b) < 1e-4
+
+
+def test_chamfer_one_whole_pair_equals_plain_call_bitwise():
+    rng = np.random.default_rng(13)
+    a, b = random_cloud(rng, 30), random_cloud(rng, 40)
+    whole = [(np.arange(30), np.arange(40))]
+    assert geo.chamfer(a, b, whole).item() == geo.chamfer(a, b).item()
+
+
+def test_chamfer_rejects_an_empty_pair_or_no_pairs():
+    a, b = np.ones((3, 3)), np.zeros((2, 3))
+    with pytest.raises(DomainError, match="empty cloud"):
+        geo.chamfer(a, b, [(np.arange(3), np.arange(2)), (np.arange(0), np.arange(2))])
+    with pytest.raises(DomainError, match="empty cloud or pair list"):
+        geo.chamfer(a, b, [])
 
 
 # ---------------------------------------------------------------------------

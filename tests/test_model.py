@@ -338,7 +338,10 @@ def test_block_region_stage_equals_per_region_loop(tiny_inputs, case):
 @pytest.mark.parametrize("regions", [1, 8, 27])
 def test_region_stage_records_one_node_per_op(tiny_inputs, regions):
     """Centering and region encoding are one pass over all regions, whatever
-    their count: one block mean, one subtraction, one block max."""
+    their count: one block mean, one subtraction, one block max.  The loss
+    records 21 nodes for any count: two Chamfer calls of 9 (per direction a
+    gather of the prediction, a difference, a norm and a sum, then their
+    add), the region mean's scale, alpha's scale and the final add."""
     image, gt = tiny_inputs
     model = PatternModel(ModelConfig(**{**TINY, "regions": regions}), seed=3)
     tape = ad.Tape()
@@ -346,6 +349,22 @@ def test_region_stage_records_one_node_per_op(tiny_inputs, regions):
     assert len(trace.split.counts) == regions
     kinds = [node.kind for node in tape.nodes]
     assert (kinds.count("mean_over_blocks"), kinds.count("sub"), kinds.count("max_over_blocks")) == (1, 1, 1)
+    total_loss(trace, gt, TrainConfig(), model.config)
+    assert len(tape.nodes) - len(kinds) == 21
+
+
+def test_paper_batch_step_records_at_most_160_op_nodes():
+    """A paper-scale batch of 4 records one conv stack and one loss per
+    member, with no per-image or per-region loop on the tape."""
+    batch = [make_sample(name, 7 + i) for i, name in enumerate(("table", "chair", "lamp", "table"))]
+    model = PatternModel(ModelConfig(), seed=0)
+    tape = ad.Tape()
+    trace = model.forward(np.stack([s.image for s in batch]), reference=[s.gt_cloud for s in batch], tape=tape)
+    for sample, member in zip(batch, trace.members):
+        total_loss(member, sample.gt_cloud, TrainConfig(), model.config)
+    kinds = [node.kind for node in tape.nodes if node.kind != "leaf"]
+    assert kinds.count("conv2d") == 7
+    assert len(kinds) <= 160
 
 
 def test_patterns_input_independent(tiny_model, tiny_inputs):

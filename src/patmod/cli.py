@@ -3,8 +3,11 @@
     patmod <gen-data|train|eval|reconstruct|sweep|interpolate> [--config PATH] [flags...]
 
 Exit codes: 0 success, 2 config/contract error, 3 I/O error, 4 numerical abort.
-``PATMOD_THREADS`` (an integer >= 1) is checked and recorded as
-``threads``, which no longer changes the computation.
+Settings come, each later source overriding the earlier ones, from the
+``--config`` file, the ``--set`` items, the alias flags (``--epochs``,
+``--out``, ``--no-shift``, ...) and ``PATMOD_THREADS``, which sets
+``threads``; ``threads`` is checked and recorded but has no effect on the
+computation.
 """
 
 from __future__ import annotations
@@ -16,11 +19,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import data
 from .errors import ConfigError, ContractError, DomainError, NumericalAbort
-from .model import ModelConfig, PatternModel, load_checkpoint
+from .model import PatternModel, load_checkpoint, parse_config_lines
 from .runconfig import RunConfig, load_run_config
 from .training import (
     SWEEP_PARAMETERS,
@@ -38,6 +39,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+
+ALIAS = "alias:"  # argparse dest prefix of a flag that stands for --set KEY=VALUE
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -67,21 +70,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a generated dataset")
     _common(p)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--no-local", action="store_true")
-    p.add_argument("--no-patterns", action="store_true")
-    p.add_argument("--no-shift", action="store_true")
-    p.add_argument("--no-l-region", action="store_true")
-    p.add_argument("--no-l-shape", action="store_true")
+    for key in ("epochs", "seed", "batch_size", "no_local", "no_patterns", "no_shift", "no_l_region", "no_l_shape"):
+        _alias(p, "--" + key.replace("_", "-"), key)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     _common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=["train", "seen", "unseen"], default="seen")
-    p.add_argument("--points", type=int, dest="eval_points", help="shorthand for --set eval_points=N")
+    _alias(p, "--points", "eval_points")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("reconstruct", help="reconstruct a point cloud from one image")
@@ -111,57 +108,35 @@ def _build_parser() -> argparse.ArgumentParser:
 def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override one key")
-    p.add_argument("--out", help="output directory (overrides out_dir)")
-    p.add_argument("--dataset", help="dataset directory (overrides dataset_dir)")
+    _alias(p, "--out", "out_dir")
+    _alias(p, "--dataset", "dataset_dir")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
 
+def _alias(p: argparse.ArgumentParser, flag: str, key: str) -> None:
+    """Declare ``flag`` as shorthand for ``--set key=VALUE``; a ``--no-*``
+    flag takes no value and sets ``key=true``."""
+    if flag.startswith("--no-"):
+        p.add_argument(flag, dest=ALIAS + key, action="store_const", const="true", help=f"--set {key}=true")
+    else:
+        p.add_argument(flag, dest=ALIAS + key, metavar=key.upper(), help=f"--set {key}={key.upper()}")
+
+
 def _resolve(args) -> RunConfig:
-    overrides = {}
-    for item in args.set:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        overrides[key] = value
-    if args.out:
-        overrides["out_dir"] = args.out
-    if args.dataset:
-        overrides["dataset_dir"] = args.dataset
-    env_threads = os.environ.get("PATMOD_THREADS")
-    if env_threads:
+    """Defaults < config file < ``--set`` items < alias flags < ``PATMOD_THREADS``.
+
+    Every value is text that ``RunConfig.apply`` parses and checks; a flag
+    that was given wins whatever its value, ``--seed 0`` included."""
+    sets = parse_config_lines(args.set, "--set")
+    flags = {dest[len(ALIAS):]: v for dest, v in vars(args).items() if dest.startswith(ALIAS) and v is not None}
+    cfg = load_run_config(args.config, {**sets, **flags})
+    threads = os.environ.get("PATMOD_THREADS")
+    if threads:
         try:
-            threads = int(env_threads)
-        except ValueError:
-            threads = 0
-        if threads < 1:
-            raise ConfigError(f"PATMOD_THREADS must be an integer >= 1, got {env_threads!r}")
-        overrides["threads"] = str(threads)
-    for flag in ("no_local", "no_patterns", "no_shift", "no_l_region", "no_l_shape"):
-        if getattr(args, flag, False):
-            overrides[flag] = "true"
-    for key in ("epochs", "seed", "batch_size", "eval_points"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = str(value)
-    return load_run_config(args.config, overrides)
-
-
-def _check_image(path, image: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Return ``image`` if its shape is the model's input shape; otherwise
-    raise ContractError naming the file."""
-    want = (config.image_channels, config.image_size, config.image_size)
-    if image.shape != want:
-        raise ContractError(f"{path}: image shape {image.shape} does not match the model's input {want}")
-    return image
-
-
-def _load_split(manifest: Path, split: str, config: ModelConfig) -> list[data.Sample]:
-    """The split's samples, each image checked against the model's input."""
-    samples = data.load_samples(manifest, split)
-    paths = [manifest.parent / r["image_path"] for r in data.read_manifest(manifest) if r["split"] == split]
-    for path, sample in zip(paths, samples):
-        _check_image(path, sample.image, config)
-    return samples
+            cfg = cfg.apply({"threads": threads})
+        except ConfigError as exc:
+            raise ConfigError(f"PATMOD_THREADS: {exc}") from None
+    return cfg
 
 
 def _prepare_out(path, force: bool, expected: list[str]) -> Path:
@@ -203,7 +178,7 @@ def cmd_train(args) -> int:
     manifest = Path(cfg.dataset_dir) / "manifest.jsonl"
     if not manifest.exists():
         raise OSError(f"{manifest}: dataset not found; run gen-data first")
-    samples = _load_split(manifest, "train", cfg.model)
+    samples = data.load_samples(manifest, "train", cfg.model.image_shape)
     out = _prepare_out(cfg.out_dir, args.force, ["checkpoint.pmod", "metrics.csv"])
     cfg.write(out / "config_resolved.txt")
     model = PatternModel(cfg.model, seed=cfg.model_seed)
@@ -218,7 +193,7 @@ def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     split_map = {"train": "train", "seen": "test_seen", "unseen": "test_unseen"}
     manifest = Path(cfg.dataset_dir) / "manifest.jsonl"
-    samples = _load_split(manifest, split_map[args.split], model.config)
+    samples = data.load_samples(manifest, split_map[args.split], model.config.image_shape)
     if not samples:
         raise ConfigError(f"no samples in split {args.split!r}")
     csv_name = f"eval_{args.split}.csv"
@@ -236,7 +211,7 @@ def cmd_reconstruct(args) -> int:
     cfg = _resolve(args)
     model, _ = load_checkpoint(args.checkpoint)
     echo = replace(cfg, model=model.config)  # the echo describes the model that ran
-    image = _check_image(args.image, data.read_pgm(args.image), model.config)
+    image = data.read_pgm(args.image, model.config.image_shape)
     out = _prepare_out(cfg.out_dir, args.force, ["reconstruction.xyz", "reconstruction.ply"])
     echo.write(out / "config_resolved.txt")
     trace = model.reconstruct(image)
@@ -257,13 +232,14 @@ def cmd_reconstruct(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve(args)
     manifest = Path(cfg.dataset_dir) / "manifest.jsonl"
-    dataset = {split: _load_split(manifest, split, cfg.model) for split in ("train", "test_seen", "test_unseen")}
+    dataset = {split: data.load_samples(manifest, split, cfg.model.image_shape)
+               for split in ("train", "test_seen", "test_unseen")}
     for name in ("seen", "unseen"):  # every value is evaluated on both test splits
         if not dataset[f"test_{name}"]:
             raise ConfigError(f"no samples in split {name!r}")
     values = [v for v in args.values.split(",") if v]
     out = _prepare_out(cfg.out_dir, args.force, [f"sweep_{args.parameter}.csv"])
-    rows = sweep(args.parameter, values, cfg.model, cfg.train, dataset, cfg.model_seed)
+    rows = sweep(args.parameter, values, cfg, dataset)
     if not rows:
         raise ConfigError(f"no valid values for sweep parameter {args.parameter!r}")
     cfg.write(out / "config_resolved.txt")
@@ -281,8 +257,8 @@ def cmd_interpolate(args) -> int:
         raise ConfigError(f"--steps must be >= 2, got {args.steps}")
     model, _ = load_checkpoint(args.checkpoint)
     echo = replace(cfg, model=model.config)  # the echo describes the model that ran
-    image_a = _check_image(args.image_a, data.read_pgm(args.image_a), model.config)
-    image_b = _check_image(args.image_b, data.read_pgm(args.image_b), model.config)
+    image_a = data.read_pgm(args.image_a, model.config.image_shape)
+    image_b = data.read_pgm(args.image_b, model.config.image_shape)
     out = _prepare_out(cfg.out_dir, args.force, ["interp_0.000.xyz"])
     echo.write(out / "config_resolved.txt")
     for lam, cloud in interpolate_latent(model, image_a, image_b, args.steps):

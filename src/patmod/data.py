@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, ContractError, DomainError
 
 GT_POINTS = 2048
 NORM_HALF_EXTENT = 0.45  # leaves tanh headroom inside (-1, 1)
@@ -442,7 +442,10 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(quantized.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
+def read_pgm(path, shape: tuple[int, int, int] | None = None) -> np.ndarray:
+    """A binary PGM as a (1, H, W) array in [0, 1].  A malformed file raises
+    DomainError; an image that is not of ``shape``, when given, raises
+    ContractError.  Both name the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     parts = blob.split(b"\n", 3)
@@ -460,6 +463,8 @@ def read_pgm(path) -> np.ndarray:
     payload = parts[3][: w * h]
     if len(payload) < w * h:
         raise DomainError(f"{path}: truncated pixel payload")
+    if shape is not None and (1, h, w) != shape:
+        raise ContractError(f"{path}: image shape {(1, h, w)} does not match the model's input {shape}")
     img = np.frombuffer(payload, dtype=np.uint8).reshape(h, w).astype(np.float64) / 255.0
     return img[None, :, :]
 
@@ -525,8 +530,9 @@ def read_manifest(manifest_path) -> list[dict]:
     return records
 
 
-def load_samples(manifest_path, split_name: str | None = None) -> list[Sample]:
-    """Read samples back from a manifest, optionally filtered by split."""
+def load_samples(manifest_path, split_name: str | None = None, image_shape: tuple | None = None) -> list[Sample]:
+    """Read samples back from a manifest, optionally filtered by split; each
+    image is read by ``read_pgm`` against ``image_shape``."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     samples = []
@@ -535,7 +541,7 @@ def load_samples(manifest_path, split_name: str | None = None) -> list[Sample]:
             continue
         samples.append(
             Sample(
-                image=read_pgm(base / rec["image_path"]),
+                image=read_pgm(base / rec["image_path"], image_shape),
                 gt_cloud=read_xyz(base / rec["cloud_path"]),
                 class_name=rec["class"],
                 seed=rec["seed"],

@@ -81,6 +81,11 @@ class ModelConfig:
                 raise ConfigError(f"pattern lattice: {exc}") from None
 
     @property
+    def image_shape(self) -> tuple[int, int, int]:
+        """The input image shape (C, H, W)."""
+        return (self.image_channels, self.image_size, self.image_size)
+
+    @property
     def region_capacity(self) -> int:
         # capacity == patterns * pattern_points keeps the padded-index removal
         # rule a one-to-one row correspondence
@@ -136,17 +141,22 @@ def to_flat(config) -> dict[str, str]:
     return out
 
 
-def parse_config_text(text: str, source) -> dict[str, str]:
-    """Read key=value lines; '#' lines and blanks are ignored."""
-    out = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
+def parse_config_lines(lines, source) -> dict[str, str]:
+    """Read key=value lines of one source; line n's place is ``source:n``.
+
+    Key and value are stripped of surrounding blanks; blank and '#' lines
+    are ignored.  A line without '=' or a key set twice raises ConfigError
+    naming the place (both places for a repeat)."""
+    out, where = {}, {}
+    for place, line in ((f"{source}:{n}", line.strip()) for n, line in enumerate(lines, 1)):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+            raise ConfigError(f"{place}: expected key=value, got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in out:
+            raise ConfigError(f"{place}: {key!r} is already set at {where[key]}")
+        out[key], where[key] = value, place
     return out
 
 
@@ -358,8 +368,7 @@ class PatternModel:
         """Image feature of one image (C, H, W) -> (1, H_f), or of a batch
         (B, C, H, W) -> (B, H_f): the stack runs through the conv layers and
         the dense layers as one batch."""
-        c = self.config
-        want = (c.image_channels, c.image_size, c.image_size)
+        want = self.config.image_shape
         images = image[None] if image.ndim == 3 else image
         if images.ndim != 4 or images.shape[1:] != want or not len(images):
             raise ContractError(f"image shape {image.shape} does not match configured {want}")
@@ -648,7 +657,7 @@ def load_checkpoint(path) -> tuple[PatternModel, dict[str, str]]:
             raise ContractError(f"{path}: unsupported checkpoint version {version}")
         (cfg_len,) = unpack("<I")
         try:
-            flat = parse_config_text(text(cfg_len), "config block")
+            flat = parse_config_lines(text(cfg_len).splitlines(), "config block")
             config = ModelConfig.from_flat({k: v for k, v in flat.items() if not k.startswith("train.")})
         except ConfigError as exc:
             raise ContractError(f"{path}: {exc}") from None

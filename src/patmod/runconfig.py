@@ -15,15 +15,17 @@ single keys textually.  Each key belongs to the dataclass that declares it:
 - ``RunConfig`` itself: model_seed, dataset_dir, out_dir, eval_points.
 
 No key is declared twice: ``no_local`` belongs to the model, and the
-objective reads it from there.  Unknown keys are rejected, and resolving a
-config runs every dataclass's checks, then ``RunConfig``'s check of flags
-that span parts, so a command validates the whole configuration before it
-writes anything.  Every command except ``eval`` (whose model comes from the
+objective reads it from there.  Every setting arrives as text: lines follow
+``parse_config_lines`` (a key at most once per source), and
+``RunConfig.apply`` parses and checks every value, whether it comes from a
+file, ``--set``, a command-line flag, ``PATMOD_THREADS`` or a sweep value.
+Unknown keys are rejected, and resolving a config runs every dataclass's
+checks, then ``RunConfig``'s check of flags that span parts, so a command
+validates the whole configuration before it writes anything.  Every command except ``eval`` (whose model comes from the
 checkpoint) echoes its resolved configuration next to its outputs for exact
 replay; ``reconstruct`` and ``interpolate`` echo the checkpoint's model
 config in place of the configured one.  The echo holds parsed values, so
-``seen_classes=table,,chair`` is written as ``table,chair``.  ``eval
---points N`` is shorthand for ``eval_points=N``.
+``seen_classes=table,,chair`` is written as ``table,chair``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from pathlib import Path
 
 from .data import DatasetSplit, read_text
 from .errors import ConfigError
-from .model import ModelConfig, parse_config_text, parse_value, to_flat
+from .model import ModelConfig, parse_config_lines, parse_value, to_flat
 from .training import TrainConfig
 
 
@@ -51,6 +53,9 @@ class RunConfig:
         for name in ("eval_points", "model_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("dataset_dir", "out_dir"):
+            if not getattr(self, name):  # Path("") is the working directory
+                raise ConfigError(f"{name} must not be empty")
         if self.model.no_local and (self.train.no_l_region or self.train.no_l_shape):
             raise ConfigError("no_local drops the region pipeline; other ablation flags conflict")
 
@@ -85,5 +90,5 @@ class RunConfig:
 
 def load_run_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig:
     """Defaults, then the file's keys, then ``overrides``, resolved in one pass."""
-    flat = parse_config_text(read_text(path, ConfigError), path) if path is not None else {}
+    flat = parse_config_lines(read_text(path, ConfigError).splitlines(), path) if path is not None else {}
     return RunConfig().apply({**flat, **(overrides or {})})

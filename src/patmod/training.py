@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,7 +20,10 @@ from . import geometry as geo
 from .autodiff import DTensor
 from .data import Sample
 from .errors import ConfigError, DomainError, NumericalAbort
-from .model import ForwardTrace, ModelConfig, PatternModel, parse_value, save_checkpoint, to_flat
+from .model import ForwardTrace, ModelConfig, PatternModel, save_checkpoint, to_flat
+
+if TYPE_CHECKING:
+    from .runconfig import RunConfig
 
 logger = logging.getLogger(__name__)
 
@@ -35,7 +40,7 @@ class TrainConfig:
 
     The global-only objective has no switch here: ``total_loss`` reads the
     model's ``no_local``.  ``threads`` (from ``PATMOD_THREADS`` on the
-    command line) is accepted and validated but no longer changes the
+    command line) is accepted and validated but does not change the
     computation: a batch runs as one tape, so there are no member passes to
     spread over threads.
     """
@@ -272,9 +277,11 @@ def train(
     """Epoch loop with seeded shuffling; returns per-epoch records.
 
     Writes ``checkpoint.pmod`` under out_dir at the end (and every
-    ``checkpoint_every`` epochs).  On a NumericalAbort the current
+    ``checkpoint_every`` epochs), each time once a tapeless forward pass of
+    the last batch has every stage finite.  On a NumericalAbort the current
     parameters are dumped next to it as ``abort_last_good.pmod``.  After a
-    non-finite loss these are the parameters of the last completed step.
+    non-finite loss or forward pass these are the parameters of the last
+    completed step.
     After a non-finite gradient they are not all from one step: the
     parameters before the named one in registry order, and the blocks of it
     already visited, have taken the aborted step; the rest have not.
@@ -284,6 +291,13 @@ def train(
     rng = np.random.default_rng(config.seed)
     state = AdamState()
     records: list[MetricsRecord] = []
+    batch = None  # the batch of the last step
+    train_flat = {f"train.{k}": v for k, v in to_flat(config).items()}
+
+    def save_checked() -> None:
+        if batch is not None:  # raises NumericalAbort on a non-finite stage
+            model.forward(np.stack([s.image for s in batch]), reference=[s.gt_cloud for s in batch], tape=None)
+        save_checkpoint(Path(out_dir) / "checkpoint.pmod", model, train_flat)
 
     try:
         for epoch in range(config.epochs):
@@ -326,24 +340,14 @@ def train(
                 wall_ms,
             )
             if out_dir is not None and config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:
-                save_checkpoint(_ckpt_path(out_dir), model, _train_flat(config))
+                save_checked()
+        if out_dir is not None:
+            save_checked()
     except NumericalAbort:
         if out_dir is not None:
-            save_checkpoint(_ckpt_path(out_dir, "abort_last_good"), model, _train_flat(config))
+            save_checkpoint(Path(out_dir) / "abort_last_good.pmod", model, train_flat)
         raise
-    if out_dir is not None:
-        save_checkpoint(_ckpt_path(out_dir), model, _train_flat(config))
     return records, state
-
-
-def _ckpt_path(out_dir, stem: str = "checkpoint"):
-    from pathlib import Path
-
-    return Path(out_dir) / f"{stem}.pmod"
-
-
-def _train_flat(config: TrainConfig) -> dict[str, str]:
-    return {f"train.{k}": v for k, v in to_flat(config).items()}
 
 
 def _iou_32(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -444,42 +448,28 @@ def interpolate_latent(
 # sweeps
 
 
-SWEEP_PARAMETERS = ("alpha", "M", "N", "sampling_mode")
+# sweep parameter -> the config key it sets
+SWEEP_PARAMETERS = {"alpha": "alpha", "M": "regions", "N": "patterns", "sampling_mode": "sampling_mode"}
 
 
-def sweep(
-    parameter: str,
-    values: list,
-    model_config: ModelConfig,
-    train_config: TrainConfig,
-    dataset: dict[str, list[Sample]],
-    model_seed: int = 0,
-) -> list[dict]:
-    """Train/evaluate one run per value; returns one result row per valid value."""
+def sweep(parameter: str, values: list, run_config: RunConfig, dataset: dict[str, list[Sample]]) -> list[dict]:
+    """Train/evaluate one run per value; returns one result row per valid value.
+    Each value is applied as ``--set`` text; one that fails is skipped with a warning."""
     if parameter not in SWEEP_PARAMETERS:
-        raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
+        raise ConfigError(f"sweep parameter must be one of {tuple(SWEEP_PARAMETERS)}, got {parameter!r}")
     rows = []
     for value in values:
         try:
-            mc, tc = _apply_sweep_value(parameter, value, model_config, train_config)
-        except (ConfigError, DomainError) as exc:
+            cfg = run_config.apply({SWEEP_PARAMETERS[parameter]: str(value)})
+        except ConfigError as exc:
             logger.warning("skipping %s=%r: %s", parameter, value, exc)
             continue
-        model = PatternModel(mc, seed=model_seed)
-        train(dataset["train"], model, tc)
+        model = PatternModel(cfg.model, seed=cfg.model_seed)
+        train(dataset["train"], model, cfg.train)
         cd_seen = evaluate(model, dataset["test_seen"], "seen")[-1].cd_eval
         cd_unseen = evaluate(model, dataset["test_unseen"], "unseen")[-1].cd_eval
         rows.append({"parameter": parameter, "value": value, "cd_seen": cd_seen, "cd_unseen": cd_unseen})
     return rows
-
-
-def _apply_sweep_value(parameter, value, mc: ModelConfig, tc: TrainConfig):
-    """The configs with the swept field set from ``str(value)``, parsed
-    against the field's default; a bad value raises ConfigError."""
-    if parameter == "alpha":
-        return mc, replace(tc, alpha=parse_value("alpha", str(value), TrainConfig.alpha))
-    key = {"M": "regions", "N": "patterns"}.get(parameter, parameter)
-    return replace(mc, **{key: parse_value(key, str(value), getattr(ModelConfig, key))}), tc
 
 
 def write_sweep_csv(path, rows: list[dict]) -> None:

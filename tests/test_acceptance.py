@@ -17,6 +17,7 @@ from patmod import data
 from patmod import geometry as geo
 from patmod import training as tr
 from patmod.model import MINI_CONFIG, ModelConfig, PatternModel
+from patmod.runconfig import RunConfig
 
 GC_EPS = 1e-6
 GC_TOL = 1e-4
@@ -297,7 +298,7 @@ def test_criterion_08_sweep_grids():
     all_ok = True
     details = []
     for parameter, values in grids.items():
-        rows = tr.sweep(parameter, values, ModelConfig(**MICRO_CONFIG), config, dataset)
+        rows = tr.sweep(parameter, values, RunConfig(ModelConfig(**MICRO_CONFIG), config), dataset)
         ok = len(rows) == len(values) and all(
             np.isfinite(r["cd_seen"]) and np.isfinite(r["cd_unseen"]) and r["cd_seen"] >= 0 for r in rows
         )

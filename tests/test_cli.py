@@ -1,6 +1,7 @@
 """CLI integration tests on a miniature configuration: every subcommand,
 exit codes, output layouts, and byte-level determinism."""
 
+import argparse
 import json
 import shutil
 from dataclasses import fields
@@ -11,9 +12,9 @@ import pytest
 
 from patmod import cli, data
 from patmod.errors import ConfigError
-from patmod.model import MINI_CONFIG, ModelConfig, PatternModel, load_checkpoint, save_checkpoint
+from patmod.model import MINI_CONFIG, ModelConfig, PatternModel, load_checkpoint, save_checkpoint, to_flat
 from patmod.runconfig import RunConfig, load_run_config
-from patmod.training import TrainConfig
+from patmod.training import SWEEP_PARAMETERS, TrainConfig
 
 MINI_CFG = """
 s_points=48
@@ -358,6 +359,20 @@ def test_diverging_training_exit_4_keeps_last_good_parameters(workspace, tmp_pat
     load_checkpoint(out / "abort_last_good.pmod")
 
 
+def test_last_step_that_blows_up_exit_4_writes_no_checkpoint(workspace, tmp_path, caplog):
+    """Six samples at batch size 6 make one Adam step, and at lr 1e300 it
+    leaves the parameters huge: the forward pass checked before the save
+    ends training with exit 4, so no checkpoint of the blown-up model is
+    written."""
+    _, cfg = workspace
+    out = tmp_path / "out"
+    argv = ["train", "--config", str(cfg), "--out", str(out),
+            "--set", "lr=1e300", "--set", "epochs=1", "--set", "batch_size=6"]
+    assert cli.main(argv) == 4
+    assert "non-finite values in image feature" in caplog.text
+    assert sorted(f.name for f in out.iterdir()) == ["abort_last_good.pmod", "config_resolved.txt"]
+
+
 def test_unknown_config_key_exit_2(workspace, tmp_path):
     _, cfg = workspace
     assert cli.main(["train", "--config", str(cfg), "--set", "nope=1", "--out", str(tmp_path / "x")]) == 2
@@ -565,6 +580,94 @@ def test_each_config_key_has_one_owner():
     ]
     for a, b in combinations(key_sets, 2):
         assert not a & b, sorted(a & b)
+    commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    aliases = {a.dest for sub in commands.values() for a in sub._actions if a.dest.startswith(cli.ALIAS)}
+    assert aliases and {dest[len(cli.ALIAS):] for dest in aliases} <= set().union(*key_sets)
+
+
+# every key whose text is parsed to a type or checked; dataset_dir and out_dir take any non-empty path
+TYPED_KEYS = sorted(to_flat(RunConfig()).keys() - {"dataset_dir", "out_dir"})
+
+
+def _error_of(caplog, argv) -> str:
+    caplog.clear()
+    assert cli.main(argv) == 2
+    return caplog.records[-1].getMessage()
+
+
+@pytest.mark.parametrize("key", TYPED_KEYS)
+def test_bad_value_same_message_from_file_and_set(tmp_path, caplog, key):
+    """A bad value exits 2 with one message naming the key, whether it comes
+    from a config file line or a --set item, and nothing is written."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"{key}=abc\n")
+    argv = ["train", "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "out")]
+    from_file = _error_of(caplog, argv + ["--config", str(bad)])
+    assert key in from_file
+    assert _error_of(caplog, argv + ["--set", f"{key}=abc"]) == from_file
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+def test_sweep_skips_a_bad_value_with_the_set_message(workspace, tmp_path, caplog, parameter):
+    _, cfg = workspace
+    key = SWEEP_PARAMETERS[parameter]
+    message = _error_of(caplog, ["train", "--config", str(cfg), "--out", str(tmp_path / "t"), "--set", f"{key}=abc"])
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"), "--parameter", parameter, "--values", "abc"]
+    _error_of(caplog, argv)
+    assert f"skipping {parameter}='abc': {message}" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "command, flag, key",
+    [("train", "--seed", "seed"), ("train", "--epochs", "epochs"), ("eval", "--points", "eval_points")],
+)
+def test_zero_flag_overrides_an_earlier_set(command, flag, key):
+    argv = [command, "--set", f"{key}=5", flag, "0"] + (["--checkpoint", "c.pmod"] if command == "eval" else [])
+    cfg = cli._resolve(cli._build_parser().parse_args(argv))
+    assert to_flat(cfg)[key] == "0"
+
+
+def test_repeated_key_exit_2_naming_both_places(tmp_path, caplog):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("regions=8\n# the same key again\nregions=27\n")
+    argv = ["train", "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "out")]
+    assert _error_of(caplog, argv + ["--config", str(cfg)]) == f"{cfg}:3: 'regions' is already set at {cfg}:1"
+    sets = ["--set", "lr=1e-3", "--set", "epochs=2", "--set", " lr =1e-2"]
+    assert _error_of(caplog, argv + sets) == "--set:3: 'lr' is already set at --set:1"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dataset"])
+def test_empty_path_exit_2(workspace, tmp_path, monkeypatch, caplog, flag):
+    """An empty path would be the working directory; it is refused before
+    anything is written there."""
+    _, cfg = workspace
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--config", str(cfg), flag, ""]) == 2
+    assert "must not be empty" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_set_item_is_stripped_as_a_file_line(tmp_path):
+    (tmp_path / "lr.cfg").write_text(" lr = 1e-3 \n")
+    args = cli._build_parser().parse_args(["train", "--set", " lr = 1e-3 "])
+    assert cli._resolve(args) == load_run_config(tmp_path / "lr.cfg")
+    assert cli._resolve(args).train.lr == 1e-3
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_each_split_manifest_is_read_once(workspace, tmp_path, monkeypatch, command):
+    """train loads one split and sweep three; each reads the manifest once."""
+    _, cfg = workspace
+    reads = []
+    read_manifest = data.read_manifest
+    monkeypatch.setattr(data, "read_manifest", lambda path: reads.append(path) or read_manifest(path))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--parameter", "alpha", "--values", "0.1"]
+    assert cli.main(argv) == 0
+    assert len(reads) == {"train": 1, "sweep": 3}[command]
 
 
 @pytest.mark.parametrize("text", [MINI_CFG, DESK_CFG], ids=["mini", "readme_desk"])

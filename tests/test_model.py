@@ -691,6 +691,7 @@ def _edit_records(edit):
         (_edit_config(lambda text: text.replace("pattern_extent=0.3\n", "")), r"missing keys \['pattern_extent'\]"),
         (_edit_config(lambda text: text + "\nextent=0.3"), r"unknown keys \['extent'\]"),
         (_edit_config(lambda text: text + "\npattern_extent"), "expected key=value"),
+        (_edit_config(lambda text: text + "\npattern_extent=0.4"), r"'pattern_extent' is already set at config block:\d+"),
         (lambda blob: blob[:4] + struct.pack("<H", 2) + blob[6:], "unsupported checkpoint version 2"),
         (
             _edit_records(lambda rec, _: struct.pack("<I", struct.unpack("<I", rec[:4])[0] - 1) + rec[4:]),
@@ -703,7 +704,7 @@ def _edit_records(edit):
          r"shape mismatch for 'encoder.conv1.weight'"),
     ],
     ids=[
-        "missing_key", "unknown_key", "line_without_equals",
+        "missing_key", "unknown_key", "line_without_equals", "repeated_key",
         "version", "parameter_count", "unknown_parameter", "shape_mismatch",
     ],
 )

@@ -607,7 +607,7 @@ def test_interpolation_needs_two_steps():
 def test_sweep_single_value_single_row():
     samples = tiny_samples(4)
     dataset = {"train": samples[:2], "test_seen": samples[2:3], "test_unseen": samples[3:]}
-    rows = tr.sweep("alpha", [0.1], ModelConfig(**TINY), tr.TrainConfig(epochs=1, batch_size=2), dataset)
+    rows = tr.sweep("alpha", [0.1], RunConfig(ModelConfig(**TINY), tr.TrainConfig(epochs=1, batch_size=2)), dataset)
     assert len(rows) == 1
     assert rows[0]["parameter"] == "alpha"
 
@@ -615,13 +615,13 @@ def test_sweep_single_value_single_row():
 def test_sweep_invalid_values_skipped():
     samples = tiny_samples(3)
     dataset = {"train": samples[:1], "test_seen": samples[1:2], "test_unseen": samples[2:]}
-    rows = tr.sweep("M", [6], ModelConfig(**TINY), tr.TrainConfig(epochs=1, batch_size=1), dataset)
+    rows = tr.sweep("M", [6], RunConfig(ModelConfig(**TINY), tr.TrainConfig(epochs=1, batch_size=1)), dataset)
     assert rows == []
     # the plane lattice needs a square point count: ModelConfig rejects 8
     eight = ModelConfig(**{**TINY, "pattern_points": 8})
-    assert tr.sweep("sampling_mode", ["plane"], eight, tr.TrainConfig(epochs=1, batch_size=1), dataset) == []
+    assert tr.sweep("sampling_mode", ["plane"], RunConfig(eight, tr.TrainConfig(epochs=1, batch_size=1)), dataset) == []
     with pytest.raises(ConfigError):
-        tr.sweep("gamma", [1], ModelConfig(**TINY), tr.TrainConfig(), dataset)
+        tr.sweep("gamma", [1], RunConfig(ModelConfig(**TINY), tr.TrainConfig()), dataset)
 
 
 def test_metrics_csv_format(tmp_path):

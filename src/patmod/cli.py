@@ -179,9 +179,11 @@ def cmd_train(args) -> int:
     if not manifest.exists():
         raise OSError(f"{manifest}: dataset not found; run gen-data first")
     samples = data.load_samples(manifest, "train", cfg.model.image_shape)
+    if not samples:
+        raise ConfigError("no samples in split 'train'")
+    model = PatternModel(cfg.model, seed=cfg.model_seed)
     out = _prepare_out(cfg.out_dir, args.force, ["checkpoint.pmod", "metrics.csv"])
     cfg.write(out / "config_resolved.txt")
-    model = PatternModel(cfg.model, seed=cfg.model_seed)
     records, _ = train(samples, model, cfg.train, out_dir=out)
     write_metrics_csv(out / "metrics.csv", records)
     print(f"trained {cfg.train.epochs} epochs on {len(samples)} samples -> {out / 'checkpoint.pmod'}")
@@ -237,7 +239,7 @@ def cmd_sweep(args) -> int:
     for name in ("seen", "unseen"):  # every value is evaluated on both test splits
         if not dataset[f"test_{name}"]:
             raise ConfigError(f"no samples in split {name!r}")
-    values = [v for v in args.values.split(",") if v]
+    values = [v for v in (item.strip() for item in args.values.split(",")) if v]
     out = _prepare_out(cfg.out_dir, args.force, [f"sweep_{args.parameter}.csv"])
     rows = sweep(args.parameter, values, cfg, dataset)
     if not rows:

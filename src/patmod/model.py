@@ -244,7 +244,15 @@ class _ParamSpec(NamedTuple):
     scale: float = 0.0
 
 
-def _param_layout(c: ModelConfig, flat_dim: int) -> list[_ParamSpec]:
+def _flat_dim(c: ModelConfig) -> int:
+    """Width of the flattened last conv map, the input of ``encoder.fc1``."""
+    side = c.image_size
+    for s in _CONV_STRIDES:
+        side = (side + 2 * _CONV_PAD - _CONV_KERNEL) // s + 1
+    return c.conv_channels[-1] * side * side
+
+
+def _param_layout(c: ModelConfig) -> list[_ParamSpec]:
     """Every parameter's name, shape and initial distribution, in registry
     (= checkpoint = RNG draw) order."""
     specs = []
@@ -269,7 +277,7 @@ def _param_layout(c: ModelConfig, flat_dim: int) -> list[_ParamSpec]:
             specs.append(_ParamSpec(f"{prefix}.weight_feature", (fan_in - split, fan_out), "uniform", limit))
         specs.append(_ParamSpec(f"{prefix}.bias", (1, fan_out), "zeros"))
 
-    fc("encoder.fc1", flat_dim, c.image_feat)
+    fc("encoder.fc1", _flat_dim(c), c.image_feat)
     fc("encoder.fc2", c.image_feat, c.image_feat)
     fc("decoder.fc", c.image_feat, 3 * c.s_points)
     # the learners, the region encoder, one modularizer per pattern
@@ -317,20 +325,23 @@ class PatternModel:
 
     def _build(self, config: ModelConfig, fill) -> None:
         """Set up the model; ``fill(spec)`` gives each parameter's values, in
-        the order of ``_param_layout``."""
+        the order of ``_param_layout``.  A parameter that cannot be allocated
+        raises ConfigError with the model's size."""
         self.config = c = config
         self.params: dict[str, Parameter] = {}
-        side = c.image_size
-        for s in _CONV_STRIDES:
-            side = (side + 2 * _CONV_PAD - _CONV_KERNEL) // s + 1
-        self._flat_dim = c.conv_channels[-1] * side * side
+        self._flat_dim = _flat_dim(c)
         # learner MLPs run over a shared lattice, each from its own offset
         self.lattice = self.offsets = None
         if not (c.no_local or c.no_patterns):
             self.lattice = geo.grid_lattice(c.pattern_points, c.pattern_extent, c.sampling_mode)
             self.offsets = learner_offsets(c.patterns)
-        for spec in _param_layout(c, self._flat_dim):
-            self._register(spec.name, fill(spec))
+        layout = _param_layout(c)
+        try:
+            for spec in layout:
+                self._register(spec.name, fill(spec))
+        except (MemoryError, ValueError):  # numpy raises ValueError past 2**63 bytes
+            count = sum(math.prod(spec.shape) for spec in layout)
+            raise ConfigError(f"cannot allocate the model's {count} parameters ({8 * count} bytes)") from None
 
     # ------------------------------------------------------------------
     # parameter bookkeeping
@@ -576,8 +587,15 @@ def _check_finite(arr: np.ndarray, stage: str) -> None:
 # checkpoints
 
 
+def _record_header(name: str, shape: tuple[int, ...]) -> bytes:
+    """A parameter record's header: name length, UTF-8 name, rank and
+    dimensions; the values follow it as little-endian float64."""
+    raw = name.encode()
+    return struct.pack(f"<H{len(raw)}sB{len(shape)}I", len(raw), raw, len(shape), *shape)
+
+
 def save_checkpoint(path, model: PatternModel, extra_config: dict[str, str] | None = None) -> None:
-    """Write magic, version, flat config block, then raw little-endian parameters.
+    """Write magic, version, flat config block, then one record per parameter.
 
     Each parameter's payload goes to the file straight from a byte view of
     its array (no copy for a contiguous little-endian array), so no
@@ -598,9 +616,7 @@ def save_checkpoint(path, model: PatternModel, extra_config: dict[str, str] | No
             fh.write(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(config_blob)) + config_blob)
             fh.write(struct.pack("<I", len(params)))
             for p in params:
-                name = p.name.encode()
-                shape = p.data.shape
-                fh.write(struct.pack(f"<H{len(name)}sB{len(shape)}I", len(name), name, len(shape), *shape))
+                fh.write(_record_header(p.name, p.data.shape))
                 fh.write(np.ascontiguousarray(p.data, dtype="<f8").reshape(-1).view(np.uint8))
         os.replace(tmp, path)
     except BaseException:
@@ -612,82 +628,60 @@ def load_checkpoint(path) -> tuple[PatternModel, dict[str, str]]:
     """Rebuild the model from a checkpoint; returns it with the stored flat config.
 
     The config block must hold every ModelConfig key and no other key except
-    ``train.*``; the file must hold every model parameter exactly once and
-    end where the last parameter ends.  Anything else raises ContractError.
+    ``train.*``.  It fixes every record that follows (``_param_layout``), so
+    the file must be exactly as long as that layout needs, which is checked
+    before any parameter is allocated; then each record header must equal
+    the one ``save_checkpoint`` writes for that parameter, in registry order.
+    Anything else raises ContractError.
 
-    The file is read record by record: each payload lands straight in its
-    parameter's array, allocated uninitialised (every one is overwritten,
-    since each name must appear exactly once), so loading holds one copy of
+    Each payload lands straight in its parameter's array, allocated
+    uninitialised (every one is overwritten), so loading holds one copy of
     the parameters and draws no random values.  The format is unchanged.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        offset = 0
-
-        def claim(n: int) -> None:
-            nonlocal offset
-            if offset + n > size:
-                raise ContractError(f"{path}: truncated checkpoint ({size} bytes, needs at least {offset + n})")
-            offset += n
-
-        def short_read(got: int) -> ContractError:
-            """The file shrank after its size was taken."""
-            return ContractError(f"{path}: truncated checkpoint ({got} bytes, needs at least {offset})")
 
         def take(n: int) -> bytes:
-            claim(n)
-            chunk = fh.read(n)
+            """The next n bytes; a length past the end of the file reads nothing."""
+            at = fh.tell()
+            chunk = fh.read(n) if at + n <= size else b""
             if len(chunk) != n:
-                raise short_read(offset - n + len(chunk))
+                raise ContractError(f"{path}: truncated checkpoint ({size} bytes, needs at least {at + n})")
             return chunk
-
-        def unpack(fmt: str) -> tuple:
-            return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-        def text(n: int) -> str:
-            try:
-                return take(n).decode()
-            except UnicodeDecodeError:
-                raise ContractError(f"{path}: corrupt checkpoint (undecodable text at byte {offset - n})") from None
 
         if size < 4 or take(4) != CHECKPOINT_MAGIC:
             raise ContractError(f"{path}: not a checkpoint (bad magic)")
-        (version,) = unpack("<H")
+        version, cfg_len = struct.unpack("<HI", take(6))
         if version != CHECKPOINT_VERSION:
             raise ContractError(f"{path}: unsupported checkpoint version {version}")
-        (cfg_len,) = unpack("<I")
         try:
-            flat = parse_config_lines(text(cfg_len).splitlines(), "config block")
+            flat = parse_config_lines(take(cfg_len).decode().splitlines(), "config block")
             config = ModelConfig.from_flat({k: v for k, v in flat.items() if not k.startswith("train.")})
+        except UnicodeDecodeError:
+            raise ContractError(f"{path}: corrupt checkpoint (undecodable config block)") from None
         except ConfigError as exc:
             raise ContractError(f"{path}: {exc}") from None
+        # Python integers, and each header's length from zero dimensions: a
+        # dimension too large to store just gives a size that does not match
+        layout = _param_layout(config)
+        need = fh.tell() + 4 + sum(
+            len(_record_header(s.name, (0,) * len(s.shape))) + 8 * math.prod(s.shape) for s in layout
+        )
+        if size < need:
+            raise ContractError(f"{path}: truncated checkpoint ({size} bytes, its config needs {need})")
+        if size > need:
+            raise ContractError(f"{path}: {size - need} trailing bytes after the last parameter")
         model = PatternModel._uninitialised(config)
-        (n_params,) = unpack("<I")
-        by_name = model.params
-        if n_params != len(by_name):
-            raise ContractError(f"{path}: checkpoint has {n_params} parameters, model has {len(by_name)}")
-        seen = set()
-        for _ in range(n_params):
-            (name_len,) = unpack("<H")
-            name = text(name_len)
-            (ndim,) = unpack("<B")
-            shape = unpack(f"<{ndim}I")
-            claim(8 * math.prod(shape))
-            if name not in by_name:
-                raise ContractError(f"{path}: unknown parameter {name!r}")
-            if name in seen:
-                raise ContractError(f"{path}: parameter {name!r} is stored twice")
-            seen.add(name)
-            values = by_name[name].data
-            if values.shape != tuple(shape):
-                raise ContractError(
-                    f"{path}: shape mismatch for {name!r}: checkpoint {tuple(shape)} vs model {values.shape}"
-                )
-            got = fh.readinto(values.reshape(-1).view(np.uint8))
-            if got != values.nbytes:
-                raise short_read(offset - values.nbytes + got)
+        params = model.parameters()
+        (n_params,) = struct.unpack("<I", take(4))
+        if n_params != len(params):
+            raise ContractError(f"{path}: checkpoint has {n_params} parameters, model has {len(params)}")
+        for i, p in enumerate(params):
+            header = _record_header(p.name, p.data.shape)
+            if take(len(header)) != header:
+                raise ContractError(f"{path}: record {i} is not parameter {p.name!r} of shape {p.data.shape}")
+            if fh.readinto(p.data.reshape(-1).view(np.uint8)) != p.data.nbytes:
+                raise ContractError(f"{path}: truncated checkpoint (the file shrank while it was read)")
             if sys.byteorder == "big":  # the payload is little-endian on every host
-                values.byteswap(inplace=True)
-        if offset != size:
-            raise ContractError(f"{path}: {size - offset} trailing bytes after the last parameter")
+                p.data.byteswap(inplace=True)
     return model, flat

@@ -180,16 +180,19 @@ def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float)
     map: the gradient of the batch loss, which is already the mean over
     the members.
 
-    Each parameter is walked in blocks of ``ADAM_BLOCK`` elements; a block
-    is checked for finiteness, and only then are ``m``, ``v`` and the
-    parameter updated.  The arithmetic is the same, operation for
+    Every gradient is checked for finiteness first, in blocks of
+    ``ADAM_BLOCK`` elements and in the order of ``params``; a non-finite
+    block raises NumericalAbort naming its parameter before anything is
+    written, so the parameters and ``state`` stay as they were.  Then each
+    parameter is updated in blocks with the same arithmetic, operation for
     operation, as applying ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
     p -= lr*(m/c1) / (sqrt(v/c2) + eps)`` to whole arrays.
-
-    A non-finite block raises NumericalAbort naming its parameter.  By then
-    every parameter before it in ``params`` (and the earlier blocks of the
-    same parameter) has taken this step; no later one has.
     """
+    for p in params:
+        g_flat = np.ravel(grads[p.name])
+        for start in range(0, g_flat.size, ADAM_BLOCK):
+            if not np.isfinite(g_flat[start : start + ADAM_BLOCK]).all():
+                raise NumericalAbort(f"non-finite gradient for parameter {p.name!r}")
     state.t += 1
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1 = 1.0 - b1**state.t
@@ -206,8 +209,6 @@ def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float)
         for start in range(0, p_flat.size, ADAM_BLOCK):
             stop = min(start + ADAM_BLOCK, p_flat.size)
             g, a, b = g_flat[start:stop], a_buf[: stop - start], b_buf[: stop - start]
-            if not np.isfinite(g).all():
-                raise NumericalAbort(f"non-finite gradient for parameter {p.name!r}")
             m, v, w = m_flat[start:stop], v_flat[start:stop], p_flat[start:stop]
             m *= b1
             m += np.multiply(g, 1.0 - b1, out=a)
@@ -279,12 +280,8 @@ def train(
     Writes ``checkpoint.pmod`` under out_dir at the end (and every
     ``checkpoint_every`` epochs), each time once a tapeless forward pass of
     the last batch has every stage finite.  On a NumericalAbort the current
-    parameters are dumped next to it as ``abort_last_good.pmod``.  After a
-    non-finite loss or forward pass these are the parameters of the last
-    completed step.
-    After a non-finite gradient they are not all from one step: the
-    parameters before the named one in registry order, and the blocks of it
-    already visited, have taken the aborted step; the rest have not.
+    parameters, those of the last completed step, are dumped next to it as
+    ``abort_last_good.pmod``.
     """
     if not samples:
         raise DomainError("training requires a nonempty dataset")

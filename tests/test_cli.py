@@ -316,6 +316,22 @@ def test_sweep_row_per_value(workspace, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "parameter, values, written",
+    [("sampling_mode", "voxel, plane", ["voxel", "plane"]), ("M", " 1 ,8 ", ["1", "8"])],
+    ids=["sampling_mode", "M"],
+)
+def test_sweep_values_are_stripped(workspace, tmp_path, parameter, values, written):
+    """Blanks around a ``--values`` item are stripped as from a config line,
+    so every item runs and the CSV's value column holds it without them."""
+    _, cfg = workspace
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--parameter", parameter, "--values", values, "--out", str(out)]
+    assert cli.main(argv) == 0
+    rows = (out / f"sweep_{parameter}.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == written
+
+
+@pytest.mark.parametrize(
     "parameter, value",
     [("M", "6"), ("M", "1.5"), ("alpha", "abc")],
     ids=["impossible_M", "fractional_M", "non_numeric_alpha"],
@@ -550,6 +566,32 @@ def test_impossible_model_size_exit_2_naming_field(workspace, tmp_path, caplog, 
     assert cli.main(argv) == 2
     assert f"{field} must be >= 1" in caplog.text
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("points", [10**13, 10**17], ids=["3.4_PiB", "past_2**63_bytes"])
+def test_unallocatable_model_exit_2_before_any_output(workspace, tmp_path, caplog, points):
+    """A model too large for any 64-bit address space exits 2 with its size,
+    whether numpy reports MemoryError or, past 2**63 bytes, ValueError."""
+    _, cfg = workspace
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out"),
+            "--set", f"s_points={points}", "--set", f"f_points={points}"]
+    assert cli.main(argv) == 2
+    assert "cannot allocate the model's" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_train_split_exit_2_before_any_output(workspace, tmp_path, caplog):
+    """A manifest without train records ends train as eval ends on an empty split."""
+    root, cfg = workspace
+    ds = tmp_path / "ds"
+    shutil.copytree(root / "ds", ds)
+    manifest = ds / "manifest.jsonl"
+    kept = [line for line in manifest.read_text().splitlines() if json.loads(line)["split"] != "train"]
+    manifest.write_text("\n".join(kept) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(out)]) == 2
+    assert "no samples in split 'train'" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from patmod import autodiff as ad
 from patmod import geometry as geo
@@ -625,7 +627,7 @@ def test_checkpoint_rejects_repeated_and_missing_parameter(tmp_path, tiny_model,
     path = tmp_path / "dup.pmod"
     save_checkpoint(path, tiny_model)
     monkeypatch.undo()
-    with pytest.raises(ContractError, match="stored twice"):
+    with pytest.raises(ContractError, match=r"dup\.pmod: \d+ trailing bytes after the last parameter"):
         load_checkpoint(path)
 
 
@@ -646,7 +648,7 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path, tiny_model):
     path = tmp_path / "model.pmod"
     save_checkpoint(path, tiny_model)
     path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(ContractError, match="trailing"):
+    with pytest.raises(ContractError, match=r"model\.pmod: 1 trailing bytes after the last parameter"):
         load_checkpoint(path)
 
 
@@ -657,7 +659,7 @@ def test_checkpoint_undecodable_name_is_a_contract_error(tmp_path, tiny_model):
     first = tiny_model.parameters()[0].name.encode()
     blob[blob.index(first)] = 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises(ContractError, match="undecodable"):
+    with pytest.raises(ContractError, match=r"model\.pmod: record 0 is not parameter 'encoder\.conv1\.weight'"):
         load_checkpoint(path)
 
 
@@ -692,19 +694,22 @@ def _edit_records(edit):
         (_edit_config(lambda text: text + "\nextent=0.3"), r"unknown keys \['extent'\]"),
         (_edit_config(lambda text: text + "\npattern_extent"), "expected key=value"),
         (_edit_config(lambda text: text + "\npattern_extent=0.4"), r"'pattern_extent' is already set at config block:\d+"),
+        # encoder.fc2 alone would take 8e18 bytes: the size check comes first
+        (_edit_config(lambda text: text.replace("image_feat=8\n", "image_feat=1000000000\n")),
+         r"truncated checkpoint \(\d+ bytes, its config needs \d+\)"),
         (lambda blob: blob[:4] + struct.pack("<H", 2) + blob[6:], "unsupported checkpoint version 2"),
         (
             _edit_records(lambda rec, _: struct.pack("<I", struct.unpack("<I", rec[:4])[0] - 1) + rec[4:]),
             "checkpoint has 58 parameters, model has 59",
         ),
         (_edit_records(lambda rec, _: rec.replace(b"encoder.conv1.weight", b"encoder.conv1.wEight", 1)),
-         "unknown parameter 'encoder.conv1.wEight'"),
+         r"record 0 is not parameter 'encoder\.conv1\.weight' of shape \(4, 1, 3, 3\)"),
         # (4, 1, 3, 3) stored as (1, 4, 3, 3): the same byte count
         (_edit_records(lambda rec, at: rec[:at] + struct.pack("<4I", 1, 4, 3, 3) + rec[at + 16 :]),
-         r"shape mismatch for 'encoder.conv1.weight'"),
+         r"record 0 is not parameter 'encoder\.conv1\.weight' of shape \(4, 1, 3, 3\)"),
     ],
     ids=[
-        "missing_key", "unknown_key", "line_without_equals", "repeated_key",
+        "missing_key", "unknown_key", "line_without_equals", "repeated_key", "huge_image_feat",
         "version", "parameter_count", "unknown_parameter", "shape_mismatch",
     ],
 )
@@ -715,6 +720,43 @@ def test_checkpoint_config_block_is_strict(tmp_path, edit, message):
     save_checkpoint(path, PatternModel(ModelConfig(**TINY, pattern_extent=0.3), seed=2))
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ContractError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def mini_checkpoint(tmp_path_factory):
+    """A MINI_CONFIG checkpoint's bytes, the offsets of its magic, version,
+    parameter count and record headers, and a path to write variants to."""
+    path = tmp_path_factory.mktemp("ckpt") / "mini.pmod"
+    model = PatternModel(ModelConfig(**MINI_CONFIG), seed=0)
+    save_checkpoint(path, model)
+    blob = path.read_bytes()
+    (size,) = struct.unpack("<I", blob[6:10])
+    at = 10 + size
+    fixed = [*range(6), *range(at, at + 4)]
+    at += 4
+    for p in model.parameters():
+        header = 2 + len(p.name) + 1 + 4 * p.data.ndim
+        fixed += range(at, at + header)
+        at += header + p.data.nbytes
+    assert at == len(blob)
+    return blob, fixed, path
+
+
+@given(data=st.data())
+def test_checkpoint_cut_or_header_flip_is_a_contract_error(mini_checkpoint, data):
+    """A checkpoint cut at any offset, or with any byte of its magic,
+    version, parameter count or a record header flipped, raises
+    ContractError.  A flip inside the config block or a payload can still
+    load as other values; only a checksum over those bytes would catch it."""
+    blob, fixed, path = mini_checkpoint
+    if data.draw(st.booleans(), label="cut"):
+        bad = blob[: data.draw(st.integers(0, len(blob) - 1), label="size")]
+    else:
+        bad = bytearray(blob)
+        bad[data.draw(st.sampled_from(fixed), label="offset")] ^= data.draw(st.integers(1, 255), label="mask")
+    path.write_bytes(bytes(bad))
+    with pytest.raises(ContractError):
         load_checkpoint(path)
 
 

@@ -236,9 +236,9 @@ def cmd_sweep(args) -> int:
     manifest = Path(cfg.dataset_dir) / "manifest.jsonl"
     dataset = {split: data.load_samples(manifest, split, cfg.model.image_shape)
                for split in ("train", "test_seen", "test_unseen")}
-    for name in ("seen", "unseen"):  # every value is evaluated on both test splits
-        if not dataset[f"test_{name}"]:
-            raise ConfigError(f"no samples in split {name!r}")
+    for split, samples in dataset.items():  # every value trains, then is evaluated on both test splits
+        if not samples:
+            raise ConfigError(f"no samples in split {split.removeprefix('test_')!r}")
     values = [v for v in (item.strip() for item in args.values.split(",")) if v]
     out = _prepare_out(cfg.out_dir, args.force, [f"sweep_{args.parameter}.csv"])
     rows = sweep(args.parameter, values, cfg, dataset)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import geometry
 from .errors import ConfigError, ContractError, DomainError
 
 GT_POINTS = 2048
@@ -280,10 +281,33 @@ def render_image(cloud: np.ndarray, size: int = 64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Sample:
+    """One rendered image with its ground-truth cloud.
+
+    ``gt_cloud`` is made read-only on construction, so the farthest-point
+    downsample of it that ``gt_points`` computes once per target count
+    stays valid for the sample's life; the cached arrays are read-only too.
+    """
+
     image: np.ndarray  # (1, size, size) in [0, 1]
     gt_cloud: np.ndarray  # (n, 3)
     class_name: str
     seed: int
+    _gt_downsamples: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.gt_cloud.flags.writeable = False
+
+    def gt_points(self, k: int) -> np.ndarray:
+        """``gt_cloud`` when k >= its size, else ``geometry.downsample(gt_cloud, k)``,
+        computed on the first call for each k and kept."""
+        if k >= self.gt_cloud.shape[0]:
+            return self.gt_cloud
+        cached = self._gt_downsamples.get(k)
+        if cached is None:
+            cached = geometry.downsample(self.gt_cloud, k)
+            cached.flags.writeable = False
+            self._gt_downsamples[k] = cached
+        return cached
 
 
 @dataclass

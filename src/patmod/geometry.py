@@ -142,48 +142,63 @@ def _split_epsilon(reference: np.ndarray) -> float:
     return 1e-6 * side if side > 0.0 else 1e-12
 
 
-def grid_lattice(count: int, extent: float, mode: str = "voxel") -> np.ndarray:
-    """Regular lattice of ``count`` points: a 3-D grid, or an n x n sheet at z=0."""
+def check_lattice(count: int, extent: float, mode: str = "voxel") -> None:
+    """Raise DomainError unless ``grid_lattice(count, extent, mode)`` can be
+    built: count >= 1, 2 * extent finite, and a square count in plane mode.
+    Pure arithmetic, so it costs the same at any count."""
     if count <= 0:
         raise DomainError(f"lattice point count must be positive, got {count}")
     if not math.isfinite(2.0 * extent):  # linspace(-e, e) steps by 2e / (n - 1)
         raise DomainError(f"lattice span 2 * {extent} is not finite")
+    if mode == "plane" and math.isqrt(count) ** 2 != count:
+        raise DomainError(f"plane mode needs a square point count, got {count}")
+    if mode not in ("voxel", "plane"):
+        raise ContractError(f"unknown lattice mode {mode!r}")
+
+
+def grid_lattice(count: int, extent: float, mode: str = "voxel") -> np.ndarray:
+    """Regular lattice of ``count`` points: a 3-D grid, or an n x n sheet at z=0."""
+    check_lattice(count, extent, mode)
     if mode == "voxel":
-        nx, ny, nz = _lattice_factors(count)
-        axes = [_axis_coords(n, extent) for n in (nx, ny, nz)]
+        axes = [_axis_coords(n, extent) for n in _lattice_factors(count)]
         grid = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.reshape(-1) for g in grid], axis=1)
-    if mode == "plane":
-        n = round(count**0.5)
-        if n * n != count:
-            raise DomainError(f"plane mode needs a square point count, got {count}")
-        axes = [_axis_coords(n, extent)] * 2
-        gx, gy = np.meshgrid(*axes, indexing="ij")
-        return np.stack([gx.reshape(-1), gy.reshape(-1), np.zeros(count)], axis=1)
-    raise ContractError(f"unknown lattice mode {mode!r}")
+    axes = [_axis_coords(math.isqrt(count), extent)] * 2
+    gx, gy = np.meshgrid(*axes, indexing="ij")
+    return np.stack([gx.reshape(-1), gy.reshape(-1), np.zeros(count)], axis=1)
 
 
 def _axis_coords(n: int, extent: float) -> np.ndarray:
     return np.linspace(-extent, extent, n) if n > 1 else np.zeros(1)
 
 
+def _divisors(count: int) -> list[int]:
+    """Every divisor of count in ascending order, from the pairs (i, count // i)
+    with i up to sqrt(count)."""
+    small = [i for i in range(1, math.isqrt(count) + 1) if count % i == 0]
+    return small + [count // i for i in reversed(small) if i * i != count]
+
+
 def _lattice_factors(count: int) -> tuple[int, int, int]:
-    # minimize the max/min factor ratio; ties resolve to the lexicographically
-    # largest triple so 256 fixes to (8, 8, 4)
+    """The factor triple a * b * c == count with the smallest max/min ratio;
+    ties resolve to the lexicographically largest triple, so 256 gives
+    (8, 8, 4).  The largest ordering of a triple is the descending one, so
+    only a >= b >= c is enumerated, with c and b drawn from count's divisors."""
+    divisors = _divisors(count)
     best = None
-    for a in range(1, count + 1):
-        if count % a:
-            continue
-        rest = count // a
-        for b in range(1, rest + 1):
-            if rest % b:
+    for c in divisors:
+        if c * c * c > count:
+            break
+        rest = count // c
+        for b in divisors:
+            if b * b > rest:
+                break
+            if b < c or rest % b:
                 continue
-            c = rest // b
-            ratio = max(a, b, c) / min(a, b, c)
-            key = (-ratio, a, b, c)
+            a = rest // b
+            key = (-(a / c), a, b, c)
             if best is None or key > best:
                 best = key
-    assert best is not None
     return best[1], best[2], best[3]
 
 

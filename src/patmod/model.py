@@ -76,7 +76,7 @@ class ModelConfig:
             raise ConfigError("no_local removes the entire local pipeline; other ablations conflict")
         if not (self.no_local or self.no_patterns):  # the model builds a pattern lattice
             try:
-                geo.grid_lattice(self.pattern_points, self.pattern_extent, self.sampling_mode)
+                geo.check_lattice(self.pattern_points, self.pattern_extent, self.sampling_mode)
             except DomainError as exc:
                 raise ConfigError(f"pattern lattice: {exc}") from None
 

@@ -368,7 +368,10 @@ def evaluate(
     The region split reads only the model's own prediction.  Prediction and
     ground truth are matched in cardinality (farthest-point downsampling)
     before the normalized Chamfer and the 32^3 IoU on their union box;
-    ``eval_points``, when given, caps both sides at that count.
+    ``eval_points``, when given, caps both sides at that count.  The
+    ground-truth downsample is computed once per sample and target count
+    (``Sample.gt_points``) and reused by later calls; ``gt_cloud`` is
+    read-only, so it cannot go stale.
     """
     if eval_points is not None and eval_points < 1:
         raise DomainError(f"eval_points must be >= 1, got {eval_points}")
@@ -378,7 +381,7 @@ def evaluate(
     for sample in samples:
         t0 = time.perf_counter()
         trace = model.reconstruct(sample.image)
-        pred, gt = _match_cardinality(trace.f_cloud, sample.gt_cloud, eval_points)
+        pred, gt = _match_cardinality(trace.f_cloud, sample, eval_points)
         cd = geo.chamfer_eval(pred, gt)
         iou_val = _iou_32(pred, gt)
         wall = (time.perf_counter() - t0) * 1e3
@@ -402,12 +405,15 @@ def evaluate(
     return records
 
 
-def _match_cardinality(pred: np.ndarray, gt: np.ndarray, eval_points: int | None):
-    target = eval_points if eval_points is not None else min(pred.shape[0], gt.shape[0])
-    target = min(target, pred.shape[0], gt.shape[0])
+def _match_cardinality(pred: np.ndarray, sample: Sample, eval_points: int | None):
+    """The prediction and ``sample``'s ground truth, each farthest-point
+    downsampled to the smaller size, or to ``eval_points`` when that is
+    smaller still; the ground-truth side comes from the sample's cache."""
+    target = min(pred.shape[0], sample.gt_cloud.shape[0])
+    if eval_points is not None:
+        target = min(target, eval_points)
     pred = geo.downsample(pred, target) if pred.shape[0] > target else pred
-    gt = geo.downsample(gt, target) if gt.shape[0] > target else gt
-    return pred, gt
+    return pred, sample.gt_points(target)
 
 
 # ---------------------------------------------------------------------------

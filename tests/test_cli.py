@@ -594,6 +594,24 @@ def test_empty_train_split_exit_2_before_any_output(workspace, tmp_path, caplog)
     assert not out.exists()
 
 
+def test_sweep_empty_train_split_exit_2_before_any_output(workspace, tmp_path, caplog, monkeypatch):
+    """A manifest without train records ends a sweep as it ends train: exit 2
+    naming the split, before anything is trained or written."""
+    root, cfg = workspace
+    ds = tmp_path / "ds"
+    shutil.copytree(root / "ds", ds)
+    manifest = ds / "manifest.jsonl"
+    kept = [line for line in manifest.read_text().splitlines() if json.loads(line)["split"] != "train"]
+    manifest.write_text("\n".join(kept) + "\n")
+    monkeypatch.setattr(cli, "sweep", lambda *args: pytest.fail("the sweep trained"))
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(cfg), "--dataset", str(ds), "--out", str(out), "--parameter", "alpha",
+            "--values", "0.1"]
+    assert cli.main(argv) == 2
+    assert "no samples in split 'train'" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, value, low",
     [

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from patmod import data
+from patmod import data, geometry
 from patmod.errors import ConfigError, DomainError
 
 
@@ -140,6 +140,29 @@ def test_sample_seed_stable():
     assert data.sample_seed(0, "table", 0) == data.sample_seed(0, "table", 0)
     assert data.sample_seed(0, "table", 0) != data.sample_seed(0, "table", 1)
     assert data.sample_seed(0, "table", 0) != data.sample_seed(1, "table", 0)
+
+
+def test_gt_points_equal_the_downsample_bit_for_bit():
+    sample = data.make_sample("chair", 3, image_size=8)
+    for k in (1, 24, 1024, 2047):
+        got = sample.gt_points(k)
+        assert got.tobytes() == geometry.downsample(sample.gt_cloud, k).tobytes()
+        assert sample.gt_points(k) is got  # computed once, then kept
+    for k in (2048, 5000):
+        assert sample.gt_points(k) is sample.gt_cloud
+
+
+def test_gt_cloud_and_its_downsamples_are_read_only():
+    sample = data.make_sample("lamp", 4, image_size=8)
+    for cloud in (sample.gt_cloud, sample.gt_points(16)):
+        with pytest.raises(ValueError, match="read-only"):
+            cloud[0, 0] = 1.0
+
+
+def test_cached_downsamples_stay_out_of_repr():
+    a, b = (data.make_sample("ring", 5, image_size=8) for _ in range(2))
+    a.gt_points(16)
+    assert repr(a) == repr(b)
 
 
 def test_images_rerender_identically_from_stored_clouds(tmp_path):

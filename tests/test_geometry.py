@@ -1,5 +1,7 @@
 """Geometry tests: every accelerated path is checked against a brute-force oracle."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +254,57 @@ def test_lattice_rejects_bad_counts():
         geo.grid_lattice(0, 1.0, "voxel")
     with pytest.raises(DomainError):
         geo.grid_lattice(8, 1.0, "plane")
+
+
+def _lattice_factors_loop(count):
+    """The reference search: every candidate factor up to the count."""
+    best = None
+    for a in range(1, count + 1):
+        if count % a:
+            continue
+        rest = count // a
+        for b in range(1, rest + 1):
+            if rest % b:
+                continue
+            c = rest // b
+            ratio = max(a, b, c) / min(a, b, c)
+            key = (-ratio, a, b, c)
+            if best is None or key > best:
+                best = key
+    return best[1], best[2], best[3]
+
+
+def test_lattice_factors_equal_the_full_search():
+    for count in range(1, 2001):
+        assert geo._lattice_factors(count) == _lattice_factors_loop(count), count
+
+
+def test_lattice_factors_of_a_large_prime_are_quick():
+    t0 = time.perf_counter()
+    assert geo._lattice_factors(2**31 - 1) == (2**31 - 1, 1, 1)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "count, extent, mode, error, message",
+    [
+        (0, 1.0, "voxel", DomainError, "must be positive, got 0"),
+        (8, 1e308, "voxel", DomainError, "not finite"),
+        (8, 1.0, "plane", DomainError, "square point count, got 8"),
+        (2**31 - 1, 1.0, "plane", DomainError, "square point count"),
+        (16, 1.0, "sheet", ContractError, "unknown lattice mode"),
+    ],
+)
+def test_check_lattice_raises_what_grid_lattice_raises(count, extent, mode, error, message):
+    for check in (geo.check_lattice, geo.grid_lattice):
+        with pytest.raises(error, match=message):
+            check(count, extent, mode)
+
+
+@pytest.mark.parametrize("count, extent, mode", [(1, 0.5, "voxel"), (256, 8e307, "voxel"), (4, 0.5, "plane")])
+def test_check_lattice_accepts_what_grid_lattice_builds(count, extent, mode):
+    geo.check_lattice(count, extent, mode)
+    assert geo.grid_lattice(count, extent, mode).shape == (count, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ checkpoint round trips.  Heavy paper-scale runs live in the acceptance suite."""
 
 import hashlib
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +82,16 @@ def test_config_validation():
     assert np.isfinite(PatternModel(ModelConfig(**{**MINI_CONFIG, "pattern_extent": 8e307})).lattice).all()
     # no lattice is built without patterns, so any point count is a valid plane
     assert ModelConfig(**{**MINI_CONFIG, "sampling_mode": "plane"}, no_patterns=True).pattern_points == 8
+
+
+def test_config_checks_a_huge_lattice_without_building_it():
+    """The lattice rules are arithmetic: validating 2**31 - 1 pattern points
+    builds no lattice and searches no factors."""
+    t0 = time.perf_counter()
+    assert ModelConfig(pattern_points=2**31 - 1).pattern_points == 2**31 - 1
+    with pytest.raises(ConfigError, match="plane mode needs a square point count"):
+        ModelConfig(pattern_points=2**31 - 1, sampling_mode="plane")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_config_flat_round_trip():

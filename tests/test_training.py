@@ -578,6 +578,40 @@ def test_evaluate_values_pinned(eval_points):
     assert [(r.class_label, r.cd_eval, r.iou) for r in records] == PINNED_EVAL[eval_points]
 
 
+@pytest.mark.parametrize("eval_points", [8, None])
+def test_evaluate_twice_gives_identical_rows(eval_points):
+    """The second call reads the cached ground-truth downsamples and returns
+    the first call's rows; only the wall-clock column may differ."""
+    model, samples = tiny_model(), tiny_samples(4)
+    first, second = (tr.evaluate(model, samples, "seen", eval_points=eval_points) for _ in range(2))
+    masked = [[{**vars(r), "wall_ms": 0.0} for r in rows] for rows in (first, second)]
+    assert masked[0] == masked[1]
+
+
+def test_evaluate_runs_fps_once_per_sample_and_target(monkeypatch):
+    """Each ground truth is farthest-point sampled once per target count over
+    any number of evaluate calls; a prediction, new every call, each time."""
+    samples = tiny_samples(3)
+    gt_calls, pred_calls = [], []
+    real = geo.farthest_point_indices
+
+    def counted(cloud, k):
+        owner = [i for i, s in enumerate(samples) if cloud is s.gt_cloud]
+        if owner:
+            gt_calls.append((owner[0], k))
+        else:
+            pred_calls.append(k)
+        return real(cloud, k)
+
+    monkeypatch.setattr(geo, "farthest_point_indices", counted)
+    model = tiny_model()
+    for eval_points in (None, None, 8, 8, None):
+        tr.evaluate(model, samples, "seen", eval_points=eval_points)
+    # f_points = 24 sets the target when eval_points is None
+    assert sorted(gt_calls) == [(i, k) for i in range(3) for k in (8, 24)]
+    assert pred_calls == [8] * 6
+
+
 # ---------------------------------------------------------------------------
 # interpolation
 

@@ -485,16 +485,13 @@ def backward(loss: DTensor) -> dict[str, DTensor]:
     tape = loss.tape
     if tape.frozen:
         raise ContractError("backward already ran on this tape")
+    # one map from node id to gradient; a parameter's leaf keeps its entry
     grads: dict[int, Array] = {loss.node_id: np.ones_like(loss.data)}
-    collected: dict[int, Array] = {}
     for nid in range(loss.node_id, -1, -1):
-        g = grads.pop(nid, None)
-        if g is None:
+        if nid in tape._param_nodes or nid not in grads:
             continue
+        g = grads.pop(nid)  # bound until the next node: freeing it sooner raised peak RSS via glibc's mmap threshold
         node = tape.nodes[nid]
-        if nid in tape._param_nodes:
-            collected[nid] = g if nid not in collected else collected[nid] + g
-            continue
         for input_id, gin in zip(node.inputs, node.backward(g)):
             if input_id is None:
                 continue
@@ -504,13 +501,10 @@ def backward(loss: DTensor) -> dict[str, DTensor]:
                 grads[input_id] = gin
     tape.frozen = True
     tape.nodes = []  # Node closures hold activations and point back at the tape
-    result = {}
-    for nid, param in tape._param_nodes.items():
-        g = collected.get(nid)
-        if g is None:
-            g = np.zeros_like(param.data)
-        result[param.name] = DTensor(g)
-    return result
+    return {
+        param.name: DTensor(grads[nid] if nid in grads else np.zeros_like(param.data))
+        for nid, param in tape._param_nodes.items()
+    }
 
 
 # ---------------------------------------------------------------------------

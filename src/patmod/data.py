@@ -279,7 +279,7 @@ def render_image(cloud: np.ndarray, size: int = 64) -> np.ndarray:
 # dataset assembly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: the arrays have no truth value
 class Sample:
     """One rendered image with its ground-truth cloud.
 
@@ -292,7 +292,7 @@ class Sample:
     gt_cloud: np.ndarray  # (n, 3)
     class_name: str
     seed: int
-    _gt_downsamples: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _gt_downsamples: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.gt_cloud.flags.writeable = False

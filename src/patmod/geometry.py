@@ -81,7 +81,8 @@ def bounding_box(cloud: np.ndarray, epsilon: float = 0.0) -> AABB:
     return AABB(lo, hi)
 
 
-def _cube_edge(m_regions: int) -> int:
+def cube_edge(m_regions: int) -> int:
+    """Regions per box edge; DomainError unless ``m_regions`` is a positive cube."""
     edge = round(m_regions ** (1.0 / 3.0))
     if edge**3 != m_regions or m_regions < 1:
         raise DomainError(f"region count must be a perfect cube, got {m_regions}")
@@ -113,7 +114,7 @@ def split_regions(
     keeps its lowest-index rows and logs a warning giving its number within
     the member.
     """
-    m_edge = _cube_edge(m_regions)
+    m_edge = cube_edge(m_regions)
     voxels, boxes = [], []
     for b, (source, reference) in enumerate(zip(sources, references, strict=True)):
         reference = as_cloud(reference)

@@ -63,15 +63,16 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1, got {size}")
         if self.s_points != self.f_points:
             raise ConfigError(f"initial and final point counts must match: {self.s_points} != {self.f_points}")
-        edge = round(self.regions ** (1.0 / 3.0))
-        if edge**3 != self.regions:
-            raise ConfigError(f"region count must be a perfect cube, got {self.regions}")
+        try:
+            geo.cube_edge(self.regions)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
         if not 0 < self.pattern_extent < math.inf:
             raise ConfigError(f"pattern_extent must be finite and > 0, got {self.pattern_extent}")
         if self.sampling_mode not in ("voxel", "plane"):
             raise ConfigError(f"sampling_mode must be voxel or plane, got {self.sampling_mode!r}")
-        if len(self.conv_channels) != 7:
-            raise ConfigError("image encoder uses exactly 7 conv layers")
+        if len(self.conv_channels) != len(_CONV_STRIDES):
+            raise ConfigError(f"image encoder uses exactly {len(_CONV_STRIDES)} conv layers")
         if self.no_local and (self.no_patterns or self.no_shift):
             raise ConfigError("no_local removes the entire local pipeline; other ablations conflict")
         if not (self.no_local or self.no_patterns):  # the model builds a pattern lattice
@@ -358,9 +359,7 @@ class PatternModel:
         """Exact trainable scalar counts per component plus the total."""
         counts: dict[str, int] = {}
         for p in self.parameters():
-            component = p.name.split(".")[0]
-            for digit in "0123456789":
-                component = component.rstrip(digit)
+            component = p.name.split(".")[0].rstrip("0123456789")
             key = {"learner": "learners", "modularizer": "modularizers"}.get(component, component)
             counts[key] = counts.get(key, 0) + p.data.size
         counts["total"] = sum(v for k, v in counts.items() if k != "total")

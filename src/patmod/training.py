@@ -232,16 +232,14 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 # training loop
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the losses are checked here, the gradients by adam_step
-def _batch_gradients(model: PatternModel, batch: list[Sample], config: TrainConfig):
-    """Gradient of the batch loss, the mean of the member losses, from one
-    tape over the whole batch.
+@np.errstate(over="ignore", invalid="ignore")  # the losses are checked here
+def _batch_loss(model: PatternModel, batch: list[Sample], config: TrainConfig, tape: ad.Tape | None = None):
+    """The batch loss, the mean of the member losses, from one stacked pass.
 
-    The members run through ``PatternModel.forward`` as one stacked pass;
-    each member's loss comes from ``total_loss`` on its own trace.  Returns
-    (one ``name -> ndarray`` map, parts per member, traces per member).
+    The members run through ``PatternModel.forward`` as one pass, recorded
+    on ``tape`` when given; each member's loss comes from ``total_loss`` on
+    its own trace.  Returns (batch loss, parts per member, traces per member).
     """
-    tape = ad.Tape()
     images = np.stack([s.image for s in batch])
     trace = model.forward(images, reference=[s.gt_cloud for s in batch], tape=tape)
     losses, parts = [], []
@@ -254,8 +252,7 @@ def _batch_gradients(model: PatternModel, batch: list[Sample], config: TrainConf
     total = losses[0]
     for loss in losses[1:]:
         total = ad.add(total, loss)
-    grads = {name: g.data for name, g in ad.backward(ad.scale(total, 1.0 / len(batch))).items()}
-    return grads, parts, trace.members
+    return ad.scale(total, 1.0 / len(batch)), parts, trace.members
 
 
 def _train_step(model: PatternModel, batch: list[Sample], config: TrainConfig, state: AdamState, lr: float):
@@ -264,9 +261,18 @@ def _train_step(model: PatternModel, batch: list[Sample], config: TrainConfig, s
     The batch gradient dies with this frame, so it is not alive while the
     next step runs.
     """
-    grads, parts, traces = _batch_gradients(model, batch, config)
+    loss, parts, traces = _batch_loss(model, batch, config, ad.Tape())
+    with np.errstate(over="ignore", invalid="ignore"):  # adam_step checks the gradients
+        grads = {name: g.data for name, g in ad.backward(loss).items()}
     adam_step(model.parameters(), grads, state, lr)
     return parts, traces
+
+
+def _batches(samples: list[Sample], size: int, rng: np.random.Generator):
+    """One epoch's batches: a seeded shuffle cut into runs of ``size``."""
+    order = rng.permutation(len(samples))
+    for start in range(0, len(order), size):
+        yield [samples[i] for i in order[start : start + size]]
 
 
 def train(
@@ -299,13 +305,11 @@ def train(
     try:
         for epoch in range(config.epochs):
             t0 = time.perf_counter()
-            order = rng.permutation(len(samples))
             part_sums = {"loss_shape": 0.0, "loss_region": 0.0, "loss_total": 0.0}
             cd_sum = iou_sum = 0.0
             n_seen = 0
             lr = lr_at(epoch, config)
-            for start in range(0, len(order), config.batch_size):
-                batch = [samples[i] for i in order[start : start + config.batch_size]]
+            for batch in _batches(samples, config.batch_size, rng):
                 parts, traces = _train_step(model, batch, config, state, lr)
                 for sample, p, tr in zip(batch, parts, traces):
                     for k in part_sums:
@@ -503,9 +507,7 @@ def overfit_harness(
     current = initial
     t0 = time.perf_counter()
     while steps < max_steps:
-        order = rng.permutation(len(samples))
-        for start in range(0, len(order), config.batch_size):
-            batch = [samples[i] for i in order[start : start + config.batch_size]]
+        for batch in _batches(samples, config.batch_size, rng):
             _train_step(model, batch, config, state, lr_at(0, config))
             steps += 1
             if steps % 10 == 0 or steps >= max_steps:
@@ -524,10 +526,6 @@ def overfit_harness(
 
 
 def dataset_loss(model: PatternModel, samples: list[Sample], config: TrainConfig) -> float:
-    """Mean training objective over a dataset, without touching parameters."""
-    vals = []
-    for s in samples:
-        trace = model.forward(s.image, reference=s.gt_cloud, tape=None)
-        _, parts = total_loss(trace, s.gt_cloud, config, model.config)
-        vals.append(parts["loss_total"])
-    return float(np.mean(vals))
+    """Mean training objective over a dataset, each sample a tapeless
+    ``_batch_loss`` batch of one; parameters are not touched."""
+    return float(np.mean([_batch_loss(model, [s], config)[0].item() for s in samples]))

@@ -3,14 +3,16 @@ exit codes, output layouts, and byte-level determinism."""
 
 import argparse
 import json
+import re
 import shutil
 from dataclasses import fields
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from patmod import cli, data
+from patmod import cli, data, runconfig
 from patmod.errors import ConfigError
 from patmod.model import MINI_CONFIG, ModelConfig, PatternModel, load_checkpoint, save_checkpoint, to_flat
 from patmod.runconfig import RunConfig, load_run_config
@@ -643,6 +645,23 @@ def test_each_config_key_has_one_owner():
     commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
     aliases = {a.dest for sub in commands.values() for a in sub._actions if a.dest.startswith(cli.ALIAS)}
     assert aliases and {dest[len(cli.ALIAS):] for dest in aliases} <= set().union(*key_sets)
+
+
+def _documented_key_lists(text: str) -> list[list[str]]:
+    """The keys of each bullet in the list that follows "Each key belongs to
+    the dataclass that declares it:", in their documented order."""
+    block = text.split("Each key belongs to the dataclass that declares it:", 1)[1].strip().split("\n\n", 1)[0]
+    return [re.findall(r"\w+", bullet.split(":", 1)[1]) for bullet in re.split(r"^- ", block, flags=re.M)[1:]]
+
+
+@pytest.mark.parametrize("doc", ["README.md", "runconfig"])
+def test_documented_config_keys_match_the_dataclasses(doc):
+    """The README and the runconfig docstring list every key of each part
+    of the run configuration, in declaration order, and no other."""
+    text = (Path(__file__).parents[1] / "README.md").read_text() if doc == "README.md" else runconfig.__doc__
+    nested = {"model", "train", "split"}
+    parts = (ModelConfig, TrainConfig, data.DatasetSplit, RunConfig)
+    assert _documented_key_lists(text) == [[f.name for f in fields(p) if f.name not in nested] for p in parts]
 
 
 # every key whose text is parsed to a type or checked; dataset_dir and out_dir take any non-empty path

@@ -165,6 +165,15 @@ def test_cached_downsamples_stay_out_of_repr():
     assert repr(a) == repr(b)
 
 
+def test_samples_compare_by_identity():
+    """A sample equals only itself, so comparing two samples never asks an
+    array for its truth value, and ``in`` finds a sample in a list."""
+    a, b = data.make_sample("table", 1, image_size=8), data.make_sample("chair", 2, image_size=8)
+    assert (a == b) is False
+    assert (a == a) is True
+    assert b in [a, b]
+
+
 def test_images_rerender_identically_from_stored_clouds(tmp_path):
     split = data.DatasetSplit(train_per_class=1, test_per_class=1)
     manifest = data.write_dataset(tmp_path, split, image_size=16)

@@ -155,7 +155,7 @@ def test_batched_split_equals_per_member_loop(sizes, m, capacity, own_reference,
     want_rows, want_counts, offset = [], [], 0
     for source, reference in zip(sources, references):
         box = geo.bounding_box(reference, epsilon=geo._split_epsilon(reference))
-        flat = geo.voxel_assign(source, box, geo._cube_edge(m))
+        flat = geo.voxel_assign(source, box, geo.cube_edge(m))
         for region in range(m):
             rows = np.flatnonzero(flat == region)[:capacity]
             want_rows.append(rows + offset)

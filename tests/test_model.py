@@ -475,6 +475,17 @@ def test_pattern_learner_count_closed_form(tiny_model):
     assert counts["learners"] == 2 * per_learner
 
 
+def test_param_count_strips_two_digit_module_numbers():
+    """learner12 and modularizer12 count as learners and modularizers, not
+    under a ``learner1`` or ``modularizer1`` key."""
+    model = PatternModel(ModelConfig(**{**MINI_CONFIG, "patterns": 13}), seed=0)
+    counts = model.param_count()
+    assert counts.keys() == PatternModel(ModelConfig(**MINI_CONFIG), seed=0).param_count().keys()
+    for key, prefix in (("learners", "learner0."), ("modularizers", "modularizer0.")):
+        assert counts[key] == 13 * sum(p.data.size for p in model.parameters() if p.name.startswith(prefix))
+    assert counts["total"] == sum(p.data.size for p in model.parameters())
+
+
 def test_modularizer_count_closed_form(tiny_model):
     e = tiny_model.config.region_feat
     per = ((3 + e) * 512 + 512) + (512 * 256 + 256) + (256 * 128 + 128) + (128 * 3 + 3)

@@ -314,15 +314,14 @@ def test_nan_member_gradient_aborts_before_later_parameters(tmp_path, monkeypatc
     target = "customizer.fc2.weight"  # 512 x 128: two blocks; three parameters follow it
     assert model.params[target].data.size == 2 * tr.ADAM_BLOCK
     assert len(names) - names.index(target) - 1 == 3
-    real = tr._batch_gradients
+    real = tr.adam_step
 
-    def planted(*args):
-        grads, parts, traces = real(*args)
+    def planted(params, grads, *args):
         grads[target] = grads[target].copy()
         grads[target].flat[-1] = np.nan  # in the second block
-        return grads, parts, traces
+        return real(params, grads, *args)
 
-    monkeypatch.setattr(tr, "_batch_gradients", planted)
+    monkeypatch.setattr(tr, "adam_step", planted)
     out = tmp_path / "run"
     out.mkdir()
     with pytest.raises(NumericalAbort, match=target):
@@ -364,7 +363,8 @@ def test_batch_tape_equals_mean_of_member_tapes(caplog, members, model_flags, tr
     model = tiny_model(seed=2, **model_flags)
     config = tr.TrainConfig(**train_flags)
     with caplog.at_level("WARNING", logger="patmod.training"):
-        grads, parts, traces = tr._batch_gradients(model, batch, config)
+        batch_loss, parts, traces = tr._batch_loss(model, batch, config, ad.Tape())
+        grads = {name: g.data for name, g in ad.backward(batch_loss).items()}
 
     want_parts, want_grads = [], {}
     for sample, batch_trace in zip(batch, traces):
@@ -382,6 +382,7 @@ def test_batch_tape_equals_mean_of_member_tapes(caplog, members, model_flags, tr
             assert abs(got[key] - value) <= 1e-12 * abs(value), key
     mean_loss = np.mean([p["loss_total"] for p in want_parts])
     assert abs(np.mean([p["loss_total"] for p in parts]) - mean_loss) <= 1e-12 * mean_loss
+    assert abs(batch_loss.item() - mean_loss) <= 1e-12 * mean_loss
     assert grads.keys() == want_grads.keys()
     for name, g in want_grads.items():
         assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name

@@ -473,10 +473,12 @@ def row_norm(a) -> DTensor:
 def backward(loss: DTensor) -> dict[str, DTensor]:
     """Reverse sweep from a scalar loss; returns gradients for watched parameters.
 
-    Freezes the tape, empties ``tape.nodes`` and returns {name: gradient};
-    parameters with no path to the loss get zeros.  A tape that has already
-    been swept raises ContractError.  Parameters themselves are never
-    written.
+    Freezes the tape, empties ``tape.nodes`` and returns {name: gradient}
+    for every watched parameter.  A parameter with no path to the loss gets
+    a read-only all-zero view whose strides are all 0 (``np.broadcast_to``
+    of one 0.0), so it allocates nothing; ``adam_step`` recognizes it
+    without a scan.  A tape that has already been swept raises
+    ContractError.  Parameters themselves are never written.
     """
     if loss.tape is None or loss.node_id is None:
         raise ContractError("loss is not on a tape")
@@ -502,7 +504,7 @@ def backward(loss: DTensor) -> dict[str, DTensor]:
     tape.frozen = True
     tape.nodes = []  # Node closures hold activations and point back at the tape
     return {
-        param.name: DTensor(grads[nid] if nid in grads else np.zeros_like(param.data))
+        param.name: DTensor(grads[nid] if nid in grads else np.broadcast_to(0.0, param.data.shape))
         for nid, param in tape._param_nodes.items()
     }
 

@@ -255,8 +255,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_interpolate(args) -> int:
     cfg = _resolve(args)
-    if args.steps < 2:
-        raise ConfigError(f"--steps must be >= 2, got {args.steps}")
+    # interp_{lam:.3f}.xyz tells 1001 evenly spaced lambdas apart, not 1002
+    if not 2 <= args.steps <= 1001:
+        raise ConfigError(f"--steps must be in [2, 1001] (files are named by lambda to 3 decimals), got {args.steps}")
     model, _ = load_checkpoint(args.checkpoint)
     echo = replace(cfg, model=model.config)  # the echo describes the model that ran
     image_a = data.read_pgm(args.image_a, model.config.image_shape)

@@ -175,6 +175,12 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _unreached(g: np.ndarray) -> bool:
+    """Whether ``g`` is one stored 0.0 seen through strides that are all 0;
+    ``np.ravel`` of such a view copies, so this is decided before it."""
+    return g.size > 0 and not any(g.strides) and g.flat[0] == 0.0
+
+
 def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update, in place, from one ``name -> gradient``
     map: the gradient of the batch loss, which is already the mean over
@@ -187,7 +193,17 @@ def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float)
     parameter is updated in blocks with the same arithmetic, operation for
     operation, as applying ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
     p -= lr*(m/c1) / (sqrt(v/c2) + eps)`` to whole arrays.
+
+    A parameter that no loss has reached yet is skipped: it has no moments
+    and its gradient is an all-zero array whose strides are all 0 (as
+    ``autodiff.backward`` gives it), which is decided from the one stored
+    value without a scan.  It gets no ``m``/``v`` entry and is not written.
+    This is exact: with only zero gradients the whole-array update leaves
+    ``m = v = +0.0`` and ``p - 0.0 == p`` bit for bit, and ``c1``/``c2``
+    depend only on ``state.t``, so a parameter first reached at step t gets
+    the moments and values of the whole-array update from then on.
     """
+    params = [p for p in params if p.name in state.m or not _unreached(grads[p.name])]
     for p in params:
         g_flat = np.ravel(grads[p.name])
         for start in range(0, g_flat.size, ADAM_BLOCK):
@@ -498,7 +514,8 @@ def overfit_harness(
 ) -> dict:
     """Drive optimizer steps until the full-dataset loss falls to a quarter
     of its initial value (or the step budget runs out), checking it every
-    10 steps."""
+    10 steps.  An empty dataset raises DomainError from the first
+    ``dataset_loss``, before any step."""
     initial = dataset_loss(model, samples, config)
     target = 0.25 * initial
     state = AdamState()
@@ -527,5 +544,8 @@ def overfit_harness(
 
 def dataset_loss(model: PatternModel, samples: list[Sample], config: TrainConfig) -> float:
     """Mean training objective over a dataset, each sample a tapeless
-    ``_batch_loss`` batch of one; parameters are not touched."""
+    ``_batch_loss`` batch of one; parameters are not touched.  An empty
+    dataset raises DomainError, as ``train`` does."""
+    if not samples:
+        raise DomainError("dataset_loss requires a nonempty dataset")
     return float(np.mean([_batch_loss(model, [s], config)[0].item() for s in samples]))

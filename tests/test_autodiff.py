@@ -297,6 +297,27 @@ def test_unused_parameter_gets_zero_gradient():
     np.testing.assert_array_equal(grads["unused"].data, np.zeros((2, 2)))
 
 
+def test_unreached_parameter_gradient_is_a_read_only_zero_view():
+    """A parameter with no path to the loss stays in the map, with an
+    all-zero gradient that is one stored value seen through zero strides:
+    read-only and allocated for no entry."""
+    tape = ad.Tape()
+    used = ad.Parameter("used", np.ones(3))
+    unused = [ad.Parameter(f"unused{k}", np.ones(shape)) for k, shape in enumerate([(2, 2), (3, 7, 41), ()])]
+    a = tape.watch(used)
+    for p in unused:
+        tape.watch(p)
+    grads = ad.backward(ad.reduce_sum(a))
+    assert list(grads) == ["used"] + [p.name for p in unused]
+    assert grads["used"].data.flags.writeable
+    for p in unused:
+        g = grads[p.name].data
+        assert g.shape == p.data.shape and g.dtype == np.float64
+        assert not g.flags.writeable
+        assert not any(g.strides)
+        np.testing.assert_array_equal(g, np.zeros(p.data.shape))
+
+
 def test_mixed_tapes_rejected():
     t1, t2 = ad.Tape(), ad.Tape()
     a = t1.watch(ad.Parameter("a", np.ones(2)))

@@ -284,6 +284,24 @@ def test_interpolate_two_steps_endpoints_only(workspace, tmp_path):
     assert sorted(f.name for f in out.glob("*.xyz")) == ["interp_0.000.xyz", "interp_1.000.xyz"]
 
 
+def test_interpolate_steps_past_the_name_limit_exit_2_before_any_output(workspace, tmp_path, caplog):
+    """Files are named by lambda to 3 decimals, which tells 1001 evenly
+    spaced lambdas apart and not 1002; --steps 1002 exits 2 naming the flag
+    and the limit, and writes nothing."""
+    assert len({f"{lam:.3f}" for lam in np.linspace(0.0, 1.0, 1001)}) == 1001
+    assert len({f"{lam:.3f}" for lam in np.linspace(0.0, 1.0, 1002)}) == 1001
+    root, cfg = workspace
+    images = sorted((root / "ds" / "train").glob("*.pgm"))[:2]
+    out = tmp_path / "interp"
+    assert cli.main([
+        "interpolate", "--config", str(cfg), "--checkpoint", str(root / "run" / "checkpoint.pmod"),
+        "--image-a", str(images[0]), "--image-b", str(images[1]),
+        "--steps", "1002", "--out", str(out),
+    ]) == 2
+    assert "--steps must be in [2, 1001]" in caplog.text and "got 1002" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["reconstruct", "interpolate"])
 @pytest.mark.parametrize("flags", [{}, {"no_local": True}], ids=["full", "no_local"])
 def test_echo_describes_the_checkpoint_model(tmp_path, command, flags):

@@ -9,7 +9,7 @@ import pytest
 from patmod import autodiff as ad
 from patmod import geometry as geo
 from patmod import training as tr
-from patmod.data import Sample, make_sample
+from patmod.data import Sample, generate_shape, make_sample, render_image
 from patmod.errors import ConfigError, DomainError, NumericalAbort
 from patmod.model import MINI_CONFIG, ForwardTrace, ModelConfig, PatternModel, load_checkpoint, save_checkpoint
 from patmod.runconfig import RunConfig
@@ -303,6 +303,66 @@ def test_fused_adam_matches_two_stage_oracle_bitwise(seed):
             np.testing.assert_array_equal(s_fused.v[a.name], s_oracle.v[b.name])
 
 
+@pytest.mark.parametrize("first_reached", [1, 2, 5])
+def test_adam_skips_a_parameter_until_its_first_gradient(first_reached):
+    """A parameter fed backward's zero views has no moments and is not
+    written; from its first real gradient on, values and moments equal the
+    whole-array update that ran on the zeros, bit for bit, -0.0 included."""
+    shapes = {"reached": (5, 3), "late": (3, 7, 41, 83)}  # "late" spans two blocks and a ragged tail
+    rng = np.random.default_rng(first_reached)
+    init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    init["late"].flat[::7] = -0.0
+    fused = [ad.Parameter(name, x.copy()) for name, x in init.items()]
+    oracle = [ad.Parameter(name, x.copy()) for name, x in init.items()]
+    s_fused, s_oracle = tr.AdamState(), tr.AdamState()
+    for step in range(1, first_reached + 4):
+        grads = {"reached": rng.normal(size=shapes["reached"])}
+        if step < first_reached:
+            grads["late"] = np.broadcast_to(0.0, shapes["late"])
+        else:
+            grads["late"] = rng.normal(scale=10.0 ** rng.integers(-3, 3), size=shapes["late"])
+        lr = 1e-3 * step
+        tr.adam_step(fused, grads, s_fused, lr)
+        _whole_array_adam(oracle, grads, s_oracle, lr)
+        assert s_fused.t == s_oracle.t == step
+        assert ("late" in s_fused.m, "late" in s_fused.v) == (step >= first_reached,) * 2
+        for a, b in zip(fused, oracle):
+            assert a.data.tobytes() == b.data.tobytes()
+            if a.name in s_fused.m:
+                assert s_fused.m[a.name].tobytes() == s_oracle.m[b.name].tobytes()
+                assert s_fused.v[a.name].tobytes() == s_oracle.v[b.name].tobytes()
+
+
+def _criterion_1_sample():
+    """Acceptance criterion 1's model and sample: MINI_CONFIG at model seed
+    1 on table 40, where no region holds more than P = 8 kept rows, so
+    ``learner1`` and ``modularizer1`` get no gradient."""
+    cloud = generate_shape("table", 40)
+    sample = Sample(render_image(cloud, size=8), geo.downsample(cloud, 64), "table", 40)
+    return PatternModel(ModelConfig(**MINI_CONFIG), seed=1), sample
+
+
+def test_training_allocates_no_moments_for_unreached_parameters(tmp_path, monkeypatch):
+    """Training on criterion 1's sample keeps no Adam moments for pattern 1's
+    learner and modularizer, and writes the checkpoint the whole-array
+    update writes, byte for byte."""
+    config = tr.TrainConfig(epochs=3, batch_size=1, seed=0, lr=1e-3)
+    model, sample = _criterion_1_sample()
+    (tmp_path / "fused").mkdir()
+    _, state = tr.train([sample], model, config, out_dir=tmp_path / "fused")
+    unreached = [name for name in model.params if name.startswith(("learner1.", "modularizer1."))]
+    assert len(unreached) == 15 and state.t == 3
+    assert set(state.m) == set(state.v) == set(model.params) - set(unreached)
+
+    monkeypatch.setattr(tr, "adam_step", _whole_array_adam)
+    model, sample = _criterion_1_sample()
+    (tmp_path / "oracle").mkdir()
+    _, oracle_state = tr.train([sample], model, config, out_dir=tmp_path / "oracle")
+    assert set(oracle_state.m) == set(model.params)
+    fused_bytes = (tmp_path / "fused" / "checkpoint.pmod").read_bytes()
+    assert fused_bytes == (tmp_path / "oracle" / "checkpoint.pmod").read_bytes()
+
+
 def test_nan_member_gradient_aborts_before_later_parameters(tmp_path, monkeypatch):
     """A non-finite entry in the second block of a parameter that three
     others follow aborts the step before any parameter is written: the
@@ -510,6 +570,20 @@ def test_checkpoint_every_saves_after_each_multiple_of_epochs(tmp_path, monkeypa
 def test_empty_dataset_rejected():
     with pytest.raises(DomainError):
         tr.train([], tiny_model(), tr.TrainConfig())
+
+
+@pytest.mark.parametrize("run", [tr.dataset_loss, lambda *args: tr.overfit_harness(*args, max_steps=5)],
+                         ids=["dataset_loss", "overfit_harness"])
+def test_empty_dataset_rejected_before_any_pass(monkeypatch, run):
+    """An empty dataset raises DomainError, as in train, before any pass:
+    not the NaN mean of no losses, nor a harness loop that never steps."""
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran on an empty dataset")
+
+    monkeypatch.setattr(tr, "_batch_loss", no_pass)
+    with pytest.raises(DomainError, match="nonempty dataset"):
+        run(tiny_model(), [], tr.TrainConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
     patmod <gen-data|train|eval|reconstruct|sweep|interpolate> [--config PATH] [flags...]
 
-Exit codes: 0 success, 2 config/contract error, 3 I/O error, 4 numerical abort.
+Exit codes: 0 success, 2 config/contract/shape error, 3 I/O error, 4 numerical abort.
 Settings come, each later source overriding the earlier ones, from the
 ``--config`` file, the ``--set`` items, the alias flags (``--epochs``,
 ``--out``, ``--no-shift``, ...) and ``PATMOD_THREADS``, which sets
@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import data
-from .errors import ConfigError, ContractError, DomainError, NumericalAbort
+from .errors import ConfigError, ContractError, DimensionError, DomainError, NumericalAbort
 from .model import PatternModel, load_checkpoint, parse_config_lines
 from .runconfig import RunConfig, load_run_config
 from .training import (
@@ -49,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractError) as exc:
+    except (ConfigError, ContractError, DimensionError) as exc:
         logger.error("%s", exc)
         return EXIT_CONFIG
     except (OSError, DomainError) as exc:

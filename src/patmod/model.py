@@ -188,7 +188,9 @@ class ForwardTrace:
     f_tensor: DTensor  # final reconstruction
     # the region split: M counts, rows into s_cloud region-major, the box
     split: geo.RegionSplit | None = None
-    patterns: list[np.ndarray] | None = None  # N x (P, 3)
+    # N x (P, 3); read-only after a tapeless pass, which may share them with
+    # later tapeless passes (PatternModel._patterns)
+    patterns: list[np.ndarray] | None = None
     f_r: np.ndarray | None = None  # (M, E)
     modularized: np.ndarray | None = None  # R', stacked like f_tensor, object frame
     # a batch pass: one trace per member.  The batch trace itself stacks the
@@ -337,6 +339,10 @@ class PatternModel:
             self.lattice = geo.grid_lattice(c.pattern_points, c.pattern_extent, c.sampling_mode)
             self.offsets = learner_offsets(c.patterns)
         layout = _param_layout(c)
+        self._learner_names = [spec.name for spec in layout if spec.name.startswith("learner")]
+        # the learner weights of the last tapeless pass that computed patterns
+        # (a private uint64 copy) and those read-only patterns; see _patterns
+        self._pattern_cache: tuple[list[np.ndarray], list[DTensor]] | None = None
         try:
             for spec in layout:
                 self._register(spec.name, fill(spec))
@@ -401,6 +407,34 @@ class PatternModel:
             h = _linear(h, pt, f"learner{n}.fc2", "relu")
             outs.append(_linear(h, pt, f"learner{n}.fc3", "tanh"))
         return outs
+
+    def _patterns(self, pt: dict[str, DTensor]) -> list[DTensor]:
+        """The N patterns of ``compute_patterns``, checked finite.
+
+        They depend on the learner weights alone, so a tapeless pass (no
+        learner tensor on a tape) reuses the patterns of the last tapeless
+        pass that computed them while every learner weight holds the same
+        bytes as then.  The bytes are compared as uint64, so -0.0 and NaN
+        payloads count as changes, and a write by any path (Adam, a rebound
+        ``Parameter.data``, an in-place edit) is seen.  Reused or not, equal
+        weights give the same bytes.  Those patterns are read-only.  A taped
+        pass computes the patterns on its tape and leaves the cache alone.
+        """
+        weights = [pt[name] for name in self._learner_names]
+        cache = self._pattern_cache
+        tapeless = all(w.tape is None for w in weights)
+        if tapeless and cache is not None and all(
+            np.array_equal(w.data.view(np.uint64), kept) for w, kept in zip(weights, cache[0])
+        ):
+            return cache[1]
+        patterns = self.compute_patterns(pt)
+        for p in patterns:
+            _check_finite(p.data, "pattern")
+        if tapeless:
+            for p in patterns:
+                _frozen(p.data)
+            self._pattern_cache = ([_frozen(w.data.view(np.uint64).copy()) for w in weights], patterns)
+        return patterns
 
     def encode_region(self, centered: DTensor, pt: dict[str, DTensor], block_index, n_blocks: int) -> DTensor:
         """Pointwise FC + ReLU, then a max-pool over each region's rows -> n_blocks x E;
@@ -504,7 +538,9 @@ class PatternModel:
 
         Regions are numbered member-major: member b owns blocks b*M..(b+1)*M
         of every block-indexed stage, so the members share one pass through
-        the region encoder, the modularizers and the customizer.
+        the region encoder, the modularizers and the customizer.  The
+        patterns come from ``_patterns``: a tapeless pass reuses the last
+        tapeless pass's patterns while the learner weights are unchanged.
         """
         c = self.config
         n_members, s_rows = f_i.shape[0], c.s_points
@@ -522,11 +558,7 @@ class PatternModel:
         kept = split.counts
         n_blocks = len(kept)
 
-        patterns = None
-        if not c.no_patterns:
-            patterns = self.compute_patterns(pt)
-            for p in patterns:
-                _check_finite(p.data, "pattern")
+        patterns = None if c.no_patterns else self._patterns(pt)
 
         # every region's real rows at once, region-major; a block per region
         owner = np.repeat(np.arange(n_blocks), kept)
@@ -564,7 +596,11 @@ class PatternModel:
                             modularized=stacked.data, members=members)
 
     def reconstruct(self, image: np.ndarray) -> ForwardTrace:
-        """Inference: the region split reads only the model's own prediction."""
+        """Inference: the region split reads only the model's own prediction.
+
+        No tape is recorded, so the patterns are those of the previous
+        tapeless pass while the learner weights hold the same bytes, and
+        ``trace.patterns`` is read-only."""
         return self.forward(image, reference=None, tape=None)
 
 
@@ -575,6 +611,12 @@ def _row_slice(t: DTensor, lo: int, hi: int) -> DTensor:
 
 def _linear(x: DTensor, pt: dict[str, DTensor], prefix: str, activation: str | None = None) -> DTensor:
     return ad.linear(x, pt[f"{prefix}.weight"], pt[f"{prefix}.bias"], activation)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only."""
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_finite(arr: np.ndarray, stage: str) -> None:

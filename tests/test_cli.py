@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from patmod import autodiff as ad
 from patmod import cli, data, runconfig
 from patmod.errors import ConfigError
 from patmod.model import MINI_CONFIG, ModelConfig, PatternModel, load_checkpoint, save_checkpoint, to_flat
@@ -246,6 +247,22 @@ def test_reconstruct_unreadable_image(workspace, tmp_path):
         "reconstruct", "--config", str(cfg), "--checkpoint", str(ckpt),
         "--image", str(missing), "--out", str(tmp_path / "x"),
     ]) == 3
+
+
+def test_shape_error_in_a_command_exit_2_without_traceback(tmp_path, monkeypatch, caplog, capsys):
+    """A DimensionError inside a command (here patterns one column too wide
+    reach the modularizer) exits 2 with a message naming the op."""
+    ckpt = tmp_path / "mini.pmod"
+    save_checkpoint(ckpt, PatternModel(ModelConfig(**MINI_CONFIG), seed=4))
+    image = tmp_path / "img.pgm"
+    data.write_pgm(image, np.full((1, 8, 8), 0.5))
+    wide = [ad.constant(np.zeros((MINI_CONFIG["pattern_points"], 4)))] * MINI_CONFIG["patterns"]
+    monkeypatch.setattr(PatternModel, "compute_patterns", lambda self, pt: wide)
+    argv = ["reconstruct", "--checkpoint", str(ckpt), "--image", str(image), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "linear_blockfeat: incompatible shapes" in caplog.text
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err + caplog.text
 
 
 def test_interpolate_endpoints_match_reconstruct(workspace, tmp_path):

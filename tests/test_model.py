@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from patmod import autodiff as ad
 from patmod import geometry as geo
-from patmod.data import make_sample
+from patmod.data import make_sample, read_xyz, write_xyz
 from patmod.errors import ConfigError, ContractError
 from patmod.model import (
     MINI_CONFIG,
@@ -23,7 +23,7 @@ from patmod.model import (
     save_checkpoint,
     to_flat,
 )
-from patmod.training import TrainConfig, total_loss
+from patmod.training import AdamState, TrainConfig, adam_step, total_loss
 
 TINY = dict(
     s_points=24,
@@ -388,6 +388,90 @@ def test_patterns_input_independent(tiny_model, tiny_inputs):
     t2 = tiny_model.forward(other, reference=gt)
     for a, b in zip(t1.patterns, t2.patterns):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.fixture
+def pattern_calls(monkeypatch):
+    """The list of ``PatternModel.compute_patterns`` calls, one entry each."""
+    calls = []
+    compute = PatternModel.compute_patterns
+    monkeypatch.setattr(PatternModel, "compute_patterns", lambda self, pt: calls.append(1) or compute(self, pt))
+    return calls
+
+
+def _gradients(model, image, gt) -> dict[str, np.ndarray]:
+    """Every parameter's gradient of the loss of one taped pass."""
+    tape = ad.Tape()
+    loss, _ = total_loss(model.forward(image, reference=gt, tape=tape), gt, TrainConfig(), model.config)
+    return {name: g.data for name, g in ad.backward(loss).items()}
+
+
+def _learner_bytes(grads: dict[str, np.ndarray]) -> bytes:
+    return b"".join(g.tobytes() for name, g in grads.items() if name.startswith("learner"))
+
+
+def test_tapeless_passes_reuse_patterns_while_learner_weights_are_unchanged(tiny_inputs, pattern_calls):
+    image, gt = tiny_inputs
+    model = PatternModel(ModelConfig(**TINY), seed=3)
+    first = model.reconstruct(image)
+    second = model.reconstruct(image)
+    model.forward(image, reference=gt)
+    model.forward_from_code(first.f_i)
+    assert len(pattern_calls) == 1
+    assert first.f_cloud.tobytes() == second.f_cloud.tobytes()
+    # -0.0 equals the 0.0 it replaces but has other bytes: a change
+    model.params["learner1.fc1.bias"].data[0, 0] = -0.0
+    model.reconstruct(image)
+    assert len(pattern_calls) == 2
+
+
+@pytest.mark.parametrize("write", ["adam_step", "in_place", "rebind"])
+def test_changed_learner_weights_are_recomputed(tmp_path, tiny_inputs, write):
+    """Whatever path writes the learner weights, the next tapeless pass
+    equals, byte for byte, that of a fresh model loaded with the same weights."""
+    image, gt = tiny_inputs
+    model = PatternModel(ModelConfig(**TINY), seed=3)
+    before = model.reconstruct(image)
+    learner = model.params["learner0.fc3.bias"]
+    if write == "adam_step":
+        adam_step(model.parameters(), _gradients(model, image, gt), AdamState(), 1e-2)
+    elif write == "in_place":
+        learner.data[0, 0] += 0.25
+    else:
+        learner.data = learner.data + 0.25
+    after = model.reconstruct(image)
+    save_checkpoint(tmp_path / "model.pmod", model)
+    fresh = load_checkpoint(tmp_path / "model.pmod")[0].reconstruct(image)
+    assert after.f_cloud.tobytes() == fresh.f_cloud.tobytes()
+    assert [p.tobytes() for p in after.patterns] == [p.tobytes() for p in fresh.patterns]
+    assert before.patterns[0].tobytes() != after.patterns[0].tobytes()
+
+
+def test_taped_forward_leaves_the_pattern_cache_alone(tiny_inputs, pattern_calls):
+    """A taped pass computes the patterns on its tape: its learner gradients
+    equal those of a model that never ran a tapeless pass (their bytes are
+    pinned), and it neither reads nor replaces the tapeless passes' patterns."""
+    image, gt = tiny_inputs
+    cold = _learner_bytes(_gradients(PatternModel(ModelConfig(**TINY), seed=3), image, gt))
+    model = PatternModel(ModelConfig(**TINY), seed=3)
+    tapeless = model.reconstruct(image).patterns
+    assert _learner_bytes(_gradients(model, image, gt)) == cold
+    assert hashlib.sha256(cold).hexdigest() == "6e278c079ce1baebca5d034e9724661b146b0bde4cdd81e1cca3df2076e23833"
+    assert all(a is b for a, b in zip(model.reconstruct(image).patterns, tapeless))
+    assert len(pattern_calls) == 3  # two taped passes and the first tapeless one
+
+
+def test_tapeless_trace_patterns_are_read_only(tmp_path, tiny_inputs):
+    """A caller cannot poison later passes through a trace's patterns."""
+    image, _ = tiny_inputs
+    model = PatternModel(ModelConfig(**TINY), seed=3)
+    trace = model.reconstruct(image)
+    batch = model.forward(np.stack([image, image]))
+    for pattern in trace.patterns + batch.patterns + batch.members[1].patterns:
+        with pytest.raises(ValueError, match="read-only"):
+            pattern[0, 0] = 9.0
+    write_xyz(tmp_path / "pattern.xyz", trace.patterns[0])
+    np.testing.assert_array_equal(read_xyz(tmp_path / "pattern.xyz"), trace.patterns[0])
 
 
 def test_inference_ignores_poisoned_ground_truth(tiny_model, tiny_inputs):

@@ -4,17 +4,17 @@
 
 Exit codes: 0 success, 2 config/contract/shape error, 3 I/O error, 4 numerical abort.
 Settings come, each later source overriding the earlier ones, from the
-``--config`` file, the ``--set`` items, the alias flags (``--epochs``,
-``--out``, ``--no-shift``, ...) and ``PATMOD_THREADS``, which sets
-``threads``; ``threads`` is checked and recorded but has no effect on the
-computation.
+``--config`` file, the ``--set`` items and the alias flags (``--epochs``,
+``--out``, ``--no-shift``, ...).  ``main`` resolves them once and hands the
+``RunConfig`` to the command; ``train``, ``eval`` and ``sweep`` read their
+samples through ``_load_split``, and every command opens its output
+directory through ``_prepare_out``.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -41,14 +41,14 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 ALIAS = "alias:"  # argparse dest prefix of a flag that stands for --set KEY=VALUE
+SPLITS = {"train": "train", "seen": "test_seen", "unseen": "test_unseen"}  # CLI name -> manifest split
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve(args))
     except (ConfigError, ContractError, DimensionError) as exc:
         logger.error("%s", exc)
         return EXIT_CONFIG
@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     _common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=["train", "seen", "unseen"], default="seen")
+    p.add_argument("--split", choices=list(SPLITS), default="seen")
     _alias(p, "--points", "eval_points")
     p.set_defaults(func=cmd_eval)
 
@@ -123,28 +123,37 @@ def _alias(p: argparse.ArgumentParser, flag: str, key: str) -> None:
 
 
 def _resolve(args) -> RunConfig:
-    """Defaults < config file < ``--set`` items < alias flags < ``PATMOD_THREADS``.
+    """Defaults < config file < ``--set`` items < alias flags.
 
     Every value is text that ``RunConfig.apply`` parses and checks; a flag
-    that was given wins whatever its value, ``--seed 0`` included."""
+    that was given wins whatever its value, ``--seed 0`` included.  Nothing
+    is read from the environment."""
     sets = parse_config_lines(args.set, "--set")
     flags = {dest[len(ALIAS):]: v for dest, v in vars(args).items() if dest.startswith(ALIAS) and v is not None}
-    cfg = load_run_config(args.config, {**sets, **flags})
-    threads = os.environ.get("PATMOD_THREADS")
-    if threads:
-        try:
-            cfg = cfg.apply({"threads": threads})
-        except ConfigError as exc:
-            raise ConfigError(f"PATMOD_THREADS: {exc}") from None
-    return cfg
+    return load_run_config(args.config, {**sets, **flags})
+
+
+def _load_split(cfg: RunConfig, split: str, image_shape) -> list[data.Sample]:
+    """The samples of ``split`` (``train``, ``seen`` or ``unseen``) in the
+    dataset at ``cfg.dataset_dir``, each image checked against ``image_shape``."""
+    manifest = Path(cfg.dataset_dir) / "manifest.jsonl"
+    if not manifest.exists():
+        raise OSError(f"{manifest}: dataset not found; run gen-data first")
+    samples = data.load_samples(manifest, SPLITS[split], image_shape)
+    if not samples:
+        raise ConfigError(f"no samples in split {split!r}")
+    return samples
 
 
 def _prepare_out(path, force: bool, expected: list[str]) -> Path:
+    """Create the output directory ``path``; refuse a path that is not a
+    directory, and one holding any of ``expected`` unless ``force``."""
     out = Path(path)
-    if out.exists():
-        clashes = [name for name in expected if (out / name).exists()]
-        if clashes and not force:
-            raise OSError(f"{out}: outputs {clashes} exist; rerun with --force to overwrite")
+    if out.exists() and not out.is_dir():
+        raise OSError(f"{out}: not a directory")
+    clashes = [name for name in expected if (out / name).exists()]
+    if clashes and not force:
+        raise OSError(f"{out}: outputs {clashes} exist; rerun with --force to overwrite")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -153,11 +162,8 @@ def _prepare_out(path, force: bool, expected: list[str]) -> Path:
 # commands
 
 
-def cmd_gen_data(args) -> int:
-    cfg = _resolve(args)
-    root = Path(cfg.dataset_dir)
-    if (root / "manifest.jsonl").exists() and not args.force:
-        raise OSError(f"{root}: manifest exists; rerun with --force to regenerate")
+def cmd_gen_data(args, cfg: RunConfig) -> int:
+    root = _prepare_out(cfg.dataset_dir, args.force, ["manifest.jsonl"])
     manifest = data.write_dataset(root, cfg.split, cfg.model.image_size)
     cfg.write(root / "config_resolved.txt")
     records = data.read_manifest(manifest)
@@ -173,14 +179,8 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = _resolve(args)
-    manifest = Path(cfg.dataset_dir) / "manifest.jsonl"
-    if not manifest.exists():
-        raise OSError(f"{manifest}: dataset not found; run gen-data first")
-    samples = data.load_samples(manifest, "train", cfg.model.image_shape)
-    if not samples:
-        raise ConfigError("no samples in split 'train'")
+def cmd_train(args, cfg: RunConfig) -> int:
+    samples = _load_split(cfg, "train", cfg.model.image_shape)
     model = PatternModel(cfg.model, seed=cfg.model_seed)
     out = _prepare_out(cfg.out_dir, args.force, ["checkpoint.pmod", "metrics.csv"])
     cfg.write(out / "config_resolved.txt")
@@ -190,14 +190,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = _resolve(args)
+def cmd_eval(args, cfg: RunConfig) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    split_map = {"train": "train", "seen": "test_seen", "unseen": "test_unseen"}
-    manifest = Path(cfg.dataset_dir) / "manifest.jsonl"
-    samples = data.load_samples(manifest, split_map[args.split], model.config.image_shape)
-    if not samples:
-        raise ConfigError(f"no samples in split {args.split!r}")
+    samples = _load_split(cfg, args.split, model.config.image_shape)
     csv_name = f"eval_{args.split}.csv"
     out = _prepare_out(cfg.out_dir, args.force, [csv_name])
     records = evaluate(model, samples, args.split, eval_points=cfg.eval_points or None)
@@ -209,8 +204,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct(args) -> int:
-    cfg = _resolve(args)
+def cmd_reconstruct(args, cfg: RunConfig) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     echo = replace(cfg, model=model.config)  # the echo describes the model that ran
     image = data.read_pgm(args.image, model.config.image_shape)
@@ -231,14 +225,9 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _resolve(args)
-    manifest = Path(cfg.dataset_dir) / "manifest.jsonl"
-    dataset = {split: data.load_samples(manifest, split, cfg.model.image_shape)
-               for split in ("train", "test_seen", "test_unseen")}
-    for split, samples in dataset.items():  # every value trains, then is evaluated on both test splits
-        if not samples:
-            raise ConfigError(f"no samples in split {split.removeprefix('test_')!r}")
+def cmd_sweep(args, cfg: RunConfig) -> int:
+    # every value trains, then is evaluated on both test splits
+    dataset = {SPLITS[split]: _load_split(cfg, split, cfg.model.image_shape) for split in SPLITS}
     values = [v for v in (item.strip() for item in args.values.split(",")) if v]
     out = _prepare_out(cfg.out_dir, args.force, [f"sweep_{args.parameter}.csv"])
     rows = sweep(args.parameter, values, cfg, dataset)
@@ -253,8 +242,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_interpolate(args) -> int:
-    cfg = _resolve(args)
+def cmd_interpolate(args, cfg: RunConfig) -> int:
     # interp_{lam:.3f}.xyz tells 1001 evenly spaced lambdas apart, not 1002
     if not 2 <= args.steps <= 1001:
         raise ConfigError(f"--steps must be in [2, 1001] (files are named by lambda to 3 decimals), got {args.steps}")

@@ -1,24 +1,17 @@
 """Flat key=value run configuration shared by all CLI commands.
 
 One file holds model, training, and dataset settings so sweeps can override
-single keys textually.  Each key belongs to the dataclass that declares it:
-
-- ``ModelConfig`` (``RunConfig.model``): s_points, f_points, regions,
-  patterns, pattern_points, image_feat, region_feat, image_size,
-  image_channels, sampling_mode, pattern_extent, conv_channels, no_local,
-  no_patterns, no_shift;
-- ``TrainConfig`` (``RunConfig.train``): alpha, lr, batch_size, lr_decay,
-  decay_every_epochs, epochs, seed, threads, checkpoint_every, no_l_region,
-  no_l_shape;
-- ``DatasetSplit`` (``RunConfig.split``): seen_classes, unseen_classes,
-  train_per_class, test_per_class, master_seed;
-- ``RunConfig`` itself: model_seed, dataset_dir, out_dir, eval_points.
+single keys textually.  Each key belongs to the one dataclass that declares
+it as a field: ``ModelConfig`` (``RunConfig.model``), ``TrainConfig``
+(``RunConfig.train``), ``DatasetSplit`` (``RunConfig.split``) or
+``RunConfig`` itself; README.md lists them.
 
 No key is declared twice: ``no_local`` belongs to the model, and the
 objective reads it from there.  Every setting arrives as text: lines follow
 ``parse_config_lines`` (a key at most once per source), and
 ``RunConfig.apply`` parses and checks every value, whether it comes from a
-file, ``--set``, a command-line flag, ``PATMOD_THREADS`` or a sweep value.
+file, ``--set``, a command-line flag or a sweep value; nothing is read from
+the environment.
 Unknown keys are rejected, and resolving a config runs every dataclass's
 checks, then ``RunConfig``'s check of flags that span parts, so a command
 validates the whole configuration before it writes anything.  Every command except ``eval`` (whose model comes from the

@@ -39,10 +39,10 @@ class TrainConfig:
     """Objective, optimizer and schedule of one training run.
 
     The global-only objective has no switch here: ``total_loss`` reads the
-    model's ``no_local``.  ``threads`` (from ``PATMOD_THREADS`` on the
-    command line) is accepted and validated but does not change the
-    computation: a batch runs as one tape, so there are no member passes to
-    spread over threads.
+    model's ``no_local``.  ``threads`` is accepted, validated and recorded
+    but does not change the computation: a batch runs as one tape, so there
+    are no member passes to spread over threads.  It stays only while
+    perfbench's thread diagnostic still constructs ``TrainConfig(threads=...)``.
     """
 
     alpha: float = 0.1

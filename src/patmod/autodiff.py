@@ -23,18 +23,13 @@ from .errors import ContractError, DimensionError, DomainError
 Array = np.ndarray
 
 
-def _as_array(values) -> Array:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
-
-
 class DTensor:
     """A dense n-dimensional float64 value, optionally attached to a tape."""
 
     __slots__ = ("data", "tape", "node_id")
 
     def __init__(self, data, tape: "Tape | None" = None, node_id: int | None = None):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.tape = tape
         self.node_id = node_id
 
@@ -76,25 +71,18 @@ class Node:
         self.backward = backward  # grad_out -> list of grads aligned with inputs; None for a watched leaf
 
 
-class Parameter:
-    """A named, persistent tensor updated by the optimizer."""
+class Parameter(DTensor):
+    """A named, persistent tensor updated by the optimizer: off the tape it
+    is its own (constant) operand, and ``Tape.watch`` records it as a leaf."""
 
-    __slots__ = ("name", "tensor")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, values):
+        super().__init__(values)
         self.name = name
-        self.tensor = _coerce(values)
-
-    @property
-    def data(self) -> Array:
-        return self.tensor.data
-
-    @data.setter
-    def data(self, values: Array) -> None:
-        self.tensor.data = _as_array(values)
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 class Tape:
@@ -113,8 +101,8 @@ class Tape:
         return DTensor(data, tape=self, node_id=len(self.nodes) - 1)
 
     def watch(self, param: Parameter) -> DTensor:
-        """Register a parameter as a leaf and return its on-tape tensor."""
-        t = self._record("leaf", param.tensor.data, (), None)
+        """Register a parameter as a leaf; returns its on-tape tensor, which shares ``param.data``."""
+        t = self._record("leaf", param.data, (), None)
         self._param_nodes[t.node_id] = param
         return t
 
@@ -470,15 +458,15 @@ def row_norm(a) -> DTensor:
 # backward sweep
 
 
-def backward(loss: DTensor) -> dict[str, DTensor]:
+def backward(loss: DTensor) -> dict[str, Array]:
     """Reverse sweep from a scalar loss; returns gradients for watched parameters.
 
-    Freezes the tape, empties ``tape.nodes`` and returns {name: gradient}
-    for every watched parameter.  A parameter with no path to the loss gets
-    a read-only all-zero view whose strides are all 0 (``np.broadcast_to``
-    of one 0.0), so it allocates nothing; ``adam_step`` recognizes it
-    without a scan.  A tape that has already been swept raises
-    ContractError.  Parameters themselves are never written.
+    Freezes the tape, empties ``tape.nodes`` and returns {name: gradient
+    array} for every watched parameter.  A parameter with no path to the
+    loss gets a read-only all-zero view whose strides are all 0
+    (``np.broadcast_to`` of one 0.0), so it allocates nothing; ``adam_step``
+    recognizes it without a scan.  A tape that has already been swept
+    raises ContractError.  Parameters themselves are never written.
     """
     if loss.tape is None or loss.node_id is None:
         raise ContractError("loss is not on a tape")
@@ -504,7 +492,7 @@ def backward(loss: DTensor) -> dict[str, DTensor]:
     tape.frozen = True
     tape.nodes = []  # Node closures hold activations and point back at the tape
     return {
-        param.name: DTensor(grads[nid] if nid in grads else np.broadcast_to(0.0, param.data.shape))
+        param.name: np.asarray(grads[nid]) if nid in grads else np.broadcast_to(0.0, param.data.shape)
         for nid, param in tape._param_nodes.items()
     }
 
@@ -538,7 +526,7 @@ def grad_check(f: Callable, x, eps: float = 1e-6, floor: float = 1e-2) -> float:
         out = reduce_sum(out)
     if not np.isfinite(out.data).all():
         return float("inf")
-    analytic = backward(out)["x"].data
+    analytic = backward(out)["x"]
 
     worst = 0.0
     flat = x.copy().reshape(-1)

@@ -158,15 +158,16 @@ def check_lattice(count: int, extent: float, mode: str = "voxel") -> None:
 
 
 def grid_lattice(count: int, extent: float, mode: str = "voxel") -> np.ndarray:
-    """Regular lattice of ``count`` points: a 3-D grid, or an n x n sheet at z=0."""
+    """Regular lattice of ``count`` points: a 3-D grid, or an n x n sheet at z=0.
+    The output is allocated before ``count`` is factored, so a count too
+    large for memory fails at once, not after an O(sqrt(count)) search."""
     check_lattice(count, extent, mode)
-    if mode == "voxel":
-        axes = [_axis_coords(n, extent) for n in _lattice_factors(count)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.reshape(-1) for g in grid], axis=1)
-    axes = [_axis_coords(math.isqrt(count), extent)] * 2
-    gx, gy = np.meshgrid(*axes, indexing="ij")
-    return np.stack([gx.reshape(-1), gy.reshape(-1), np.zeros(count)], axis=1)
+    out = np.empty((count, 3))
+    sides = _lattice_factors(count) if mode == "voxel" else (math.isqrt(count),) * 2 + (1,)
+    axes = [_axis_coords(n, extent) for n in sides]
+    for column, grid in zip(out.T, np.meshgrid(*axes, indexing="ij")):
+        column[:] = grid.reshape(-1)
+    return out
 
 
 def _axis_coords(n: int, extent: float) -> np.ndarray:

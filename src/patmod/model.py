@@ -328,15 +328,18 @@ class PatternModel:
 
     def _build(self, config: ModelConfig, fill) -> None:
         """Set up the model; ``fill(spec)`` gives each parameter's values, in
-        the order of ``_param_layout``.  A parameter that cannot be allocated
-        raises ConfigError with the model's size."""
+        the order of ``_param_layout``.  A pattern lattice or a parameter that
+        cannot be allocated raises ConfigError."""
         self.config = c = config
         self.params: dict[str, Parameter] = {}
         self._flat_dim = _flat_dim(c)
         # learner MLPs run over a shared lattice, each from its own offset
         self.lattice = self.offsets = None
         if not (c.no_local or c.no_patterns):
-            self.lattice = geo.grid_lattice(c.pattern_points, c.pattern_extent, c.sampling_mode)
+            try:
+                self.lattice = geo.grid_lattice(c.pattern_points, c.pattern_extent, c.sampling_mode)
+            except (MemoryError, ValueError):  # numpy raises ValueError past 2**63 bytes
+                raise ConfigError(f"pattern_points={c.pattern_points}: cannot allocate the pattern lattice") from None
             self.offsets = learner_offsets(c.patterns)
         layout = _param_layout(c)
         self._learner_names = [spec.name for spec in layout if spec.name.startswith("learner")]
@@ -375,8 +378,10 @@ class PatternModel:
     # sub-networks; each takes/returns DTensors so it records on the caller's tape
 
     def _watch_all(self, tape: ad.Tape | None) -> dict[str, DTensor]:
+        """Each parameter watched on ``tape``; with no tape, ``self.params``,
+        whose parameters are their own tapeless operands."""
         if tape is None:
-            return {name: p.tensor for name, p in self.params.items()}
+            return self.params
         return {name: tape.watch(p) for name, p in self.params.items()}
 
     @np.errstate(over="ignore", invalid="ignore")  # _pipeline checks the image feature
@@ -529,8 +534,7 @@ class PatternModel:
 
     def forward_from_code(self, code: np.ndarray) -> ForwardTrace:
         """Run the pipeline from an image feature directly (latent interpolation)."""
-        pt = self._watch_all(None)
-        return self._pipeline(ad.constant(code.reshape(1, -1)), [None], pt).members[0]
+        return self._pipeline(ad.constant(code.reshape(1, -1)), [None], self.params).members[0]
 
     @np.errstate(over="ignore", invalid="ignore")  # every stage output is checked
     def _pipeline(self, f_i: DTensor, references: list, pt: dict[str, DTensor]) -> ForwardTrace:
@@ -673,7 +677,8 @@ def load_checkpoint(path) -> tuple[PatternModel, dict[str, str]]:
     the file must be exactly as long as that layout needs, which is checked
     before any parameter is allocated; then each record header must equal
     the one ``save_checkpoint`` writes for that parameter, in registry order.
-    Anything else raises ContractError.
+    Anything else, and a model that cannot be allocated, raises
+    ContractError naming the file.
 
     Each payload lands straight in its parameter's array, allocated
     uninitialised (every one is overwritten), so loading holds one copy of
@@ -712,7 +717,10 @@ def load_checkpoint(path) -> tuple[PatternModel, dict[str, str]]:
             raise ContractError(f"{path}: truncated checkpoint ({size} bytes, its config needs {need})")
         if size > need:
             raise ContractError(f"{path}: {size - need} trailing bytes after the last parameter")
-        model = PatternModel._uninitialised(config)
+        try:
+            model = PatternModel._uninitialised(config)
+        except ConfigError as exc:
+            raise ContractError(f"{path}: {exc}") from None
         params = model.parameters()
         (n_params,) = struct.unpack("<I", take(4))
         if n_params != len(params):

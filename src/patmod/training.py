@@ -182,9 +182,9 @@ def _unreached(g: np.ndarray) -> bool:
 
 
 def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update, in place, from one ``name -> gradient``
-    map: the gradient of the batch loss, which is already the mean over
-    the members.
+    """Bias-corrected Adam update, in place, from one ``name -> gradient
+    array`` map as ``autodiff.backward`` returns it: the gradient of the
+    batch loss, which is already the mean over the members.
 
     Every gradient is checked for finiteness first, in blocks of
     ``ADAM_BLOCK`` elements and in the order of ``params``; a non-finite
@@ -279,7 +279,7 @@ def _train_step(model: PatternModel, batch: list[Sample], config: TrainConfig, s
     """
     loss, parts, traces = _batch_loss(model, batch, config, ad.Tape())
     with np.errstate(over="ignore", invalid="ignore"):  # adam_step checks the gradients
-        grads = {name: g.data for name, g in ad.backward(loss).items()}
+        grads = ad.backward(loss)
     adam_step(model.parameters(), grads, state, lr)
     return parts, traces
 
@@ -406,23 +406,17 @@ def evaluate(
         iou_val = _iou_32(pred, gt)
         wall = (time.perf_counter() - t0) * 1e3
         per_class.setdefault(sample.class_name, []).append((cd, iou_val, wall))
-
-    records = []
-    all_cd, all_iou, all_wall = [], [], []
-    for cls in sorted(per_class):
-        vals = np.asarray(per_class[cls])
-        records.append(
-            MetricsRecord(0, split_name, cls, float(vals[:, 0].mean()), float(vals[:, 1].mean()),
-                          0.0, 0.0, 0.0, float(vals[:, 2].sum()))
-        )
-        all_cd.append(vals[:, 0].mean())
-        all_iou.append(vals[:, 1].mean())
-        all_wall.append(vals[:, 2].sum())
-    records.append(
-        MetricsRecord(0, split_name, "mean", float(np.mean(all_cd)), float(np.mean(all_iou)),
-                      0.0, 0.0, 0.0, float(np.sum(all_wall)))
-    )
+    records = [_eval_row(split_name, cls, per_class[cls]) for cls in sorted(per_class)]
+    records.append(_eval_row(split_name, "mean", [(r.cd_eval, r.iou, r.wall_ms) for r in records]))
     return records
+
+
+def _eval_row(split: str, label: str, scores) -> MetricsRecord:
+    """An epoch-0 row over (CD, IoU, wall ms) triples: the mean CD, the mean
+    IoU and the total wall time."""
+    scores = np.asarray(scores)
+    return MetricsRecord(0, split, label, float(scores[:, 0].mean()), float(scores[:, 1].mean()),
+                         0.0, 0.0, 0.0, float(scores[:, 2].sum()))
 
 
 def _match_cardinality(pred: np.ndarray, sample: Sample, eval_points: int | None):
@@ -450,9 +444,8 @@ def interpolate_latent(
     """
     if steps < 2:
         raise DomainError(f"interpolation needs at least 2 steps, got {steps}")
-    pt = model._watch_all(None)
-    code_a = model.encode_image(np.asarray(image_a, dtype=np.float64), pt).data
-    code_b = model.encode_image(np.asarray(image_b, dtype=np.float64), pt).data
+    code_a = model.encode_image(np.asarray(image_a, dtype=np.float64), model.params).data
+    code_b = model.encode_image(np.asarray(image_b, dtype=np.float64), model.params).data
     out = []
     for lam in np.linspace(0.0, 1.0, steps):
         lam = float(lam)

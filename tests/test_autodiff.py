@@ -104,7 +104,7 @@ def test_conv2d_stack_equals_each_image_alone_bitwise(stride, pad):
         params = [ad.Parameter(name, v) for name, v in (("x", images), ("k", k), ("b", b))]
         y = ad.conv2d(*(tape.watch(p) for p in params), stride, pad)
         g = ad.backward(ad.reduce_sum(y))
-        return [g[name].data for name in ("x", "k", "b")]
+        return [g[name] for name in ("x", "k", "b")]
 
     dx, dk, db = grads(x)
     alone = [grads(x[i : i + 1]) for i in range(3)]
@@ -145,7 +145,7 @@ def test_add_gradient_is_one():
     p = ad.Parameter("a", a)
     loss = ad.reduce_sum(ad.add(tape.watch(p), ad.constant(b)))
     grads = ad.backward(loss)
-    np.testing.assert_array_equal(grads["a"].data, np.ones_like(a))
+    np.testing.assert_array_equal(grads["a"], np.ones_like(a))
 
 
 def test_broadcast_rejects_non_row():
@@ -205,7 +205,7 @@ def test_max_over_blocks_values_and_first_argmax_gradient():
     np.testing.assert_array_equal(out.data, [[3.0, 5.0], [0.0, 0.0], [-2.0, -7.0]])
     weights = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     loss = ad.reduce_sum(ad.linear(ad.reshape(out, (1, 6)), weights.reshape(6, 1), np.zeros((1, 1))))
-    grad = ad.backward(loss)["x"].data
+    grad = ad.backward(loss)["x"]
     # ties go to the first maximal row of the block, as np.argmax picks
     np.testing.assert_array_equal(grad, [[0.0, 2.0], [1.0, 0.0], [0.0, 0.0], [0.0, 6.0], [5.0, 0.0]])
 
@@ -238,7 +238,7 @@ def test_backward_linear_case():
     p = ad.Parameter("W", np.zeros((3, 2)))
     loss = ad.reduce_sum(ad.linear(ad.constant(x[None, :]), tape.watch(p), ad.constant(np.zeros((1, 2)))))
     grads = ad.backward(loss)
-    np.testing.assert_array_equal(grads["W"].data, np.tile(x[:, None], (1, 2)))
+    np.testing.assert_array_equal(grads["W"], np.tile(x[:, None], (1, 2)))
 
 
 def test_backward_symmetric_zero():
@@ -248,7 +248,7 @@ def test_backward_symmetric_zero():
     zero = ad.constant([[0.0]])
     t = ad.linear(w, ad.constant([[1.0]]), zero, activation="tanh")
     grads = ad.backward(ad.reduce_sum(ad.linear(t, t, zero)))  # 1x1: t @ t = t**2
-    assert grads["w"].data[0, 0] == 0.0
+    assert grads["w"][0, 0] == 0.0
 
 
 def test_backward_requires_scalar_loss():
@@ -294,7 +294,7 @@ def test_unused_parameter_gets_zero_gradient():
     a = tape.watch(used)
     tape.watch(unused)
     grads = ad.backward(ad.reduce_sum(a))
-    np.testing.assert_array_equal(grads["unused"].data, np.zeros((2, 2)))
+    np.testing.assert_array_equal(grads["unused"], np.zeros((2, 2)))
 
 
 def test_unreached_parameter_gradient_is_a_read_only_zero_view():
@@ -309,13 +309,23 @@ def test_unreached_parameter_gradient_is_a_read_only_zero_view():
         tape.watch(p)
     grads = ad.backward(ad.reduce_sum(a))
     assert list(grads) == ["used"] + [p.name for p in unused]
-    assert grads["used"].data.flags.writeable
+    assert all(type(g) is np.ndarray for g in grads.values())
+    assert grads["used"].flags.writeable
     for p in unused:
-        g = grads[p.name].data
+        g = grads[p.name]
         assert g.shape == p.data.shape and g.dtype == np.float64
         assert not g.flags.writeable
         assert not any(g.strides)
         np.testing.assert_array_equal(g, np.zeros(p.data.shape))
+
+
+def test_scalar_parameter_gradient_is_an_array():
+    """Arithmetic on 0-d arrays gives numpy scalars; backward still hands a
+    0-d parameter its gradient as an array."""
+    tape = ad.Tape()
+    w = tape.watch(ad.Parameter("w", np.array(2.0)))
+    g = ad.backward(ad.scale(w, 3.0))["w"]
+    assert type(g) is np.ndarray and g.shape == () and g == 3.0
 
 
 def test_mixed_tapes_rejected():
@@ -324,6 +334,17 @@ def test_mixed_tapes_rejected():
     b = t2.watch(ad.Parameter("b", np.ones(2)))
     with pytest.raises(ContractError):
         ad.add(a, b)
+
+
+def test_untaped_parameter_is_its_own_operand():
+    """A Parameter off the tape is a constant operand: an op gives the bytes
+    it gives on the parameter's array and records on no tape."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(5, 4))
+    w, b = ad.Parameter("w", rng.normal(size=(4, 3))), ad.Parameter("b", rng.normal(size=(1, 3)))
+    out = ad.linear(x, w, b, "tanh")
+    assert out.tape is None and out.node_id is None
+    assert out.data.tobytes() == ad.linear(x, w.data, b.data, "tanh").data.tobytes()
 
 
 def test_grad_check_exact_for_sum():
@@ -437,7 +458,7 @@ def test_forward_backward_bitwise_deterministic():
         p = ad.Parameter("w", w.copy())
         h = ad.linear(tape.watch(p), ad.constant(x), ad.constant(np.zeros((1, 6))), "tanh")
         loss = ad.reduce_sum(ad.row_norm(h))
-        return ad.backward(loss)["w"].data, loss.item()
+        return ad.backward(loss)["w"], loss.item()
 
     g1, l1 = run()
     g2, l2 = run()

@@ -4,8 +4,12 @@ exit codes, output layouts, and byte-level determinism."""
 import argparse
 import ast
 import json
+import os
 import re
 import shutil
+import struct
+import subprocess
+import sys
 from dataclasses import fields
 from itertools import combinations
 from pathlib import Path
@@ -546,6 +550,29 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
+def test_no_module_reads_another_modules_private_attributes():
+    """Every underscore attribute a module of the package reads is one it
+    defines itself: a def, a class, or an assigned or annotated name or
+    attribute (so dataclass fields count)."""
+    src = Path(cli.__file__).parent
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id if isinstance(node, ast.Name) else node.attr)
+        reads += [
+            f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_") and not node.attr.endswith("__") and node.attr not in defined
+        ]
+    assert reads == []
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
 def test_missing_dataset_exit_3_naming_the_manifest(workspace, tmp_path, caplog, command):
     """Every command that reads a split names the missing manifest and says
@@ -662,6 +689,52 @@ def test_unallocatable_model_exit_2_before_any_output(workspace, tmp_path, caplo
     assert cli.main(argv) == 2
     assert "cannot allocate the model's" in caplog.text
     assert list(tmp_path.iterdir()) == []
+
+
+def _main_in_child(argv: list[str]) -> subprocess.CompletedProcess:
+    """``patmod argv`` in a child process whose address space is capped at
+    3 GiB, so a huge allocation fails there, killed after 30 s, so a stall
+    fails the test instead of hanging the suite."""
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+        "from patmod import cli; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    # one BLAS thread: OpenBLAS reserves address space per thread at import
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=30, env=env)
+
+
+@pytest.mark.parametrize("points", [2**31 - 1, 10**18, 10**30], ids=["2**31-1", "10**18", "10**30"])
+def test_huge_pattern_points_exit_2_before_any_output(workspace, tmp_path, points):
+    """A pattern_points that validates but whose lattice cannot be
+    allocated exits 2 naming the key, at once, without a traceback."""
+    _, cfg = workspace
+    run = _main_in_child(["train", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                          "--set", f"pattern_points={points}"])
+    assert run.returncode == 2, run.stderr
+    assert f"pattern_points={points}: cannot allocate the pattern lattice" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_with_huge_pattern_points_exit_2_naming_the_file(workspace, tmp_path):
+    """The parameter layout does not depend on pattern_points, so a config
+    block asking for a huge lattice passes the size check and fails as the
+    model is built: exit 2 naming the file, and no output."""
+    root, _ = workspace
+    points = 2**31 - 1
+    blob = (root / "run" / "checkpoint.pmod").read_bytes()
+    (size,) = struct.unpack("<I", blob[6:10])  # after magic and version
+    text = blob[10 : 10 + size].replace(b"pattern_points=16\n", f"pattern_points={points}\n".encode())
+    ckpt = tmp_path / "huge.pmod"
+    ckpt.write_bytes(blob[:6] + struct.pack("<I", len(text)) + text + blob[10 + size :])
+    image = next((root / "ds" / "test_seen").glob("*.pgm"))
+    run = _main_in_child(["reconstruct", "--checkpoint", str(ckpt), "--image", str(image),
+                          "--out", str(tmp_path / "out")])
+    assert run.returncode == 2, run.stderr
+    assert f"{ckpt}: pattern_points={points}: cannot allocate the pattern lattice" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_empty_train_split_exit_2_before_any_output(workspace, tmp_path, caplog):

@@ -440,7 +440,7 @@ def test_chamfer_over_pairs_equals_sum_of_pair_chamfers():
         tape = ad.Tape()
         pa, pb = ad.Parameter("a", a), ad.Parameter("b", b)
         g = ad.backward(loss_of(tape.watch(pa), tape.watch(pb)))
-        return g["a"].data, g["b"].data
+        return g["a"], g["b"]
 
     def per_pair(at, bt):
         terms = [geo.chamfer(ad.gather_rows(at, ra), ad.gather_rows(bt, rb)) for ra, rb in pairs]

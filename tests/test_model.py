@@ -326,10 +326,10 @@ def test_block_region_stage_equals_per_region_loop(tiny_inputs, case):
     trace = model.forward(image, reference=reference, tape=tape)
     op_nodes = sum(node.kind != "leaf" for node in tape.nodes)
     loss, _ = total_loss(trace, gt, TrainConfig(), model.config)
-    grads = {k: v.data for k, v in ad.backward(loss).items()}
+    grads = ad.backward(loss)
     oracle_tape = ad.Tape()
     want_loss, want_f, want_u = _per_region_oracle(model, image, reference, gt, oracle_tape)
-    want_grads = {k: v.data for k, v in ad.backward(want_loss).items()}
+    want_grads = ad.backward(want_loss)
 
     assert abs(loss.item() - want_loss.item()) <= 1e-12 * abs(want_loss.item())
     assert grads.keys() == want_grads.keys()
@@ -403,7 +403,7 @@ def _gradients(model, image, gt) -> dict[str, np.ndarray]:
     """Every parameter's gradient of the loss of one taped pass."""
     tape = ad.Tape()
     loss, _ = total_loss(model.forward(image, reference=gt, tape=tape), gt, TrainConfig(), model.config)
-    return {name: g.data for name, g in ad.backward(loss).items()}
+    return ad.backward(loss)
 
 
 def _learner_bytes(grads: dict[str, np.ndarray]) -> bytes:
@@ -884,7 +884,7 @@ def test_end_to_end_gradients_flow_to_every_component(tiny_model, tiny_inputs):
     loss = geo.chamfer(trace.f_tensor, gt)
     grads = ad.backward(loss)
     zero_components = [
-        name for name, g in grads.items() if not np.any(g.data) and "bias" not in name
+        name for name, g in grads.items() if not np.any(g) and "bias" not in name
     ]
     # every weight matrix should receive signal on a generic input
     assert zero_components == []

@@ -50,7 +50,6 @@ class RegionSplit:
 
     rows: np.ndarray  # region-major rows into the stacked sources
     counts: np.ndarray  # (B*M,) kept rows per region; member b owns b*M..(b+1)*M
-    boxes: list[AABB]  # one per member, the box its voxels divide
 
 
 @dataclass
@@ -112,19 +111,20 @@ def split_regions(
     region 0's rows, then region 1's, and so on, each region's in ascending
     order.  A region keeps at most ``capacity`` rows: an overflowing region
     keeps its lowest-index rows and logs a warning giving its number within
-    the member.
+    the member.  A reference's box is its bounding box with the upper
+    corner pushed out by ``_split_epsilon``.
     """
     m_edge = cube_edge(m_regions)
-    voxels, boxes = [], []
+    voxels = []
     for b, (source, reference) in enumerate(zip(sources, references, strict=True)):
         reference = as_cloud(reference)
         if reference.shape[0] == 0:
             raise DomainError("reference cloud for region splitting is empty")
-        boxes.append(bounding_box(reference, epsilon=_split_epsilon(reference)))
-        voxels.append(voxel_assign(as_cloud(source), boxes[-1], m_edge) + b * m_regions)
+        box = bounding_box(reference, epsilon=_split_epsilon(reference))
+        voxels.append(voxel_assign(as_cloud(source), box, m_edge) + b * m_regions)
     region = np.concatenate(voxels)
     order = np.argsort(region, kind="stable")
-    counts = np.bincount(region, minlength=len(boxes) * m_regions)
+    counts = np.bincount(region, minlength=len(voxels) * m_regions)
     # each sorted row's position within its region's run
     rank = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
     for r in np.flatnonzero(counts > capacity):
@@ -134,7 +134,7 @@ def split_regions(
             counts[r],
             capacity,
         )
-    return RegionSplit(order[rank < capacity], np.minimum(counts, capacity), boxes)
+    return RegionSplit(order[rank < capacity], np.minimum(counts, capacity))
 
 
 def _split_epsilon(reference: np.ndarray) -> float:

@@ -16,7 +16,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, fields, is_dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from . import autodiff as ad
 from . import geometry as geo
 from .autodiff import DTensor, Parameter
 from .errors import ConfigError, ContractError, DomainError, NumericalAbort
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 CHECKPOINT_MAGIC = b"PMOD"
 CHECKPOINT_VERSION = 1
@@ -75,7 +78,9 @@ class ModelConfig:
             raise ConfigError(f"image encoder uses exactly {len(_CONV_STRIDES)} conv layers")
         if self.no_local and (self.no_patterns or self.no_shift):
             raise ConfigError("no_local removes the entire local pipeline; other ablations conflict")
-        if not (self.no_local or self.no_patterns):  # the model builds a pattern lattice
+        if not (self.no_local or self.no_patterns):  # the model builds learners and a pattern lattice
+            if self.patterns > self.s_points:  # no region holds more rows, so a later pattern never gets one
+                raise ConfigError(f"patterns must be <= s_points = {self.s_points}, got {self.patterns}")
             try:
                 geo.check_lattice(self.pattern_points, self.pattern_extent, self.sampling_mode)
             except DomainError as exc:
@@ -181,21 +186,19 @@ class ForwardTrace:
     Each stage is stored once: the clouds are the tensors' values, and the
     per-region lists are views cut from the stacked rows when read."""
 
-    f_i: np.ndarray  # (1, H)
     # the losses' handles; tapeless passes hold constants.  f_tensor stacks
     # each region's kept rows, region-major, in split order
     s_tensor: DTensor  # (S, 3) initial prediction
     f_tensor: DTensor  # final reconstruction
-    # the region split: M counts, rows into s_cloud region-major, the box
+    # the region split: M counts and rows into s_cloud, region-major
     split: geo.RegionSplit | None = None
     # N x (P, 3); read-only after a tapeless pass, which may share them with
     # later tapeless passes (PatternModel._patterns)
     patterns: list[np.ndarray] | None = None
-    f_r: np.ndarray | None = None  # (M, E)
     modularized: np.ndarray | None = None  # R', stacked like f_tensor, object frame
     # a batch pass: one trace per member.  The batch trace itself stacks the
-    # members along every axis above (B rows of f_i, B*S rows of s_cloud,
-    # the split of all B*M regions, the members' final clouds)
+    # members along every axis above (B*S rows of s_cloud, the split of all
+    # B*M regions, the members' final clouds)
     members: list["ForwardTrace"] | None = None
 
     @property
@@ -554,8 +557,7 @@ class PatternModel:
         s_members = [_row_slice(s_tensor, b * s_rows, (b + 1) * s_rows) for b in range(n_members)]
 
         if c.no_local:  # the initial prediction is the reconstruction
-            members = [ForwardTrace(f_i.data[b : b + 1], s, s) for b, s in enumerate(s_members)]
-            return ForwardTrace(f_i.data, s_tensor, s_tensor, members=members)
+            return ForwardTrace(s_tensor, s_tensor, members=[ForwardTrace(s, s) for s in s_members])
 
         split_refs = [s.data if ref is None else ref for s, ref in zip(s_members, references)]
         split = geo.split_regions([s.data for s in s_members], split_refs, c.regions, c.region_capacity)
@@ -567,7 +569,6 @@ class PatternModel:
         # every region's real rows at once, region-major; a block per region
         owner = np.repeat(np.arange(n_blocks), kept)
         real = ad.gather_rows(s_tensor, split.rows)
-        f_r_all = None
         if c.no_patterns:
             stacked = real  # the customizer consumes the region points directly
         else:
@@ -586,18 +587,15 @@ class PatternModel:
         _check_finite(f_tensor.data, "customized region")
 
         pattern_data = [p.data for p in patterns] if patterns else None
-        f_r = None if f_r_all is None else f_r_all.data
         f_ends = np.r_[0, np.cumsum(kept.reshape(n_members, c.regions).sum(axis=1))]
         members = []
         for b, s in enumerate(s_members):
-            blocks, rows = slice(b * c.regions, (b + 1) * c.regions), slice(f_ends[b], f_ends[b + 1])
-            own_split = geo.RegionSplit(split.rows[rows] - b * s_rows, kept[blocks], split.boxes[b : b + 1])
-            members.append(ForwardTrace(
-                f_i.data[b : b + 1], s, _row_slice(f_tensor, f_ends[b], f_ends[b + 1]), split=own_split,
-                patterns=pattern_data, f_r=None if f_r is None else f_r[blocks], modularized=stacked.data[rows],
-            ))
-        return ForwardTrace(f_i.data, s_tensor, f_tensor, split=split, patterns=pattern_data, f_r=f_r,
-                            modularized=stacked.data, members=members)
+            rows = slice(f_ends[b], f_ends[b + 1])
+            own_split = geo.RegionSplit(split.rows[rows] - b * s_rows, kept[b * c.regions : (b + 1) * c.regions])
+            members.append(ForwardTrace(s, _row_slice(f_tensor, f_ends[b], f_ends[b + 1]), split=own_split,
+                                        patterns=pattern_data, modularized=stacked.data[rows]))
+        return ForwardTrace(s_tensor, f_tensor, split=split, patterns=pattern_data, modularized=stacked.data,
+                            members=members)
 
     def reconstruct(self, image: np.ndarray) -> ForwardTrace:
         """Inference: the region split reads only the model's own prediction.
@@ -639,8 +637,11 @@ def _record_header(name: str, shape: tuple[int, ...]) -> bytes:
     return struct.pack(f"<H{len(raw)}sB{len(shape)}I", len(raw), raw, len(shape), *shape)
 
 
-def save_checkpoint(path, model: PatternModel, extra_config: dict[str, str] | None = None) -> None:
+def save_checkpoint(path, model: PatternModel, train_config: TrainConfig | None = None) -> None:
     """Write magic, version, flat config block, then one record per parameter.
+
+    The config block holds every ModelConfig field and, given
+    ``train_config``, ``train.<field>`` for each of its fields.
 
     Each parameter's payload goes to the file straight from a byte view of
     its array (no copy for a contiguous little-endian array), so no
@@ -650,8 +651,8 @@ def save_checkpoint(path, model: PatternModel, extra_config: dict[str, str] | No
     previous file as it was; the temporary file is removed on failure.
     """
     flat = to_flat(model.config)
-    if extra_config:
-        flat.update(extra_config)
+    if train_config is not None:
+        flat.update((f"train.{k}", v) for k, v in to_flat(train_config).items())
     config_blob = "\n".join(f"{k}={v}" for k, v in sorted(flat.items())).encode()
     params = model.parameters()
     tmp = f"{os.fspath(path)}.tmp"

@@ -20,7 +20,7 @@ from . import geometry as geo
 from .autodiff import DTensor
 from .data import Sample
 from .errors import ConfigError, DomainError, NumericalAbort
-from .model import ForwardTrace, ModelConfig, PatternModel, save_checkpoint, to_flat
+from .model import ForwardTrace, ModelConfig, PatternModel, save_checkpoint
 
 if TYPE_CHECKING:
     from .runconfig import RunConfig
@@ -299,11 +299,13 @@ def train(
 ) -> tuple[list[MetricsRecord], AdamState]:
     """Epoch loop with seeded shuffling; returns per-epoch records.
 
-    Writes ``checkpoint.pmod`` under out_dir at the end (and every
+    An epoch's row holds the means over the samples of CD, IoU and the three
+    loss parts, each summed in sample order in one running array.  Writes
+    ``checkpoint.pmod`` under out_dir at the end (and every
     ``checkpoint_every`` epochs), each time once a tapeless forward pass of
     the last batch has every stage finite.  On a NumericalAbort the current
     parameters, those of the last completed step, are dumped next to it as
-    ``abort_last_good.pmod``.
+    ``abort_last_good.pmod``.  Each checkpoint records ``config``.
     """
     if not samples:
         raise DomainError("training requires a nonempty dataset")
@@ -311,42 +313,26 @@ def train(
     state = AdamState()
     records: list[MetricsRecord] = []
     batch = None  # the batch of the last step
-    train_flat = {f"train.{k}": v for k, v in to_flat(config).items()}
 
     def save_checked() -> None:
         if batch is not None:  # raises NumericalAbort on a non-finite stage
             model.forward(np.stack([s.image for s in batch]), reference=[s.gt_cloud for s in batch], tape=None)
-        save_checkpoint(Path(out_dir) / "checkpoint.pmod", model, train_flat)
+        save_checkpoint(Path(out_dir) / "checkpoint.pmod", model, config)
 
     try:
         for epoch in range(config.epochs):
             t0 = time.perf_counter()
-            part_sums = {"loss_shape": 0.0, "loss_region": 0.0, "loss_total": 0.0}
-            cd_sum = iou_sum = 0.0
-            n_seen = 0
+            sums = np.zeros(5)  # CD, IoU, loss_shape, loss_region, loss_total
             lr = lr_at(epoch, config)
             for batch in _batches(samples, config.batch_size, rng):
                 parts, traces = _train_step(model, batch, config, state, lr)
                 for sample, p, tr in zip(batch, parts, traces):
-                    for k in part_sums:
-                        part_sums[k] += p[k]
-                    cd_sum += geo.chamfer_eval(tr.f_cloud, sample.gt_cloud)
-                    iou_sum += _iou_32(tr.f_cloud, sample.gt_cloud)
-                    n_seen += 1
+                    cd = geo.chamfer_eval(tr.f_cloud, sample.gt_cloud)
+                    iou = _iou_32(tr.f_cloud, sample.gt_cloud)
+                    sums += (cd, iou, p["loss_shape"], p["loss_region"], p["loss_total"])
             wall_ms = (time.perf_counter() - t0) * 1e3
-            records.append(
-                MetricsRecord(
-                    epoch=epoch,
-                    split="train",
-                    class_label="all",
-                    cd_eval=cd_sum / n_seen,
-                    iou=iou_sum / n_seen,
-                    loss_shape=part_sums["loss_shape"] / n_seen,
-                    loss_region=part_sums["loss_region"] / n_seen,
-                    loss_total=part_sums["loss_total"] / n_seen,
-                    wall_ms=wall_ms,
-                )
-            )
+            # every sample is in exactly one batch of the epoch
+            records.append(MetricsRecord(epoch, "train", "all", *(sums / len(samples)).tolist(), wall_ms))
             logger.info(
                 "epoch %d: loss %.4f (shape %.4f, region %.4f) lr %.2e [%.0f ms]",
                 epoch,
@@ -362,7 +348,7 @@ def train(
             save_checked()
     except NumericalAbort:
         if out_dir is not None:
-            save_checkpoint(Path(out_dir) / "abort_last_good.pmod", model, train_flat)
+            save_checkpoint(Path(out_dir) / "abort_last_good.pmod", model, config)
         raise
     return records, state
 

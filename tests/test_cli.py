@@ -737,6 +737,19 @@ def test_checkpoint_with_huge_pattern_points_exit_2_naming_the_file(workspace, t
     assert not (tmp_path / "out").exists()
 
 
+def test_patterns_above_s_points_exit_2_before_any_output(workspace, tmp_path):
+    """No region holds more than s_points rows, so a pattern numbered
+    s_points or higher never gets one: such a count exits 2 naming the key,
+    at once, before any learner is set up."""
+    _, cfg = workspace
+    run = _main_in_child(["train", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                          "--set", "patterns=100000000"])
+    assert run.returncode == 2, run.stderr
+    assert "patterns must be <= s_points = 48, got 100000000" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_empty_train_split_exit_2_before_any_output(workspace, tmp_path, caplog):
     """A manifest without train records ends train as eval ends on an empty split."""
     root, cfg = workspace

@@ -92,7 +92,7 @@ def test_split_matches_brute_force_binning():
     rng = np.random.default_rng(4)
     cloud = random_cloud(rng, 200)
     split = _split_one(cloud, cloud, 27, capacity=200)
-    (box,) = split.boxes
+    box = geo.bounding_box(cloud, epsilon=geo._split_epsilon(cloud))
     cell = box.sides / 3
     for m, rows in enumerate(_region_rows(split)):
         i, rem = divmod(m, 9)
@@ -163,7 +163,7 @@ def test_batched_split_equals_per_member_loop(sizes, m, capacity, own_reference,
         offset += len(source)
     np.testing.assert_array_equal(split.rows, np.concatenate(want_rows))
     np.testing.assert_array_equal(split.counts, want_counts)
-    assert split.rows.dtype == np.intp and len(split.boxes) == len(sizes)
+    assert split.rows.dtype == np.intp
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ checkpoint round trips.  Heavy paper-scale runs live in the acceptance suite."""
 import hashlib
 import struct
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -211,26 +212,30 @@ def test_forward_trace_shapes_and_ranges(tiny_model, tiny_inputs):
     assert len(trace.r_prime) == 8
     for r, t, u, k in zip(trace.r_prime, trace.shifts, trace.u, trace.split.counts):
         assert r.shape == t.shape == u.shape == (k, 3)
-    assert trace.f_r.shape == (8, 4)
     total_real = trace.split.counts.sum()
     assert trace.f_cloud.shape == (total_real, 3)
     assert np.isfinite(trace.f_cloud).all()
 
 
-def test_forward_padding_rows_never_reach_region_encoder(tiny_model, tiny_inputs):
+def test_forward_padding_rows_never_reach_region_encoder(tiny_model, tiny_inputs, monkeypatch):
     """f_R must equal the encoding of exactly the real (centered) rows."""
     image, gt = tiny_inputs
+    encoded, encode = [], PatternModel.encode_region
+    monkeypatch.setattr(PatternModel, "encode_region",
+                        lambda self, *args: encoded.append(encode(self, *args)) or encoded[-1])
     trace = tiny_model.forward(image, reference=gt)
+    f_r = encoded[0].data
+    assert f_r.shape == (8, 4)
     pt = tiny_model._watch_all(None)
     ends = np.cumsum(trace.split.counts)
     for m, (end, k) in enumerate(zip(ends, trace.split.counts)):
         if not k:
-            np.testing.assert_array_equal(trace.f_r[m], np.zeros(4))
+            np.testing.assert_array_equal(f_r[m], np.zeros(4))
             continue
         real = trace.s_cloud[trace.split.rows[end - k : end]]
         centered = real - real.mean(axis=0)
         expected = tiny_model.encode_region(ad.constant(centered), pt, np.zeros(len(centered), dtype=np.intp), 1)
-        np.testing.assert_allclose(trace.f_r[m], expected.data[0], atol=1e-12)
+        np.testing.assert_allclose(f_r[m], expected.data[0], atol=1e-12)
 
 
 def test_residual_identity_exact(tiny_model, tiny_inputs):
@@ -416,7 +421,7 @@ def test_tapeless_passes_reuse_patterns_while_learner_weights_are_unchanged(tiny
     first = model.reconstruct(image)
     second = model.reconstruct(image)
     model.forward(image, reference=gt)
-    model.forward_from_code(first.f_i)
+    model.forward_from_code(model.encode_image(image, model.params).data)
     assert len(pattern_calls) == 1
     assert first.f_cloud.tobytes() == second.f_cloud.tobytes()
     # -0.0 equals the 0.0 it replaces but has other bytes: a change
@@ -484,7 +489,11 @@ def test_inference_ignores_poisoned_ground_truth(tiny_model, tiny_inputs):
     np.testing.assert_array_equal(inference.f_cloud, poisoned_inference.f_cloud)
     assert np.isfinite(inference.f_cloud).all()
     # and the split really came from the prediction, not the (different) gt box
-    assert inference.split.boxes[0].max_side != reference_run.split.boxes[0].max_side
+    c = tiny_model.config
+    own = geo.split_regions([inference.s_cloud], [inference.s_cloud], c.regions, c.region_capacity)
+    np.testing.assert_array_equal(inference.split.rows, own.rows)
+    np.testing.assert_array_equal(inference.split.counts, own.counts)
+    assert not np.array_equal(inference.split.counts, reference_run.split.counts)
 
 
 def test_no_shift_equals_modularized_regions(tiny_inputs):
@@ -535,13 +544,12 @@ def test_batch_trace_stacks_member_traces(tiny_model, tiny_inputs):
     references = [gt, rng.uniform(-0.45, 0.45, (30, 3)), None]
     batch = tiny_model.forward(images, reference=references)
     m = tiny_model.config.regions
-    assert len(batch.members) == 3 and len(batch.u) == 3 * m and batch.f_r.shape[0] == 3 * m
+    assert len(batch.members) == 3 and len(batch.u) == 3 * m
     np.testing.assert_array_equal(batch.f_cloud, np.vstack([t.f_cloud for t in batch.members]))
     np.testing.assert_array_equal(batch.s_cloud, np.vstack([t.s_cloud for t in batch.members]))
     for b, member in enumerate(batch.members):
         alone = tiny_model.forward(images[b], reference=references[b])
         assert alone.members is None and member.members is None
-        assert member.f_i.shape == (1, tiny_model.config.image_feat)
         np.testing.assert_array_equal(member.split.counts, alone.split.counts)
         np.testing.assert_array_equal(member.split.rows, alone.split.rows)
         np.testing.assert_allclose(member.f_cloud, alone.f_cloud, rtol=0, atol=1e-14)
@@ -582,11 +590,22 @@ def test_customizer_count_closed_form(tiny_model):
     assert tiny_model.param_count()["customizer"] == expected
 
 
+def test_checkpoint_config_block_is_model_and_train_config(tmp_path, tiny_model):
+    """The block holds exactly the ModelConfig keys and ``train.<field>``
+    for every TrainConfig field."""
+    path = tmp_path / "model.pmod"
+    save_checkpoint(path, tiny_model, TrainConfig(epochs=3))
+    _, flat = load_checkpoint(path)
+    want = {f.name for f in fields(ModelConfig)} | {f"train.{f.name}" for f in fields(TrainConfig)}
+    assert flat.keys() == want
+    assert flat["train.epochs"] == "3" and flat["regions"] == str(tiny_model.config.regions)
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path, tiny_model):
     path = tmp_path / "model.pmod"
-    save_checkpoint(path, tiny_model, {"train.note": "unit"})
+    save_checkpoint(path, tiny_model, TrainConfig(lr=0.25))
     loaded, flat = load_checkpoint(path)
-    assert flat["train.note"] == "unit"
+    assert flat["train.lr"] == "0.25"
     originals = {p.name: p.data for p in tiny_model.parameters()}
     for p in loaded.parameters():
         np.testing.assert_array_equal(p.data, originals[p.name])

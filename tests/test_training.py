@@ -42,7 +42,7 @@ def tiny_model(seed=1, **flags):
 
 def _loss_shape(s_cloud, gt_cloud):
     """The whole-shape term on the initial prediction, as total_loss reports it."""
-    trace = ForwardTrace(f_i=np.zeros((1, 2)), s_tensor=ad.constant(s_cloud), f_tensor=ad.constant(s_cloud))
+    trace = ForwardTrace(s_tensor=ad.constant(s_cloud), f_tensor=ad.constant(s_cloud))
     _, parts = tr.total_loss(trace, gt_cloud, tr.TrainConfig(), ModelConfig(**TINY, no_local=True))
     return parts["loss_shape"]
 
@@ -74,15 +74,13 @@ def _gt_regions(gt_cloud, capacity, m_regions=8):
 
 def _trace_with_kept(kept_clouds, gt_cloud, m_regions=8):
     """Minimal trace whose region m keeps the rows kept_clouds[m] (None for an
-    empty region), stacked region-major in f_tensor; the split carries the
-    box of the gt split."""
-    gt_split = geo.split_regions([gt_cloud], [gt_cloud], m_regions, gt_cloud.shape[0])
+    empty region), stacked region-major in f_tensor."""
     clouds = [np.zeros((0, 3)) if cloud is None else np.asarray(cloud) for cloud in kept_clouds]
     counts = np.array([len(cloud) for cloud in clouds])
     f_cloud = np.vstack(clouds)
     return ForwardTrace(
-        f_i=np.zeros((1, 2)), s_tensor=ad.constant(gt_cloud), f_tensor=ad.constant(f_cloud),
-        split=geo.RegionSplit(np.arange(counts.sum()), counts, gt_split.boxes),
+        s_tensor=ad.constant(gt_cloud), f_tensor=ad.constant(f_cloud),
+        split=geo.RegionSplit(np.arange(counts.sum()), counts),
     )
 
 

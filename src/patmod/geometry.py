@@ -225,6 +225,8 @@ def nearest_neighbor(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     diffs = targets[indices[clear]] - queries[clear]
     distances[clear] = np.sqrt((diffs * diffs).sum(axis=1))
     tied = np.flatnonzero(~clear)
+    if tied.size == 0:
+        return indices, distances
     candidates = tree.query_ball_point(queries[tied], dist[tied, 0] * (1.0 + _TIE_SLACK))
     for qi, cand in zip(tied, candidates):
         cand = np.sort(np.asarray(cand, dtype=np.intp))
@@ -308,47 +310,153 @@ def iou(a: VoxelGrid, b: VoxelGrid) -> float:
 
 
 def downsample(cloud: np.ndarray, k: int) -> np.ndarray:
-    """Pick k points by deterministic farthest-point sampling."""
+    """Pick k points by deterministic farthest-point sampling; k == n returns
+    a copy of the cloud in its own order."""
     cloud = as_cloud(cloud)
-    n = cloud.shape[0]
-    if k < 1:
-        raise DomainError(f"downsample target k must be >= 1, got {k}")
-    if k > n:
-        raise DomainError(f"cannot downsample {n} points to {k}")
-    if k == n:
+    if k == cloud.shape[0] >= 1:
         return cloud.copy()
     return cloud[farthest_point_indices(cloud, k)]
 
 
 def farthest_point_indices(cloud: np.ndarray, k: int) -> np.ndarray:
-    """Greedy farthest-point selection started at row 0.
+    """Greedy farthest-point selection of k of the n rows, started at row 0.
 
     Each step adds the point whose distance to the chosen set is largest;
     ties, and the first NaN distance, resolve to the lowest index (the first
     ``argmax``).  A distance is ``sqrt((dx*dx + dy*dy) + dz*dz)`` in that
     order, which is how ``np.linalg.norm(cloud - p, axis=1)`` reduces a row,
     and the running minimum is ``np.minimum``; so the indices equal those of
-    the plain norm-based loop bit for bit, ties and NaNs included.  The loop
-    runs over the cloud's columns with preallocated buffers.
+    the plain norm-based loop bit for bit, ties and NaNs included.
+
+    The first s = 6*isqrt(n) + 3 steps update every point.  Entries only
+    fall, so from then on a new point p can lower only the entry of a point
+    q with d(p, q) < nearest[q], and every such q lies within the covering
+    radius r = ``nearest.max()`` of p.  Those q are listed once for every p,
+    from a KD-tree's pairs within r (with 1e-9 relative slack for the tree's
+    rounding) and measured by the same formula, so each later step takes
+    ``np.minimum`` over the new point's list alone and skips only entries
+    that ``np.minimum`` would have kept.  The dense loop runs to the end
+    instead when k <= 2s, when a coordinate is not finite or reaches 1e100
+    in magnitude, when r <= 1e-100 (so squared distances could overflow or
+    go subnormal), or when a bound on the pairs within r, from point counts
+    per cell, exceeds 1024 per point.
     """
-    x, y, z = np.ascontiguousarray(cloud.T)
-    n = x.shape[0]
+    cloud = as_cloud(cloud)
+    n = cloud.shape[0]
+    if k < 1:
+        raise DomainError(f"downsample target k must be >= 1, got {k}")
+    if k > n:
+        raise DomainError(f"cannot downsample {n} points to {k}")
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = 0
     nearest = np.full(n, np.inf)  # minimum(inf, d) == d, NaN included
-    d = np.empty(n)
-    sq = np.empty(n)
-    for step in range(1, k):
-        i = chosen[step - 1]
-        np.subtract(x, x[i], out=d)
-        np.multiply(d, d, out=d)
-        np.subtract(y, y[i], out=sq)
-        np.multiply(sq, sq, out=sq)
-        np.add(d, sq, out=d)
-        np.subtract(z, z[i], out=sq)
-        np.multiply(sq, sq, out=sq)
-        np.add(d, sq, out=d)
+    switch = 6 * math.isqrt(n) + 3
+    if k <= 2 * switch or not np.abs(cloud).max() < _FPS_COORD_LIMIT:  # False for NaN and inf too
+        _fps_dense_steps(cloud, nearest, chosen, 1, k)
+        return chosen
+    _fps_dense_steps(cloud, nearest, chosen, 1, switch + 1)
+    lists = _fps_neighbour_lists(cloud, nearest)
+    if lists is None:
+        _fps_dense_steps(cloud, nearest, chosen, switch + 1, k)
+        return chosen
+    starts, neighbours, dists = lists
+    argmax = nearest.argmax
+    i = int(chosen[switch])
+    for step in range(switch + 1, k):
+        nb = neighbours[starts[i] : starts[i + 1]]
+        nearest[nb] = np.minimum(nearest[nb], dists[starts[i] : starts[i + 1]])
+        i = int(argmax())
+        chosen[step] = i
+    return chosen
+
+
+# farthest-point sampling lists neighbours only where squared distances
+# neither overflow nor go subnormal: every |coordinate| below the limit and
+# a covering radius above the floor
+_FPS_COORD_LIMIT = 1e100
+_FPS_RADIUS_FLOOR = 1e-100
+# the most directed pairs within the covering radius, per point, that the
+# pair bound may allow before the lists are built
+_FPS_PAIRS_PER_POINT = 1024
+
+
+def _fps_dense_steps(cloud: np.ndarray, nearest: np.ndarray, chosen: np.ndarray, start: int, stop: int) -> None:
+    """Steps start..stop-1 of the greedy loop, each over all n points, on the
+    cloud's columns with preallocated buffers."""
+    x, y, z = np.ascontiguousarray(cloud.T)
+    xs, ys, zs = x.tolist(), y.tolist(), z.tolist()  # the same float64 values as Python floats
+    d = np.empty(x.shape[0])
+    sq = np.empty(x.shape[0])
+    subtract, multiply, add, argmax = np.subtract, np.multiply, np.add, nearest.argmax
+    i = int(chosen[start - 1])
+    for step in range(start, stop):
+        subtract(x, xs[i], out=d)
+        multiply(d, d, out=d)
+        subtract(y, ys[i], out=sq)
+        multiply(sq, sq, out=sq)
+        add(d, sq, out=d)
+        subtract(z, zs[i], out=sq)
+        multiply(sq, sq, out=sq)
+        add(d, sq, out=d)
         np.sqrt(d, out=d)
         np.minimum(nearest, d, out=nearest)
-        chosen[step] = np.argmax(nearest)
-    return chosen
+        i = int(argmax())
+        chosen[step] = i
+
+
+def _fps_neighbour_lists(cloud: np.ndarray, nearest: np.ndarray):
+    """For each point p, the points whose entry in ``nearest`` p would lower:
+    those q with d(p, q) < nearest[q], itself included.  Returned as
+    ``(starts, neighbours, dists)``: p's are ``neighbours[starts[p]:starts[p + 1]]``,
+    with their distances, computed as ``_fps_dense_steps`` computes them,
+    alongside.  Every such q lies within r = ``nearest.max()`` of p, so the
+    candidates are the KD-tree's pairs within r, with 1e-9 relative slack
+    for the tree's own rounding.  None when r is not above the floor or the
+    pairs could exceed the budget."""
+    n = cloud.shape[0]
+    radius = float(nearest.max())
+    if not radius > _FPS_RADIUS_FLOOR:
+        return None
+    reach = radius * (1.0 + 1e-9)
+    if _pair_bound(cloud, reach) > _FPS_PAIRS_PER_POINT * n:
+        return None
+    p, q = cKDTree(cloud).query_pairs(reach, output_type="ndarray").T
+    x, y, z = cloud.T
+    dist = x[q] - x[p]  # the loop's sign; the squares match from either end
+    dist *= dist
+    sq = y[q] - y[p]
+    sq *= sq
+    dist += sq
+    sq = z[q] - z[p]
+    sq *= sq
+    dist += sq
+    np.sqrt(dist, out=dist)
+    to_q, to_p = dist < nearest[q], dist < nearest[p]
+    own = np.arange(n)
+    source = np.concatenate([p[to_q], q[to_p], own])
+    order = np.argsort(source)
+    neighbours = np.concatenate([q[to_q], p[to_p], own]).take(order)
+    dists = np.concatenate([dist[to_q], dist[to_p], np.zeros(n)]).take(order)
+    starts = np.concatenate([[0], np.cumsum(np.bincount(source, minlength=n))])
+    return starts.tolist(), neighbours, dists
+
+
+def _pair_bound(cloud: np.ndarray, reach: float) -> int:
+    """An upper bound on the directed pairs within ``reach``, self-pairs
+    included, computed without listing any pair.
+
+    In a grid of cells a little wider than ``reach``, a pair within reach
+    lies in one cell or in two adjacent ones.  So with n_c points in cell c
+    there are at most sum_c n_c * (points in c's 27 cells) such pairs, and
+    since n_c * n_d <= (n_c**2 + n_d**2) / 2 that is at most
+    27 * sum_c n_c**2.  Cell coordinates stay below 2**20 in magnitude, where
+    rounding the division moves a point by far less than the extra width,
+    and three of them pack into one int64 key; a cloud spread over more
+    cells than that gets the trivial bound n * n."""
+    n = cloud.shape[0]
+    scaled = cloud / (reach * (1.0 + 2.0**-20))
+    if not np.abs(scaled).max() < 2.0**20:
+        return n * n
+    ijk = np.floor(scaled).astype(np.int64) + 2**20
+    _, counts = np.unique((ijk[:, 0] << 42) | (ijk[:, 1] << 21) | ijk[:, 2], return_counts=True)
+    return 27 * int(counts @ counts)

@@ -1,6 +1,10 @@
 """Geometry tests: every accelerated path is checked against a brute-force oracle."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patmod import autodiff as ad
+from patmod import data
 from patmod import geometry as geo
 from patmod.errors import ContractError, DomainError
 
@@ -599,6 +604,116 @@ def test_fps_equals_norm_loop_bitwise(n, k_kind, step, duplicates, scale, nans, 
     total = cloud.shape[0]
     k = {"one": 1, "all": total, "some": int(rng.integers(1, total + 1))}[k_kind]
     np.testing.assert_array_equal(geo.farthest_point_indices(cloud, k), _fps_norm_loop(cloud, k))
+
+
+@pytest.mark.parametrize(
+    "shape, k, message",
+    [
+        ((0, 3), 1, "cannot downsample 0 points to 1"),
+        ((5, 3), 7, "cannot downsample 5 points to 7"),
+        ((5, 3), 0, "downsample target k must be >= 1, got 0"),
+        ((5, 2), 1, r"point cloud must be \(n, 3\), got \(5, 2\)"),
+    ],
+    ids=["empty", "k_above_n", "k_zero", "two_columns"],
+)
+def test_fps_rejects_what_it_cannot_sample(shape, k, message):
+    """farthest_point_indices checks its inputs as downsample does."""
+    with pytest.raises(DomainError, match=message):
+        geo.farthest_point_indices(np.zeros(shape), k)
+
+
+class _CountingTree(geo.cKDTree):
+    """cKDTree that counts its query_pairs calls, i.e. the list phase's runs."""
+
+    pair_queries = 0
+
+    def query_pairs(self, *args, **kwargs):
+        type(self).pair_queries += 1
+        return super().query_pairs(*args, **kwargs)
+
+
+@pytest.fixture
+def pair_queries(monkeypatch):
+    """Number of neighbour-list builds since the test started."""
+    monkeypatch.setattr(_CountingTree, "pair_queries", 0)
+    monkeypatch.setattr(geo, "cKDTree", _CountingTree)
+    return lambda: _CountingTree.pair_queries
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(300, 800),
+    st.sampled_from(["all", "top_third", "any"]),
+    st.sampled_from([None, 0.25, 0.125, 0.0625]),
+    st.integers(0, 200),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+def test_fps_list_phase_equals_norm_loop_bitwise(n, k_kind, step, duplicates, planar, seed):
+    """At sizes where the later steps update neighbour lists, the indices
+    still equal the norm-based loop's, with lattice ties, duplicated points
+    and clouds flat in one axis."""
+    rng = np.random.default_rng(seed)
+    cloud = random_cloud(rng, n)
+    if planar:
+        cloud[:, rng.integers(0, 3)] = 0.5
+    if step is not None:
+        cloud = np.round(cloud / step) * step
+    cloud = np.vstack([cloud, cloud[rng.integers(0, n, size=duplicates)]])
+    total = cloud.shape[0]
+    k = {"all": total, "top_third": total - int(rng.integers(0, total // 3)), "any": int(rng.integers(1, total + 1))}[k_kind]
+    np.testing.assert_array_equal(geo.farthest_point_indices(cloud, k), _fps_norm_loop(cloud, k))
+
+
+@pytest.mark.parametrize("case", ["nan", "scale_1e-150", "scale_1e150", "duplicates"])
+def test_fps_fallbacks_run_the_dense_loop_and_match(case, pair_queries):
+    """A NaN coordinate, coordinates so small or large that squared distances
+    could underflow or overflow, and a covering radius of 0 keep the dense
+    loop to the end: no neighbour list is built, and the indices equal the
+    norm-based loop's."""
+    cloud = random_cloud(np.random.default_rng(23), 500)
+    if case == "nan":
+        cloud[137, 1] = np.nan
+    elif case == "duplicates":
+        cloud[:] = cloud[0]
+    else:
+        cloud *= float(case.split("_")[1])
+    np.testing.assert_array_equal(geo.farthest_point_indices(cloud, 500), _fps_norm_loop(cloud, 500))
+    assert pair_queries() == 0
+
+
+def test_fps_lists_neighbours_on_a_ground_truth_shape(pair_queries):
+    """A 2048 -> 1024 downsample of a dataset shape, as evaluate runs it,
+    takes the list phase once and keeps the norm-based loop's indices."""
+    cloud = data.generate_shape("chair", 0)
+    np.testing.assert_array_equal(geo.farthest_point_indices(cloud, 1024), _fps_norm_loop(cloud, 1024))
+    assert pair_queries() == 1
+
+
+def test_fps_pair_budget_keeps_a_tight_cluster_within_1_gib(tmp_path):
+    """14 000 points within 1e-9 of the origin and 1 000 on the unit sphere:
+    after the 735 dense steps, all but the first on the sphere, every cluster
+    point lies within the covering radius of every other, about 2e8 directed
+    pairs, whose pair array alone would take 1.6 GB.  The pair bound sends
+    this cloud back to the dense loop, so a child capped at 1 GiB of address
+    space, with one BLAS thread, returns the norm-based loop's indices."""
+    rng = np.random.default_rng(29)
+    sphere = rng.normal(size=(1000, 3))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    cloud = np.vstack([rng.uniform(-5e-10, 5e-10, size=(14_000, 3)), sphere])
+    k = 1500
+    np.save(tmp_path / "cloud.npy", cloud)
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "import numpy as np; from patmod import geometry; "
+        f"np.save(sys.argv[2], geometry.farthest_point_indices(np.load(sys.argv[1]), {k}))"
+    )
+    # one BLAS thread: OpenBLAS reserves address space per thread at import
+    env = {**os.environ, "PYTHONPATH": str(Path(geo.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cloud.npy"), str(tmp_path / "out.npy")],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert run.returncode == 0, run.stderr
+    np.testing.assert_array_equal(np.load(tmp_path / "out.npy"), _fps_norm_loop(cloud, k))
 
 
 def _min_pairwise(points):

@@ -508,16 +508,11 @@ def grad_check(f: Callable, x, eps: float = 1e-6, floor: float = 1e-2) -> float:
     x = np.asarray(x, dtype=np.float64)
 
     def f_scalar(values: Array) -> float:
-        out = f(DTensor(values))
-        if isinstance(out, tuple):
-            out = out[0]
-        return float(out.data.sum())
+        return float(f(DTensor(values)).data.sum())
 
     tape = Tape()
     p = Parameter("x", x.copy())
     out = f(tape.watch(p))
-    if isinstance(out, tuple):
-        out = out[0]
     if out.data.size != 1:
         out = reduce_sum(out)
     if not np.isfinite(out.data).all():

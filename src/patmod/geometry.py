@@ -20,9 +20,9 @@ from .errors import ContractError, DomainError
 
 logger = logging.getLogger(__name__)
 
-# relative slack when collecting nearest-neighbor tie candidates; covers the
-# ulp-level disagreement between the KD-tree's distances and numpy's
-_TIE_SLACK = 1e-12
+# relative gap below which a query's two nearest KD-tree distances are near-tied;
+# covers the ulp-level disagreement between the KD-tree's distances and numpy's
+_TIE_GAP = 4e-12
 
 
 @dataclass(frozen=True)
@@ -210,32 +210,25 @@ def nearest_neighbor(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     Distances are recomputed in numpy so they match a brute-force double loop
     bitwise, and equidistant targets resolve to the lowest index.  A query
     whose second-nearest target is clearly farther than its nearest takes the
-    nearest directly; every other query collects its near-ties and picks
-    among them.
+    nearest directly.  Every other query is near-tied and follows brute
+    force's own rule: it is measured against every target by the same
+    formula and takes the first ``argmin``.  So a near-tied query costs O(m)
+    for m targets; a cloud of coincident or lattice points, where most
+    queries are near-tied, costs up to O(n*m) for n queries.
     """
     queries = as_cloud(queries)
     targets = as_cloud(targets)
     if targets.shape[0] == 0:
         raise DomainError("nearest neighbor against an empty target cloud")
-    tree = cKDTree(targets)
-    dist, nearest = tree.query(queries, k=2)  # a missing second neighbor reads inf
+    dist, nearest = cKDTree(targets).query(queries, k=2)  # a missing second neighbor reads inf
     indices = nearest[:, 0].copy()
-    distances = np.empty(queries.shape[0])
-    clear = dist[:, 1] > dist[:, 0] * (1.0 + 4.0 * _TIE_SLACK)
-    diffs = targets[indices[clear]] - queries[clear]
-    distances[clear] = np.sqrt((diffs * diffs).sum(axis=1))
-    tied = np.flatnonzero(~clear)
-    if tied.size == 0:
-        return indices, distances
-    candidates = tree.query_ball_point(queries[tied], dist[tied, 0] * (1.0 + _TIE_SLACK))
-    for qi, cand in zip(tied, candidates):
-        cand = np.sort(np.asarray(cand, dtype=np.intp))
-        diffs = targets[cand] - queries[qi]
+    diffs = targets[indices] - queries
+    distances = np.sqrt((diffs * diffs).sum(axis=1))
+    for qi in np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + _TIE_GAP)):
+        diffs = targets - queries[qi]
         d = np.sqrt((diffs * diffs).sum(axis=1))
-        best = d.min()
-        pick = np.flatnonzero(d == best)[0]
-        indices[qi] = cand[pick]
-        distances[qi] = best
+        indices[qi] = best = d.argmin()
+        distances[qi] = d[best]
     return indices, distances
 
 
@@ -313,9 +306,21 @@ def downsample(cloud: np.ndarray, k: int) -> np.ndarray:
     """Pick k points by deterministic farthest-point sampling; k == n returns
     a copy of the cloud in its own order."""
     cloud = as_cloud(cloud)
-    if k == cloud.shape[0] >= 1:
+    _check_sample_count(k, cloud.shape[0])
+    if k == cloud.shape[0]:
         return cloud.copy()
     return cloud[farthest_point_indices(cloud, k)]
+
+
+def _check_sample_count(k, n: int) -> None:
+    """DomainError naming k unless it is an integer (a Python or numpy one,
+    not a bool) from 1 to n."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise DomainError(f"downsample target k must be an integer, got {k!r}")
+    if k < 1:
+        raise DomainError(f"downsample target k must be >= 1, got {k}")
+    if k > n:
+        raise DomainError(f"cannot downsample {n} points to {k}")
 
 
 def farthest_point_indices(cloud: np.ndarray, k: int) -> np.ndarray:
@@ -343,10 +348,7 @@ def farthest_point_indices(cloud: np.ndarray, k: int) -> np.ndarray:
     """
     cloud = as_cloud(cloud)
     n = cloud.shape[0]
-    if k < 1:
-        raise DomainError(f"downsample target k must be >= 1, got {k}")
-    if k > n:
-        raise DomainError(f"cannot downsample {n} points to {k}")
+    _check_sample_count(k, n)
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = 0
     nearest = np.full(n, np.inf)  # minimum(inf, d) == d, NaN included

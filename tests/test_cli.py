@@ -244,6 +244,23 @@ def test_dump_trace_writes_the_kept_rows_of_each_nonempty_region(tmp_path):
     np.testing.assert_array_equal(customized, data.read_xyz(out / "reconstruction.xyz"))
 
 
+def test_dump_trace_of_a_no_local_model_writes_no_region_files(tmp_path):
+    """A no_local model has no region split, so its trace has no patterns, R'
+    or U; --dump-trace writes the initial prediction only, and with F = S
+    that is the reconstruction itself."""
+    ckpt = tmp_path / "mini.pmod"
+    save_checkpoint(ckpt, PatternModel(ModelConfig(**MINI_CONFIG, no_local=True), seed=4))
+    image = tmp_path / "img.pgm"
+    data.write_pgm(image, np.full((1, 8, 8), 0.5))
+    out = tmp_path / "out"
+    argv = ["reconstruct", "--checkpoint", str(ckpt), "--image", str(image), "--out", str(out), "--dump-trace"]
+    assert cli.main(argv) == 0
+    assert sorted(f.name for f in out.iterdir()) == [
+        "config_resolved.txt", "initial_prediction.xyz", "reconstruction.ply", "reconstruction.xyz",
+    ]
+    assert (out / "reconstruction.xyz").read_bytes() == (out / "initial_prediction.xyz").read_bytes()
+
+
 def test_reconstruct_unreadable_image(workspace, tmp_path):
     root, cfg = workspace
     ckpt = root / "run" / "checkpoint.pmod"

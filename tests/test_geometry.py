@@ -1,6 +1,7 @@
 """Geometry tests: every accelerated path is checked against a brute-force oracle."""
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -373,6 +374,22 @@ def test_nn_equals_brute_force_bitwise(n, m, step, duplicates, seed):
         assert dist[i].tobytes() == d.min().tobytes()
 
 
+def test_nn_near_ties_at_scale_equal_brute_force_bitwise():
+    """A 0.25-step lattice with duplicated targets, where most queries are
+    near-tied and take the rescan: lowest-index argmin and its distance, bit
+    for bit, at a size beyond the property test's."""
+    rng = np.random.default_rng(28)
+    q = np.round(random_cloud(rng, 1500, 2.0) / 0.25) * 0.25
+    t = np.round(random_cloud(rng, 1200, 2.0) / 0.25) * 0.25
+    t = np.vstack([t, t[rng.integers(0, 1200, size=300)]])
+    idx, dist = geo.nearest_neighbor(q, t)
+    for i in range(q.shape[0]):
+        diffs = t - q[i]
+        d = np.sqrt((diffs * diffs).sum(axis=1))
+        assert idx[i] == np.flatnonzero(d == d.min())[0]
+        assert dist[i].tobytes() == d.min().tobytes()
+
+
 def test_nn_empty_targets_rejected():
     with pytest.raises(DomainError):
         geo.nearest_neighbor(np.zeros((1, 3)), np.zeros((0, 3)))
@@ -568,6 +585,20 @@ def test_downsample_too_many_rejected():
 def test_downsample_below_one_rejected(k):
     with pytest.raises(DomainError, match=f"k must be >= 1, got {k}"):
         geo.downsample(np.ones((3, 3)), k)
+
+
+@pytest.mark.parametrize("k", [2.5, np.float64(3), True, 5.0], ids=["float", "numpy_float", "bool", "float_n"])
+@pytest.mark.parametrize("sample", [geo.downsample, geo.farthest_point_indices], ids=["downsample", "fps"])
+def test_non_integer_k_rejected(sample, k):
+    """k must be an integer, checked before downsample's k == n copy."""
+    with pytest.raises(DomainError, match=re.escape(f"k must be an integer, got {k!r}")):
+        sample(np.zeros((5, 3)), k)
+
+
+def test_numpy_integer_k_accepted():
+    cloud = random_cloud(np.random.default_rng(3), 5)
+    np.testing.assert_array_equal(geo.downsample(cloud, np.int64(2)), geo.downsample(cloud, 2))
+    np.testing.assert_array_equal(geo.downsample(cloud, np.int32(5)), cloud)
 
 
 def _fps_norm_loop(cloud, k):

@@ -6,10 +6,17 @@ reverse sweep in ``backward`` visits every node after all of its consumers.
 Tensors without a ``node_id`` are constants; gradients flow only into tensors
 that were produced on the tape or explicitly watched as parameters.
 
-Tapes are single-use: ``backward`` freezes the tape and drops its nodes, so
-the backward rules and the activations they close over are freed as soon as
-the sweep ends, even while tensors of the forward pass are still held.  A
-second ``backward`` on the same tape raises ContractError.
+Tapes are single-use: ``backward`` freezes the tape, then drops each node as
+the sweep passes it, so a backward rule and the activations only it closes
+over are freed before the next rule runs, even while tensors of the forward
+pass are still held.  A second ``backward`` on the same tape raises
+ContractError.
+
+Backward rules own their incoming gradient: no element of the array the
+sweep hands a rule belongs to any other live array, so the rule may overwrite
+it (the fused activations apply their derivative in place).  In return, no
+two arrays a rule returns share memory, and none of them aliases forward
+data; a rule may hand on its incoming gradient, or disjoint slices of it.
 """
 
 from __future__ import annotations
@@ -82,11 +89,11 @@ class Parameter(DTensor):
 
 
 class Tape:
-    """Append-only gradient tape for one forward pass; ``backward`` sweeps it
-    once, then freezes it and empties ``nodes``."""
+    """Append-only gradient tape for one forward pass; ``backward`` freezes
+    it and empties ``nodes`` as it sweeps them once."""
 
     def __init__(self):
-        self.nodes: list[Node] = []
+        self.nodes: list[Node | None] = []  # backward sets each swept node to None
         self.frozen = False
         self._param_nodes: dict[int, Parameter] = {}
 
@@ -141,7 +148,7 @@ def add(a, b) -> DTensor:
     out = a.data + b.data
 
     def backward(g):
-        return [g, g]
+        return [g, g.copy()]  # each input owns its gradient
 
     return _emit("add", out, (a, b), backward)
 
@@ -186,10 +193,12 @@ def _apply_activation(out: Array, activation: str | None) -> None:
 
 
 def _activation_grad(g: Array, out: Array, activation: str | None) -> Array:
+    """The gradient through the activation, written into ``g`` (which the
+    calling rule owns) and returned."""
     if activation == "relu":
-        return g * (out > 0.0)
-    if activation == "tanh":
-        return g * (1.0 - out * out)
+        np.multiply(g, out > 0.0, out=g)
+    elif activation == "tanh":
+        np.multiply(g, 1.0 - out * out, out=g)
     return g
 
 
@@ -457,12 +466,16 @@ def row_norm(a) -> DTensor:
 def backward(loss: DTensor) -> dict[str, Array]:
     """Reverse sweep from a scalar loss; returns gradients for watched parameters.
 
-    Freezes the tape, empties ``tape.nodes`` and returns {name: gradient
-    array} for every watched parameter.  A parameter with no path to the
-    loss gets a read-only all-zero view whose strides are all 0
-    (``np.broadcast_to`` of one 0.0), so it allocates nothing; ``adam_step``
-    recognizes it without a scan.  A tape that has already been swept
-    raises ContractError.  Parameters themselves are never written.
+    Freezes the tape, then sweeps it once.  Each node leaves ``tape.nodes``
+    as its rule is called, so the node's activations are freed before the
+    next rule runs; ``tape.nodes`` is empty when the sweep ends.  Each rule
+    owns the gradient it is handed and may overwrite it (see the module
+    docstring).  Returns {name: gradient array} for every watched parameter.
+    A parameter with no path to the loss gets a read-only all-zero view whose
+    strides are all 0 (``np.broadcast_to`` of one 0.0), so it allocates
+    nothing; ``adam_step`` recognizes it without a scan.  A tape that has
+    already been swept, or whose sweep raised, raises ContractError.
+    Parameters themselves are never written.
     """
     if loss.tape is None or loss.node_id is None:
         raise ContractError("loss is not on a tape")
@@ -471,22 +484,22 @@ def backward(loss: DTensor) -> dict[str, Array]:
     tape = loss.tape
     if tape.frozen:
         raise ContractError("backward already ran on this tape")
+    tape.frozen = True
     # one map from node id to gradient; a parameter's leaf keeps its entry
     grads: dict[int, Array] = {loss.node_id: np.ones_like(loss.data)}
     for nid in range(loss.node_id, -1, -1):
         if nid in tape._param_nodes or nid not in grads:
             continue
-        g = grads.pop(nid)  # bound until the next node: freeing it sooner raised peak RSS via glibc's mmap threshold
         node = tape.nodes[nid]
-        for input_id, gin in zip(node.inputs, node.backward(g)):
+        tape.nodes[nid] = None  # its rule and the activations only it holds die before the next rule runs
+        for input_id, gin in zip(node.inputs, node.backward(grads.pop(nid))):
             if input_id is None:
                 continue
             if input_id in grads:
                 grads[input_id] = grads[input_id] + gin
             else:
                 grads[input_id] = gin
-    tape.frozen = True
-    tape.nodes = []  # Node closures hold activations and point back at the tape
+    tape.nodes = []  # the nodes the sweep never reached
     return {
         param.name: np.asarray(grads[nid]) if nid in grads else np.broadcast_to(0.0, param.data.shape)
         for nid, param in tape._param_nodes.items()

@@ -214,13 +214,16 @@ def nearest_neighbor(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     force's own rule: it is measured against every target by the same
     formula and takes the first ``argmin``.  So a near-tied query costs O(m)
     for m targets; a cloud of coincident or lattice points, where most
-    queries are near-tied, costs up to O(n*m) for n queries.
+    queries are near-tied, costs up to O(n*m) for n queries.  Coordinates
+    whose squared distances overflow float64 raise DomainError.
     """
     queries = as_cloud(queries)
     targets = as_cloud(targets)
     if targets.shape[0] == 0:
         raise DomainError("nearest neighbor against an empty target cloud")
     dist, nearest = cKDTree(targets).query(queries, k=2)  # a missing second neighbor reads inf
+    if not np.isfinite(dist[:, 0]).all() or (nearest[:, 0] >= targets.shape[0]).any():
+        raise DomainError("nearest neighbor: squared distances overflow float64")
     indices = nearest[:, 0].copy()
     diffs = targets[indices] - queries
     distances = np.sqrt((diffs * diffs).sum(axis=1))

@@ -1,6 +1,8 @@
 """Tensor-core tests: forward values against hand/brute-force oracles,
 gradients against central finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -475,3 +477,124 @@ def test_tape_topological_order():
         for input_id in node.inputs:
             assert input_id is None or input_id < nid
     assert c.node_id == len(tape.nodes) - 1
+
+
+# ---------------------------------------------------------------------------
+# gradient ownership and node release
+
+
+def _every_op(rng):
+    """One instance of every op, as (name, function of its inputs, inputs)."""
+    a, b = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    w, bias = rng.standard_normal((3, 6)), rng.standard_normal((1, 6))
+    feats, w_f = rng.standard_normal((2, 5)), rng.standard_normal((5, 6))
+    img, ker, ker_b = rng.standard_normal((2, 2, 5, 5)), rng.standard_normal((3, 2, 3, 3)), rng.standard_normal((3, 1))
+    ops = [
+        ("add", ad.add, (a, b)),
+        ("sub", ad.sub, (a, b)),
+        ("scale", lambda x: ad.scale(x, -2.5), (a,)),
+        ("concat", lambda x, y: ad.concat([x, y]), (a, b)),
+        ("reshape", lambda x: ad.reshape(x, (2, 6)), (a,)),
+        ("gather_rows", lambda x: ad.gather_rows(x, [3, 0, 3]), (a,)),
+        ("sum", ad.reduce_sum, (a,)),
+        ("mean_over_blocks", lambda x: ad.mean_over_blocks(x, [0, 0, 2, 2], 3), (a,)),
+        ("max_over_blocks", lambda x: ad.max_over_blocks(x, [0, 0, 2, 2], 3), (a,)),
+        ("row_norm", ad.row_norm, (a,)),
+        ("conv2d", lambda x, k, c: ad.conv2d(x, k, c, 2, 1), (img, ker, ker_b)),
+        (
+            "linear_blockfeat",
+            lambda x, f, wx, wf, c: ad.linear_blockfeat(x, f, wx, wf, c, [0, 0, 1, 1], "relu"),
+            (a, feats, w, w_f, bias),
+        ),
+    ]
+    for act in (None, "relu", "tanh"):
+        ops.append((f"linear_{act}", lambda x, y, c, act=act: ad.linear(x, y, c, act), (a, w, bias)))
+    return ops
+
+
+_OPS = _every_op(np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("name, op, values", _OPS, ids=[name for name, _, _ in _OPS])
+def test_backward_rule_outputs_share_no_memory(name, op, values):
+    """The ownership rule's half that falls on each rule: the gradients one
+    rule returns share no memory with each other or with its forward data,
+    so a rule downstream may overwrite the gradient it is handed."""
+    tape = ad.Tape()
+    inputs = [tape.watch(ad.Parameter(f"p{i}", v)) for i, v in enumerate(values)]
+    out = op(*inputs)
+    g = np.random.default_rng(99).standard_normal(out.shape)
+    grads = tape.nodes[out.node_id].backward(g)
+    forward = [t.data for t in inputs] + [out.data]
+    assert len(grads) == len(inputs), name
+    for i, gi in enumerate(grads):
+        assert gi.shape == inputs[i].shape, name
+        assert not any(np.may_share_memory(gi, f) for f in forward), (name, i)
+        assert not any(np.may_share_memory(gi, gj) for gj in grads[:i]), (name, i)
+
+
+def test_one_gradient_fed_to_two_relu_layers_matches_finite_differences():
+    """add hands one gradient to two ReLU layers that each apply their
+    derivative in place; concat hands its row slices to ReLU layers."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((6, 4))
+    w1, w2, w3 = (ad.constant(rng.standard_normal(s)) for s in ((4, 5), (4, 5), (5, 3)))
+    b1, b2, b3 = (ad.constant(rng.standard_normal((1, n))) for n in (5, 5, 3))
+
+    def through_add(t):
+        h = ad.add(ad.linear(t, w1, b1, "relu"), ad.linear(t, w2, b2, "relu"))
+        return ad.linear(h, w3, b3, "relu")
+
+    def through_concat(t):
+        h = ad.concat([ad.linear(t, w1, b1, "relu"), ad.linear(t, w2, b2, "relu")])
+        return ad.linear(h, w3, b3, "relu")
+
+    assert ad.grad_check(through_add, x) < GC_TOL
+    assert ad.grad_check(through_concat, x) < GC_TOL
+
+
+def test_backward_frees_each_node_before_the_next_rule_runs():
+    """The last linear's activation is held only by its own node, and the
+    sweep frees it before the conv2d rules run, not when the sweep ends."""
+    rng = np.random.default_rng(2)
+    tape = ad.Tape()
+    kernels = [tape.watch(ad.Parameter(f"k{i}", rng.standard_normal((2, c, 3, 3)))) for i, c in enumerate((1, 2))]
+    w1 = tape.watch(ad.Parameter("w1", rng.standard_normal((32, 8))))
+    w2 = tape.watch(ad.Parameter("w2", rng.standard_normal((8, 4))))
+    h, convs = ad.constant(rng.standard_normal((2, 1, 4, 4))), []
+    for k in kernels:
+        h = ad.conv2d(h, k, ad.constant(np.full((2, 1), 0.1)), 1, 1)
+        convs.append(h.node_id)
+    h = ad.linear(ad.reshape(h, (2, 32)), w1, ad.constant(np.zeros((1, 8))), "relu")
+    last = ad.linear(h, w2, ad.constant(np.zeros((1, 4))))
+    activation = weakref.ref(last.data)
+    loss = ad.reduce_sum(last)
+    del h, last
+
+    dead = []
+    for nid in convs:
+        node = tape.nodes[nid]
+        node.backward = lambda g, rule=node.backward: dead.append(activation() is None) or rule(g)
+    assert activation() is not None
+    grads = ad.backward(loss)
+    assert dead == [True, True]
+    assert tape.nodes == [] and set(grads) == {"k0", "k1", "w1", "w2"}
+
+
+def test_rule_that_raises_leaves_a_frozen_tape():
+    """A rule that raises midway leaves the tape frozen, with nodes already
+    released, so a second backward is refused before it meets one."""
+    tape = ad.Tape()
+    w = tape.watch(ad.Parameter("w", np.ones((2, 2))))
+    mid = ad.scale(w, 2.0)
+    loss = ad.reduce_sum(ad.scale(mid, 3.0))
+
+    def broken(g):
+        raise RuntimeError("rule failed")
+
+    tape.nodes[mid.node_id].backward = broken
+    with pytest.raises(RuntimeError, match="rule failed"):
+        ad.backward(loss)
+    assert tape.frozen
+    with pytest.raises(ContractError, match="already ran"):
+        ad.backward(loss)

@@ -395,6 +395,18 @@ def test_nn_empty_targets_rejected():
         geo.nearest_neighbor(np.zeros((1, 3)), np.zeros((0, 3)))
 
 
+def test_nn_overflowing_squared_distances_rejected():
+    """Squared distances past float64's range leave the KD-tree with an inf
+    nearest distance and an index one past the last target; both callers
+    raise DomainError instead of indexing with it."""
+    targets = np.array([[1e200, 0.0, 0.0], [-1e200, 1.0, 1.0]])
+    query = np.zeros((1, 3))
+    with pytest.raises(DomainError, match="overflow"):
+        geo.nearest_neighbor(query, targets)
+    with pytest.raises(DomainError, match="overflow"):
+        geo.chamfer_eval(query, targets)
+
+
 # ---------------------------------------------------------------------------
 # chamfer
 

@@ -1,6 +1,7 @@
 """Training tests: losses against brute-force oracles, optimizer behavior,
 determinism, ablation switches, evaluation, and interpolation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -449,6 +450,46 @@ def test_batch_tape_equals_mean_of_member_tapes(caplog, members, model_flags, tr
         p = model.config.pattern_points
         assert 0 in counts and any(0 < k < p for k in counts) and any(p < k < 2 * p for k in counts)
         assert ("substituting whole-shape term" in caplog.text) == (not config.no_l_region)
+
+
+# the desk scale of acceptance criterion 7 and perfbench's desk_train_eval
+DESK = dict(
+    s_points=256,
+    f_points=256,
+    regions=8,
+    patterns=4,
+    pattern_points=64,
+    image_feat=128,
+    region_feat=32,
+    image_size=32,
+    conv_channels=(8, 8, 16, 16, 32, 32, 32),
+)
+
+
+@pytest.mark.parametrize(
+    "shape, digest",
+    [
+        (MINI_CONFIG, "cc01f1a23c58ec4fcff3c5fdce2b5d874ba47b4958ee90b43c73d3ce22b608b8"),
+        (DESK, "bf6029bcae2fb97bf402696d96bfa3b77e5d7d87e7a192620beaa8e6abb1f2f5"),
+    ],
+    ids=["mini", "desk"],
+)
+def test_batch_gradient_bytes_are_pinned(shape, digest):
+    """The gradient map of one batch-4 step, hashed over the sorted names
+    and each gradient's bytes, keeps its bits when backward changes how it
+    holds or releases memory.  The same digests hold at 1 and 2 BLAS
+    threads; paper scale is not pinned, as its bits depend on the BLAS
+    thread count."""
+    config = ModelConfig(**shape)
+    classes = ("table", "chair", "lamp", "table")
+    batch = [make_sample(name, 500 + i, image_size=config.image_size) for i, name in enumerate(classes)]
+    loss, _, _ = tr._batch_loss(PatternModel(config, seed=0), batch, tr.TrainConfig(), ad.Tape())
+    grads = ad.backward(loss)
+    h = hashlib.sha256()
+    for name in sorted(grads):
+        h.update(name.encode())
+        h.update(grads[name].tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_lr_schedule():

@@ -205,7 +205,8 @@ def _activation_grad(g: Array, out: Array, activation: str | None) -> Array:
 def linear(x, w, b, activation: str | None = None) -> DTensor:
     """Fully connected layer x @ w + b with an optionally fused activation.
 
-    ``b`` is a 1 x n row (a plain bias, or bias plus a feature projection).
+    ``b`` is a 1 x n bias row; a per-block feature projection is
+    ``linear_blockfeat``'s job.
     One tape node; the bias add and activation run in place on the fresh
     matmul output, which matters on memory-bound hosts.
     """

@@ -215,12 +215,16 @@ def nearest_neighbor(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     formula and takes the first ``argmin``.  So a near-tied query costs O(m)
     for m targets; a cloud of coincident or lattice points, where most
     queries are near-tied, costs up to O(n*m) for n queries.  Coordinates
-    whose squared distances overflow float64 raise DomainError.
+    whose squared distances overflow float64, and a NaN or inf
+    coordinate in either cloud, raise DomainError.
     """
     queries = as_cloud(queries)
     targets = as_cloud(targets)
     if targets.shape[0] == 0:
         raise DomainError("nearest neighbor against an empty target cloud")
+    for name, cloud in (("query", queries), ("target", targets)):
+        if not np.isfinite(cloud).all():
+            raise DomainError(f"nearest neighbor: the {name} cloud has a non-finite coordinate")
     dist, nearest = cKDTree(targets).query(queries, k=2)  # a missing second neighbor reads inf
     if not np.isfinite(dist[:, 0]).all() or (nearest[:, 0] >= targets.shape[0]).any():
         raise DomainError("nearest neighbor: squared distances overflow float64")

@@ -307,7 +307,8 @@ def _param_layout(c: ModelConfig) -> list[_ParamSpec]:
 
 class PatternModel:
     """Holds all parameters and runs the reconstruction pipeline.  ``params``
-    registers each parameter once by name, in initialization (= checkpoint) order."""
+    maps each name of ``_param_layout`` to its parameter, in initialization
+    (= checkpoint) order."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -334,7 +335,6 @@ class PatternModel:
         the order of ``_param_layout``.  A pattern lattice or a parameter that
         cannot be allocated raises ConfigError."""
         self.config = c = config
-        self.params: dict[str, Parameter] = {}
         self._flat_dim = _flat_dim(c)
         # learner MLPs run over a shared lattice, each from its own offset
         self.lattice = self.offsets = None
@@ -350,19 +350,13 @@ class PatternModel:
         # (a private uint64 copy) and those read-only patterns; see _patterns
         self._pattern_cache: tuple[list[np.ndarray], list[DTensor]] | None = None
         try:
-            for spec in layout:
-                self._register(spec.name, fill(spec))
+            self.params = {spec.name: Parameter(spec.name, fill(spec)) for spec in layout}
         except (MemoryError, ValueError):  # numpy raises ValueError past 2**63 bytes
             count = sum(math.prod(spec.shape) for spec in layout)
             raise ConfigError(f"cannot allocate the model's {count} parameters ({8 * count} bytes)") from None
 
     # ------------------------------------------------------------------
     # parameter bookkeeping
-
-    def _register(self, name: str, values: np.ndarray) -> None:
-        if name in self.params:
-            raise ContractError(f"parameter {name!r} registered twice")
-        self.params[name] = Parameter(name, values)
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())

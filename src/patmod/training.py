@@ -7,6 +7,8 @@ objective or the architecture for the comparison grids.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -121,6 +123,11 @@ def loss_region(trace: ForwardTrace, gt_cloud: np.ndarray, model_config: ModelCo
     bounding box, which is the same box the forward pass used in training
     mode, so pairs align by region number.  Region m's prediction is its run
     of ``trace.split.counts[m]`` kept rows in ``trace.f_tensor``.
+
+    With no such pair, a degenerate early state where the prediction occupies
+    only voxels whose ground-truth region is empty, it logs a warning and
+    returns the whole-shape Chamfer on F instead, so every module still
+    receives a gradient.
     """
     # capacity = cloud size: ground-truth regions never truncate
     gt = geo.split_regions([gt_cloud], [gt_cloud], model_config.regions, gt_cloud.shape[0])
@@ -128,7 +135,8 @@ def loss_region(trace: ForwardTrace, gt_cloud: np.ndarray, model_config: ModelCo
     gt_rows = np.split(gt.rows, np.cumsum(gt.counts)[:-1])
     pairs = [(f, g) for f, g in zip(f_rows, gt_rows) if len(f) and len(g)]
     if not pairs:
-        raise DomainError("no region pair is nonempty on both sides")
+        logger.warning("no valid region pair; substituting whole-shape term for this sample")
+        return geo.chamfer(trace.f_tensor, gt_cloud)
     return ad.scale(geo.chamfer(trace.f_tensor, gt_cloud, pairs), 1.0 / len(pairs))
 
 
@@ -143,23 +151,9 @@ def total_loss(
     if config.no_l_region:
         l_reg = geo.chamfer(trace.f_tensor, gt_cloud)  # second whole-shape term on F
     else:
-        try:
-            l_reg = loss_region(trace, gt_cloud, model_config)
-        except DomainError:
-            # degenerate early state: the prediction occupies only voxels whose
-            # ground-truth region is empty; fall back to a whole-shape term so
-            # every module still receives a gradient
-            logger.warning("no valid region pair; substituting whole-shape term for this sample")
-            l_reg = geo.chamfer(trace.f_tensor, gt_cloud)
-    if config.no_l_shape:
-        total = l_reg
-    else:
-        total = ad.add(l_reg, ad.scale(l_shape, config.alpha))
-    return total, {
-        "loss_shape": l_shape.item(),
-        "loss_region": l_reg.item(),
-        "loss_total": total.item(),
-    }
+        l_reg = loss_region(trace, gt_cloud, model_config)
+    total = l_reg if config.no_l_shape else ad.add(l_reg, ad.scale(l_shape, config.alpha))
+    return total, {"loss_shape": l_shape.item(), "loss_region": l_reg.item(), "loss_total": total.item()}
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +259,7 @@ def _batch_loss(model: PatternModel, batch: list[Sample], config: TrainConfig, t
             raise NumericalAbort(f"non-finite loss on sample ({sample.class_name}, {sample.seed})")
         losses.append(loss)
         parts.append(member_parts)
-    total = losses[0]
-    for loss in losses[1:]:
-        total = ad.add(total, loss)
-    return ad.scale(total, 1.0 / len(batch)), parts, trace.members
+    return ad.scale(functools.reduce(ad.add, losses), 1.0 / len(batch)), parts, trace.members
 
 
 def _train_step(model: PatternModel, batch: list[Sample], config: TrainConfig, state: AdamState, lr: float):
@@ -499,19 +490,15 @@ def overfit_harness(
     target = 0.25 * initial
     state = AdamState()
     rng = np.random.default_rng(config.seed)
-    steps = 0
-    current = initial
+    batches = (b for _ in itertools.count() for b in _batches(samples, config.batch_size, rng))
+    steps, current = 0, initial
     t0 = time.perf_counter()
-    while steps < max_steps:
-        for batch in _batches(samples, config.batch_size, rng):
-            _train_step(model, batch, config, state, lr_at(0, config))
-            steps += 1
-            if steps % 10 == 0 or steps >= max_steps:
-                current = dataset_loss(model, samples, config)
-                if current <= target or steps >= max_steps:
-                    break
-        if current <= target:
-            break
+    for steps, batch in zip(range(1, max_steps + 1), batches):
+        _train_step(model, batch, config, state, lr_at(0, config))
+        if steps % 10 == 0 or steps == max_steps:
+            current = dataset_loss(model, samples, config)
+            if current <= target:
+                break
     return {
         "initial_loss": initial,
         "final_loss": current,

@@ -10,6 +10,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from itertools import combinations
 from pathlib import Path
@@ -588,6 +589,25 @@ def test_no_module_reads_another_modules_private_attributes():
             and node.attr.startswith("_") and not node.attr.endswith("__") and node.attr not in defined
         ]
     assert reads == []
+
+
+def test_every_definition_is_used():
+    """Every non-dunder function, method or class the package defines is
+    named somewhere other than its definitions, in ``src/``, ``tests/`` or
+    ``perfbench/``: code that nothing calls gets deleted.  Words are counted
+    once over all files, so a name used only in a comment or string counts."""
+    root = Path(cli.__file__).parents[2]
+    words = Counter()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (root / folder).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text()))
+    defs = Counter(
+        node.name
+        for path in Path(cli.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.endswith("__")
+    )
+    assert sorted(name for name, n in defs.items() if words[name] <= n) == []
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])

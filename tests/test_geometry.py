@@ -407,6 +407,18 @@ def test_nn_overflowing_squared_distances_rejected():
         geo.chamfer_eval(query, targets)
 
 
+@pytest.mark.parametrize("function", [geo.nearest_neighbor, geo.chamfer_eval], ids=["nearest_neighbor", "chamfer_eval"])
+@pytest.mark.parametrize("bad, value", [("query", np.nan), ("target", np.inf), ("target", np.nan)],
+                         ids=["nan_query", "inf_target", "nan_target"])
+def test_nn_non_finite_cloud_rejected(function, bad, value):
+    """A NaN or inf coordinate raises DomainError naming the bad cloud, not
+    SciPy's ValueError from building or querying the KD-tree."""
+    clouds = {"query": np.zeros((2, 3)), "target": np.ones((3, 3))}
+    clouds[bad][1, 0] = value
+    with pytest.raises(DomainError, match=f"the {bad} cloud has a non-finite coordinate"):
+        function(clouds["query"], clouds["target"])
+
+
 # ---------------------------------------------------------------------------
 # chamfer
 

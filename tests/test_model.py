@@ -19,6 +19,7 @@ from patmod.model import (
     MINI_CONFIG,
     ModelConfig,
     PatternModel,
+    _param_layout,
     learner_offsets,
     load_checkpoint,
     save_checkpoint,
@@ -657,8 +658,21 @@ def test_parameters_follow_registry_order(tiny_model):
     assert [p.name for p in tiny_model.parameters()] == names
     assert names[:2] == ["encoder.conv1.weight", "encoder.conv1.bias"]
     assert names[-2:] == ["customizer.fc3.weight", "customizer.fc3.bias"]
-    with pytest.raises(ContractError, match="registered twice"):
-        tiny_model._register("customizer.fc3.bias", np.zeros((1, 3)))
+
+
+# perfbench's desk shape (acceptance criterion 7)
+DESK_SIZES = dict(s_points=256, f_points=256, regions=8, patterns=4, pattern_points=64, image_feat=128,
+                  region_feat=32, image_size=32, conv_channels=(8, 8, 16, 16, 32, 32, 32))
+
+
+@pytest.mark.parametrize("flags", [{}, {"no_local": True}, {"no_patterns": True}, {"no_shift": True}],
+                         ids=["full", "no_local", "no_patterns", "no_shift"])
+@pytest.mark.parametrize("sizes", [MINI_CONFIG, DESK_SIZES, {}], ids=["mini", "desk", "paper"])
+def test_param_layout_names_are_unique(sizes, flags):
+    """The registry is a dict built from the layout, where a repeated name
+    would silently drop a parameter; every layout names each one once."""
+    names = [spec.name for spec in _param_layout(ModelConfig(**sizes, **flags))]
+    assert len(set(names)) == len(names)
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, tiny_model, monkeypatch):

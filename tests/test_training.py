@@ -150,6 +150,19 @@ def test_total_loss_falls_back_to_whole_shape_term(caplog):
     assert abs(total.item() - (l_f + 0.1 * l_shape)) < 1e-12
 
 
+def test_loss_region_substitutes_whole_shape_term(caplog):
+    """With no region pair nonempty on both sides, loss_region itself
+    returns the whole-shape Chamfer on F and warns once."""
+    gt = np.array([[0.1, 0.1, 0.1], [0.12, 0.1, 0.1], [0.9, 0.9, 0.9]])
+    kept = [None if len(r) else np.array([[0.5, 0.2, 0.3]]) for r in _gt_regions(gt, 3)]
+    trace = _trace_with_kept(kept, gt)
+    with caplog.at_level("WARNING", logger="patmod.training"):
+        got = tr.loss_region(trace, gt, ModelConfig(**TINY))
+    assert got.data.tobytes() == geo.chamfer(trace.f_tensor, gt).data.tobytes()
+    warnings = [r for r in caplog.records if r.name == "patmod.training"]
+    assert [r.getMessage() for r in warnings] == ["no valid region pair; substituting whole-shape term for this sample"]
+
+
 def test_total_loss_composition():
     model = tiny_model()
     sample = tiny_samples(1)[0]
@@ -623,6 +636,31 @@ def test_empty_dataset_rejected_before_any_pass(monkeypatch, run):
     monkeypatch.setattr(tr, "_batch_loss", no_pass)
     with pytest.raises(DomainError, match="nonempty dataset"):
         run(tiny_model(), [], tr.TrainConfig())
+
+
+@pytest.mark.parametrize(
+    "n_samples, max_steps, steps, reached, final_loss, digest",
+    [
+        (5, 0, 0, False, "0x1.71fdfb76e5692p+7", "1fbdd6f963a7b6f47e1bd16054120b62e3665d14d5484c610abb4e8b24e70529"),
+        (5, 1, 1, False, "0x1.92ad417b82cd6p+7", "751f639e717f526ccc404075fcd06d1c4b6f60e6658b74b6cd54c92efe51c5c2"),
+        (5, 7, 7, False, "0x1.83d787af1027ep+6", "c6ac0c72f39805d5c3a8537b3bc7e07db6ae63c95eb0e41b59c0dea62968b42f"),
+        (5, 10, 10, False, "0x1.8de6040ebfa52p+6", "60f0b8fc5fb03d854a054c7a6ac59acec5de81f1e478493a150dc00e9ccc52b8"),
+        (5, 23, 23, False, "0x1.2d34fb7ea6eaap+6", "cfefa491b1651677007a7015a1f6c9c580df3043f9b301b6dd97820f8881c821"),
+        (2, 60, 50, True, "0x1.72a6532c98c66p+5", "0be00a300bbf21ea555c4fe07a93fabee70d801741d5d6d89a06cc7e60c5d455"),
+    ],
+    ids=["0", "1", "7", "10", "23", "target_at_50"],
+)
+def test_overfit_harness_is_pinned(n_samples, max_steps, steps, reached, final_loss, digest):
+    """Pins the harness's step count, final loss and parameter bytes on the
+    mini config: batches of 2 over 5 renders cross epoch boundaries, and 2
+    renders reach the target at step 50 of 60.  A deliberate change to the
+    training arithmetic updates these."""
+    classes = ["table", "chair", "lamp", "ring", "sofa_block"]
+    samples = [make_sample(classes[i], 300 + i, image_size=MINI_CONFIG["image_size"]) for i in range(n_samples)]
+    model = PatternModel(ModelConfig(**MINI_CONFIG), seed=1)
+    result = tr.overfit_harness(model, samples, tr.TrainConfig(batch_size=2, lr=1e-2, seed=0), max_steps=max_steps)
+    assert (result["steps"], result["reached"], result["final_loss"].hex()) == (steps, reached, final_loss)
+    assert hashlib.sha256(b"".join(p.data.tobytes() for p in model.parameters())).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

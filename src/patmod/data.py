@@ -397,26 +397,18 @@ def read_xyz(path) -> np.ndarray:
     the Chamfer distance form, cannot overflow: it is at most 3 * (2e150)**2
     = 1.2e301, below the float64 maximum of about 1.8e308."""
     lines = read_text(path).split("\n")  # numbered as iterating the file numbers them
-    tokens, linenos, short = [], [], None
+    values, linenos = [], []
     for lineno, line in enumerate(lines, 1):
         parts = line.split()
         if not parts:
             continue
         if len(parts) != 3:
-            short = DomainError(f"{path}:{lineno}: expected 3 coordinates, got {len(parts)}")
-            break
-        tokens += parts
+            raise DomainError(f"{path}:{lineno}: expected 3 coordinates, got {len(parts)}")
+        try:
+            values += map(float, parts)
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from None
         linenos.append(lineno)
-    try:
-        values = list(map(float, tokens))
-    except ValueError:
-        for i, token in enumerate(tokens):  # find the first bad token's line
-            try:
-                float(token)
-            except ValueError as exc:
-                raise DomainError(f"{path}:{linenos[i // 3]}: {exc}") from None
-    if short is not None:
-        raise short
     if not values:
         raise DomainError(f"{path}: empty point cloud")
     cloud = np.asarray(values, dtype=np.float64).reshape(-1, 3)

@@ -41,10 +41,10 @@ class TrainConfig:
     """Objective, optimizer and schedule of one training run.
 
     The global-only objective has no switch here: ``total_loss`` reads the
-    model's ``no_local``.  ``threads`` is accepted, validated and recorded
-    but does not change the computation: a batch runs as one tape, so there
-    are no member passes to spread over threads.  It stays only while
-    perfbench's thread diagnostic still constructs ``TrainConfig(threads=...)``.
+    model's ``no_local``.  A batch runs as one tape, so there is no thread
+    setting: the only parallelism is inside BLAS.  Acceptance criterion 9
+    checks that 1 and 2 BLAS threads give the same bytes at its scale; at
+    paper scale they do not yet.
     """
 
     alpha: float = 0.1
@@ -54,13 +54,12 @@ class TrainConfig:
     decay_every_epochs: int = 70
     epochs: int = 1
     seed: int = 0
-    threads: int = 1
     checkpoint_every: int = 0  # 0 = final checkpoint only
     no_l_region: bool = False
     no_l_shape: bool = False
 
     def __post_init__(self):
-        for name, low in (("batch_size", 1), ("decay_every_epochs", 1), ("epochs", 0), ("seed", 0), ("threads", 1),
+        for name, low in (("batch_size", 1), ("decay_every_epochs", 1), ("epochs", 0), ("seed", 0),
                           ("checkpoint_every", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")

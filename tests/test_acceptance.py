@@ -5,8 +5,11 @@ generalization trend, the sweep grids) run at the scales stated in their
 docstrings; everything is seeded and deterministic.
 """
 
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,10 +312,11 @@ def test_criterion_08_sweep_grids():
 
 @pytest.mark.slow
 def test_criterion_09_determinism(tmp_path):
-    """Two `train --seed 1` runs produce byte-identical checkpoints and
-    metrics; the wall_ms column is the one wall-clock field and is masked in
-    the CSV comparison.  The threaded mode must reproduce the single-context
-    metrics and parameters exactly."""
+    """Two `train --seed 1` runs, each in its own process, one under
+    OPENBLAS_NUM_THREADS=1 and one under =2, produce byte-identical
+    checkpoints and metrics; the wall_ms column is the one wall-clock field
+    and is masked in the CSV comparison.  So a same-seed rerun and a change
+    of BLAS thread count both reproduce the run exactly at this scale."""
     cfg_path = tmp_path / "micro.cfg"
     lines = [f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}" for k, v in MICRO_CONFIG.items()]
     cfg_path.write_text(
@@ -321,9 +325,12 @@ def test_criterion_09_determinism(tmp_path):
     )
     assert cli.main(["gen-data", "--config", str(cfg_path)]) == 0
     outs = []
-    for name in ("r1", "r2"):
-        out = tmp_path / name
-        assert cli.main(["train", "--config", str(cfg_path), "--seed", "1", "--out", str(out)]) == 0
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas{blas_threads}"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": blas_threads}
+        argv = ["train", "--config", str(cfg_path), "--seed", "1", "--out", str(out)]
+        run = subprocess.run([sys.executable, "-m", "patmod.cli", *argv], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
         outs.append(out)
     ckpt_equal = (outs[0] / "checkpoint.pmod").read_bytes() == (outs[1] / "checkpoint.pmod").read_bytes()
 
@@ -334,23 +341,11 @@ def test_criterion_09_determinism(tmp_path):
         return rows
 
     csv_equal = mask_wall(outs[0] / "metrics.csv") == mask_wall(outs[1] / "metrics.csv")
-
-    samples = data.load_samples(tmp_path / "ds" / "manifest.jsonl", "train")
-    metrics = []
-    params = []
-    for threads in (1, 2):
-        model = PatternModel(ModelConfig(**MICRO_CONFIG), seed=0)
-        recs, _ = tr.train(samples, model, tr.TrainConfig(epochs=2, batch_size=4, seed=1, threads=threads))
-        metrics.append([(r.loss_total, r.cd_eval, r.iou) for r in recs])
-        params.append({p.name: p.data.copy() for p in model.parameters()})
-    threads_equal = metrics[0] == metrics[1] and all(
-        np.array_equal(params[0][n], params[1][n]) for n in params[0]
-    )
     _report(
         9,
-        ckpt_equal and csv_equal and threads_equal,
-        f"checkpoints byte-identical: {ckpt_equal}; metrics (wall_ms masked): {csv_equal}; "
-        f"threaded == sequential: {threads_equal}",
+        ckpt_equal and csv_equal,
+        f"checkpoints byte-identical under 1 and 2 BLAS threads: {ckpt_equal}; "
+        f"metrics (wall_ms masked): {csv_equal}",
     )
 
 

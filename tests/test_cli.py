@@ -454,6 +454,15 @@ def test_unknown_config_key_exit_2(workspace, tmp_path):
     assert cli.main(["train", "--config", str(cfg), "--set", "nope=1", "--out", str(tmp_path / "x")]) == 2
 
 
+def test_retired_threads_key_exit_2(workspace, tmp_path, caplog):
+    """``threads`` is no longer a setting: --set threads=2 is an unknown key,
+    named before anything is written."""
+    _, cfg = workspace
+    assert cli.main(["train", "--config", str(cfg), "--set", "threads=2", "--out", str(tmp_path / "out")]) == 2
+    assert "'threads'" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_config_file_exit_2(tmp_path, caplog):
     """A line without '=' and bytes that are not UTF-8 each end the command
     with exit 2 and a message naming the file and line, before it writes."""
@@ -547,12 +556,19 @@ def test_non_boolean_set_value_exit_2(workspace, tmp_path):
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_thread_variable_is_ignored(workspace, tmp_path, monkeypatch, value):
     """Settings come from the config file, --set and the flags only: a
-    PATMOD_THREADS in the environment neither fails a run nor sets threads."""
+    PATMOD_THREADS in the environment neither fails a run nor changes the
+    resolved settings, which differ from a run without it only by out_dir."""
     _, cfg = workspace
+
+    def settings(name):
+        out = tmp_path / name
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "config_resolved.txt").read_text().splitlines()
+        return [line for line in lines if not line.startswith("out_dir=")]
+
+    plain = settings("plain")
     monkeypatch.setenv("PATMOD_THREADS", value)
-    out = tmp_path / "t"
-    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-    assert "threads=1" in (out / "config_resolved.txt").read_text().splitlines()
+    assert settings("with_variable") == plain
 
 
 def test_no_module_reads_the_environment():
@@ -608,6 +624,16 @@ def test_every_definition_is_used():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.endswith("__")
     )
     assert sorted(name for name, n in defs.items() if words[name] <= n) == []
+
+
+def test_every_setting_is_read():
+    """Every field of the run configuration is read as ``.<field>``
+    somewhere in the package: a setting that nothing reads has no effect
+    and gets deleted.  The nested parts model, train and split are skipped."""
+    text = "".join(path.read_text() for path in Path(cli.__file__).parent.glob("*.py"))
+    names = {f.name for cls in (ModelConfig, TrainConfig, data.DatasetSplit, RunConfig) for f in fields(cls)}
+    unread = sorted(name for name in names - {"model", "train", "split"} if not re.search(rf"\.{name}\b", text))
+    assert unread == []
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
@@ -822,7 +848,7 @@ def test_sweep_empty_train_split_exit_2_before_any_output(workspace, tmp_path, c
 @pytest.mark.parametrize(
     "key, value, low",
     [
-        ("batch_size", "0", 1), ("epochs", "-1", 0), ("checkpoint_every", "-1", 0), ("threads", "0", 1),
+        ("batch_size", "0", 1), ("epochs", "-1", 0), ("checkpoint_every", "-1", 0),
         ("train_per_class", "0", 1), ("test_per_class", "-2", 1),
     ],
 )

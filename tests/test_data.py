@@ -203,8 +203,9 @@ def test_load_samples_filters_by_split(tmp_path):
          "'seed' must be int"),
         ('{"class": "table", "seed": 1, "cloud_path": 5, "image_path": "a.pgm", "split": "train"}',
          "'cloud_path' must be str"),
+        ('{"class": "table"', "Expecting ',' delimiter"),
     ],
-    ids=["not_object", "missing_key", "bool_seed", "numeric_path"],
+    ids=["not_object", "missing_key", "bool_seed", "numeric_path", "not_json"],
 )
 def test_manifest_record_checked(tmp_path, line, message):
     path = tmp_path / "manifest.jsonl"
@@ -255,6 +256,25 @@ def test_xyz_parse_error_names_line(tmp_path):
     path.write_text("0 0 0\n1 2\n")
     with pytest.raises(DomainError, match="bad.xyz:2"):
         data.read_xyz(path)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("0 0 0\n1 x 2", "2: could not convert string to float: 'x'"),
+        ("1 x 2\n1 2", "1: could not convert string to float: 'x'"),
+        ("0 0 0\n1 2\n1 x 2", "2: expected 3 coordinates, got 2"),
+    ],
+    ids=["bad_token", "bad_token_before_short_line", "short_line_before_bad_token"],
+)
+def test_xyz_first_bad_line_in_file_order(tmp_path, text, where):
+    """A bad token and a short line are reported by the same rule: the
+    first bad line in the file, whatever its fault."""
+    path = tmp_path / "bad.xyz"
+    path.write_text(text)
+    with pytest.raises(DomainError) as info:
+        data.read_xyz(path)
+    assert str(info.value) == f"{path}:{where}"
 
 
 def test_xyz_huge_coordinate_rejected_naming_line(tmp_path):
@@ -339,6 +359,23 @@ def test_pgm_bad_header(tmp_path):
     path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
     with pytest.raises(DomainError):
         data.read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"P5\nx 8\n255\n" + bytes(64), "malformed PGM header"),
+        (b"P5\n8 8\n65535\n" + bytes(128), "only maxval 255 supported, got 65535"),
+        (b"P5\n8 8\n255\n" + bytes(10), "truncated pixel payload"),
+    ],
+    ids=["bad_width", "maxval_65535", "short_payload"],
+)
+def test_pgm_malformed_file_named(tmp_path, blob, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(DomainError) as info:
+        data.read_pgm(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_pgm_range_check():

@@ -737,6 +737,21 @@ def test_fps_fallbacks_run_the_dense_loop_and_match(case, pair_queries):
     assert pair_queries() == 0
 
 
+def test_fps_far_outlier_takes_the_trivial_pair_bound(monkeypatch, pair_queries):
+    """3000 points in a 1e-3 cube and one at (1e4, 0, 0): against the
+    covering radius after the dense steps the outlier lies more than 2**20
+    grid cells out, so the pair bound is the trivial n * n = 9 006 001,
+    above the budget of 1024 * n.  The dense loop runs to the end, and the
+    indices equal the norm-based loop's."""
+    cloud = np.vstack([np.random.default_rng(31).uniform(0.0, 1e-3, size=(3000, 3)), [[1e4, 0.0, 0.0]]])
+    bounds = []
+    pair_bound = geo._pair_bound
+    monkeypatch.setattr(geo, "_pair_bound", lambda *args: bounds.append(pair_bound(*args)) or bounds[-1])
+    np.testing.assert_array_equal(geo.farthest_point_indices(cloud, 1000), _fps_norm_loop(cloud, 1000))
+    assert bounds == [3001**2]
+    assert pair_queries() == 0
+
+
 def test_fps_lists_neighbours_on_a_ground_truth_shape(pair_queries):
     """A 2048 -> 1024 downsample of a dataset shape, as evaluate runs it,
     takes the list phase once and keeps the norm-based loop's indices."""

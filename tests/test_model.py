@@ -862,6 +862,21 @@ def test_checkpoint_config_block_is_strict(tmp_path, edit, message):
         load_checkpoint(path)
 
 
+def test_checkpoint_with_retired_train_key_loads(tmp_path, tiny_model):
+    """Checkpoints written while TrainConfig had a ``threads`` field carry
+    ``train.threads=1``; the loader ignores ``train.*`` keys, so such a file
+    loads with the same parameter bytes."""
+    path = tmp_path / "model.pmod"
+    save_checkpoint(path, tiny_model, TrainConfig())
+    splice = _edit_config(lambda text: "\n".join(sorted({*text.split("\n"), "train.threads=1"})))
+    path.write_bytes(splice(path.read_bytes()))
+    loaded, flat = load_checkpoint(path)
+    assert flat["train.threads"] == "1"
+    assert [(p.name, p.data.tobytes()) for p in loaded.parameters()] == [
+        (p.name, p.data.tobytes()) for p in tiny_model.parameters()
+    ]
+
+
 @pytest.fixture(scope="module")
 def mini_checkpoint(tmp_path_factory):
     """A MINI_CONFIG checkpoint's bytes, the offsets of its magic, version,

@@ -551,21 +551,6 @@ def test_zero_lr_leaves_checkpoint_bitwise_unchanged(tmp_path):
         np.testing.assert_array_equal(after_params[p.name], p.data)
 
 
-def test_threaded_batches_match_sequential():
-    samples = tiny_samples(4)
-    results = []
-    for threads in (1, 3):
-        model = tiny_model(seed=6)
-        records, _ = tr.train(samples, model, tr.TrainConfig(epochs=2, batch_size=4, seed=3, threads=threads))
-        results.append((records, {p.name: p.data.copy() for p in model.parameters()}))
-    (rec1, par1), (rec2, par2) = results
-    for a, b in zip(rec1, rec2):
-        assert a.loss_total == b.loss_total
-        assert a.cd_eval == b.cd_eval
-    for name in par1:
-        np.testing.assert_array_equal(par1[name], par2[name])
-
-
 def test_train_metrics_are_finite_and_loss_drops():
     samples = tiny_samples(4)
     model = tiny_model(seed=8)

@@ -17,6 +17,11 @@ sweep hands a rule belongs to any other live array, so the rule may overwrite
 it (the fused activations apply their derivative in place).  In return, no
 two arrays a rule returns share memory, and none of them aliases forward
 data; a rule may hand on its incoming gradient, or disjoint slices of it.
+
+A node keeps what its rule reads, with one exception that trades time for
+memory: ``linear_blockfeat`` fuses two ReLU layers and keeps only its narrow
+inputs and its output, so its rule recomputes the wide hidden layer between
+them and drops it again before it returns.
 """
 
 from __future__ import annotations
@@ -239,49 +244,76 @@ def _blocks(block_index, rows: DTensor, n_blocks: int, op: str) -> tuple[Array, 
     return idx, np.flatnonzero(np.diff(idx, prepend=-1))
 
 
-def linear_blockfeat(x, feats, w_x, w_f, b, block_index, activation: str | None = None) -> DTensor:
-    """Fully connected layer over [x | feature] where row r takes the feature
-    row ``feats[block_index[r]]`` (a block index as ``_blocks`` checks it).
+def linear_blockfeat(x, feats, w_x, w_f, b, block_index, w2, b2) -> DTensor:
+    """Two ReLU layers over [x | feature], where row r takes the feature row
+    ``feats[block_index[r]]`` (a block index as ``_blocks`` checks it):
+    relu(h @ w2 + b2) with h = relu(x @ w_x + feats @ w_f + b).
 
-    Computes x @ w_x + feats @ w_f + b without materializing the wide
-    concatenated input: each block's feature row is added to its run of rows
-    in place, and backward sums the gradient over each run.
+    The wide concatenated input is never built: each block's feature row is
+    added to its run of rows in place, and backward sums the gradient over
+    each run.  One tape node, which keeps its narrow inputs and its output
+    but not the hidden layer h: backward recomputes h with the same calls on
+    the same operands, so every gradient has the bytes of the two-layer chain.
     """
-    x, feats, w_x, w_f, b = (_coerce(t) for t in (x, feats, w_x, w_f, b))
-    n_out = w_x.shape[1]
+    x, feats, w_x, w_f, b, w2, b2 = (_coerce(t) for t in (x, feats, w_x, w_f, b, w2, b2))
+    n_hidden = w_x.shape[1]
     n_blocks = feats.shape[0]
     idx, starts = _blocks(block_index, x, n_blocks, "linear_blockfeat")
-    if x.shape[1] != w_x.shape[0] or feats.shape[1] != w_f.shape[0] or w_f.shape[1] != n_out:
+    if (
+        x.shape[1] != w_x.shape[0] or feats.shape[1] != w_f.shape[0] or w_f.shape[1] != n_hidden
+        or w2.data.ndim != 2 or w2.shape[0] != n_hidden
+    ):
         raise DimensionError(
             f"linear_blockfeat: incompatible shapes x{x.shape} wx{w_x.shape} "
-            f"f{feats.shape} wf{w_f.shape}"
+            f"f{feats.shape} wf{w_f.shape} w2{w2.shape}"
         )
-    if b.shape != (1, n_out):
-        raise DimensionError(f"linear_blockfeat: bias must be 1x{n_out}, got {b.shape}")
+    if b.shape != (1, n_hidden):
+        raise DimensionError(f"linear_blockfeat: bias must be 1x{n_hidden}, got {b.shape}")
+    if b2.shape != (1, w2.shape[1]):
+        raise DimensionError(f"linear_blockfeat: second bias must be 1x{w2.shape[1]}, got {b2.shape}")
     runs = list(zip(idx[starts], starts, np.r_[starts[1:], idx.size]))
-    xd, fd = x.data, feats.data
-    rows = fd @ w_f.data
-    rows += b.data[0]
-    out = xd @ w_x.data
-    for k, lo, hi in runs:
-        out[lo:hi] += rows[k]
-    _apply_activation(out, activation)
-    wxd, wfd = w_x.data, w_f.data
+    xd, fd, wxd, wfd, bd, w2d = x.data, feats.data, w_x.data, w_f.data, b.data, w2.data
+
+    def hidden() -> Array:
+        rows = fd @ wfd
+        rows += bd[0]
+        h = xd @ wxd
+        for k, lo, hi in runs:
+            h[lo:hi] += rows[k]
+        _apply_activation(h, "relu")
+        return h
+
+    out = hidden() @ w2d
+    out += b2.data[0]
+    _apply_activation(out, "relu")
 
     def backward(g):
-        g = _activation_grad(g, out, activation)
-        rows_g = np.zeros((n_blocks, n_out))
+        # each array is dropped as soon as it is spent, so h, g and the
+        # hidden gradient are never all alive at once
+        g = _activation_grad(g, out, "relu")
+        h = hidden()
+        dw2 = h.T @ g
+        live = h > 0.0
+        del h
+        db2 = g.sum(axis=0, keepdims=True)
+        gh = g @ w2d.T
+        del g
+        np.multiply(gh, live, out=gh)  # _activation_grad's ReLU step, with the mask of the dropped h
+        del live
+        rows_g = np.zeros((n_blocks, n_hidden))
         for k, lo, hi in runs:
-            np.sum(g[lo:hi], axis=0, out=rows_g[k])
+            np.sum(gh[lo:hi], axis=0, out=rows_g[k])
         return [
-            g @ wxd.T,
+            gh @ wxd.T,
             rows_g @ wfd.T,
-            xd.T @ g,
+            xd.T @ gh,
             fd.T @ rows_g,
             rows_g.sum(axis=0, keepdims=True),
+            dw2,
+            db2,
         ]
 
-    return _emit("linear_blockfeat", out, (x, feats, w_x, w_f, b), backward)
+    return _emit("linear_blockfeat", out, (x, feats, w_x, w_f, b, w2, b2), backward)
 
 
 def conv2d(x, kernel, bias, stride: int = 1, pad: int = 0) -> DTensor:
@@ -313,7 +345,8 @@ def conv2d(x, kernel, bias, stride: int = 1, pad: int = 0) -> DTensor:
     def window(a: Array, ky: int, kx: int) -> Array:  # the CxBxH'xW' positions tap (ky, kx) reads
         return a[:, :, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
 
-    xp = np.pad(x.data.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.zeros((c_in, n, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + w] = x.data.transpose(1, 0, 2, 3)
     kd = kernel.data
     out = np.zeros((c_out, n, h_out, w_out))
     for ky in range(kh):

@@ -346,9 +346,9 @@ class PatternModel:
             self.offsets = learner_offsets(c.patterns)
         layout = _param_layout(c)
         self._learner_names = [spec.name for spec in layout if spec.name.startswith("learner")]
-        # the learner weights of the last tapeless pass that computed patterns
-        # (a private uint64 copy) and those read-only patterns; see _patterns
-        self._pattern_cache: tuple[list[np.ndarray], list[DTensor]] | None = None
+        # the bytes of the learner weights of the last tapeless pass that
+        # computed patterns, and those read-only patterns; see _patterns
+        self._pattern_cache: tuple[list[bytes], list[DTensor]] | None = None
         try:
             self.params = {spec.name: Parameter(spec.name, fill(spec)) for spec in layout}
         except (MemoryError, ValueError):  # numpy raises ValueError past 2**63 bytes
@@ -416,7 +416,8 @@ class PatternModel:
         They depend on the learner weights alone, so a tapeless pass (no
         learner tensor on a tape) reuses the patterns of the last tapeless
         pass that computed them while every learner weight holds the same
-        bytes as then.  The bytes are compared as uint64, so -0.0 and NaN
+        bytes as then.  The cache keeps each weight's ``tobytes()`` and a hit
+        is one list equality, so the comparison is bitwise: -0.0 and NaN
         payloads count as changes, and a write by any path (Adam, a rebound
         ``Parameter.data``, an in-place edit) is seen.  Reused or not, equal
         weights give the same bytes.  Those patterns are read-only.  A taped
@@ -425,17 +426,17 @@ class PatternModel:
         weights = [pt[name] for name in self._learner_names]
         cache = self._pattern_cache
         tapeless = all(w.tape is None for w in weights)
-        if tapeless and cache is not None and all(
-            np.array_equal(w.data.view(np.uint64), kept) for w, kept in zip(weights, cache[0])
-        ):
-            return cache[1]
+        if tapeless:
+            kept = [w.data.tobytes() for w in weights]
+            if cache is not None and cache[0] == kept:
+                return cache[1]
         patterns = self.compute_patterns(pt)
         for p in patterns:
             _check_finite(p.data, "pattern")
         if tapeless:
             for p in patterns:
                 _frozen(p.data)
-            self._pattern_cache = ([_frozen(w.data.view(np.uint64).copy()) for w in weights], patterns)
+            self._pattern_cache = (kept, patterns)
         return patterns
 
     def encode_region(self, centered: DTensor, pt: dict[str, DTensor], block_index, n_blocks: int) -> DTensor:
@@ -452,7 +453,9 @@ class PatternModel:
 
         Region m's rows are its N pattern blocks of P rows in pattern order,
         so pattern n supplies the first clip(rows[m] - n*P, 0, P) of them.
-        A pattern that no region reaches is not decoded.
+        A pattern that no region reaches is not decoded.  Each modularizer's
+        fc1 and fc2 run as one ``linear_blockfeat`` node, so its 512-wide
+        first layer is recomputed in backward instead of kept on the tape.
         """
         p_rows = self.config.pattern_points
         take = np.clip(rows[None, :] - p_rows * np.arange(len(patterns))[:, None], 0, p_rows)
@@ -468,10 +471,10 @@ class PatternModel:
                 pt[f"modularizer{n}.fc1.weight_points"],
                 pt[f"modularizer{n}.fc1.weight_feature"],
                 pt[f"modularizer{n}.fc1.bias"],
-                block_index=owner,
-                activation="relu",
+                owner,
+                pt[f"modularizer{n}.fc2.weight"],
+                pt[f"modularizer{n}.fc2.bias"],
             )
-            h = _linear(h, pt, f"modularizer{n}.fc2", "relu")
             h = _linear(h, pt, f"modularizer{n}.fc3", "relu")
             outs.append(_linear(h, pt, f"modularizer{n}.fc4", "tanh"))
             owners.append(owner)
@@ -481,17 +484,19 @@ class PatternModel:
 
     def customize(self, r_prime_obj: DTensor, f_i: DTensor, pt: dict[str, DTensor], member: np.ndarray) -> DTensor:
         """Predict the per-point modularization shift from the image feature;
-        row r reads the feature row of its batch member ``member[r]``."""
+        row r reads the feature row of its batch member ``member[r]``.  fc1
+        and fc2 run as one ``linear_blockfeat`` node, so the 512-wide first
+        layer is recomputed in backward instead of kept on the tape."""
         h = ad.linear_blockfeat(
             r_prime_obj,
             f_i,
             pt["customizer.fc1.weight_points"],
             pt["customizer.fc1.weight_feature"],
             pt["customizer.fc1.bias"],
-            block_index=member,
-            activation="relu",
+            member,
+            pt["customizer.fc2.weight"],
+            pt["customizer.fc2.bias"],
         )
-        h = _linear(h, pt, "customizer.fc2", "relu")
         return _linear(h, pt, "customizer.fc3", "tanh")
 
     # ------------------------------------------------------------------

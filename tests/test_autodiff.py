@@ -409,25 +409,21 @@ def test_all_ops_grad_check_20_seeded_instances(trial):
 
     feats = rng.standard_normal((4, 5))
     w_f = rng.standard_normal((5, 6))
+    w2 = rng.standard_normal((6, 2))
+    b2 = rng.standard_normal((1, 2))
+    operands = (a, feats, w, w_f, bias, w2, b2)
 
-    def blockfeat(block_index, x_=None, f_=None, wx_=None, wf_=None, b_=None):
-        return lambda t: ad.linear_blockfeat(
-            t if x_ is None else ad.constant(a),
-            t if f_ is None else ad.constant(feats),
-            t if wx_ is None else ad.constant(w),
-            t if wf_ is None else ad.constant(w_f),
-            t if b_ is None else ad.constant(bias),
-            block_index=block_index,
-            activation="relu",
-        )
+    def blockfeat(block_index, i):
+        """linear_blockfeat as a function of its i-th operand, the rest constant."""
+        def f(t):
+            args = [t if j == i else ad.constant(v) for j, v in enumerate(operands)]
+            return ad.linear_blockfeat(*args[:5], block_index, *args[5:])
+        return f
 
     # even blocks, then uneven blocks with the first and third feature rows unused
     for block_index in ([0, 0, 1, 1], [1, 1, 1, 3]):
-        assert ad.grad_check(blockfeat(block_index, f_=1, wx_=1, wf_=1, b_=1), a) < GC_TOL
-        assert ad.grad_check(blockfeat(block_index, x_=1, wx_=1, wf_=1, b_=1), feats) < GC_TOL
-        assert ad.grad_check(blockfeat(block_index, x_=1, f_=1, wf_=1, b_=1), w) < GC_TOL
-        assert ad.grad_check(blockfeat(block_index, x_=1, f_=1, wx_=1, b_=1), w_f) < GC_TOL
-        assert ad.grad_check(blockfeat(block_index, x_=1, f_=1, wx_=1, wf_=1), bias) < GC_TOL
+        for i, value in enumerate(operands):
+            assert ad.grad_check(blockfeat(block_index, i), value) < GC_TOL, (block_index, i)
 
 
 def test_linear_blockfeat_matches_wide_linear_and_checks_block_index():
@@ -436,18 +432,139 @@ def test_linear_blockfeat_matches_wide_linear_and_checks_block_index():
     feats = rng.standard_normal((3, 2))
     w = rng.standard_normal((5, 4))
     b = rng.standard_normal((1, 4))
+    w2 = rng.standard_normal((4, 3))
+    b2 = rng.standard_normal((1, 3))
     block_index = [0, 0, 0, 2, 2]  # feature row 1 feeds no row
-    out = ad.linear_blockfeat(x, feats, w[:3], w[3:], b, block_index)
-    wide = ad.linear(np.hstack([x, feats[block_index]]), w, b)
+    out = ad.linear_blockfeat(x, feats, w[:3], w[3:], b, block_index, w2, b2)
+    wide = ad.linear(ad.linear(np.hstack([x, feats[block_index]]), w, b, "relu"), w2, b2, "relu")
     np.testing.assert_allclose(out.data, wide.data, rtol=1e-14, atol=1e-14)
-    empty = ad.linear_blockfeat(np.zeros((0, 3)), feats, w[:3], w[3:], b, [])
-    assert empty.shape == (0, 4)
+    empty = ad.linear_blockfeat(np.zeros((0, 3)), feats, w[:3], w[3:], b, [], w2, b2)
+    assert empty.shape == (0, 3)
     with pytest.raises(DomainError):
-        ad.linear_blockfeat(x, feats, w[:3], w[3:], b, [0, 1, 0, 2, 2])
+        ad.linear_blockfeat(x, feats, w[:3], w[3:], b, [0, 1, 0, 2, 2], w2, b2)
     with pytest.raises(DomainError):
-        ad.linear_blockfeat(x, feats, w[:3], w[3:], b, [0, 0, 0, 2, 3])
+        ad.linear_blockfeat(x, feats, w[:3], w[3:], b, [0, 0, 0, 2, 3], w2, b2)
     with pytest.raises(DimensionError):
-        ad.linear_blockfeat(x, feats, w[:3], w[3:], b, [0, 0, 1])
+        ad.linear_blockfeat(x, feats, w[:3], w[3:], b, [0, 0, 1], w2, b2)
+    with pytest.raises(DimensionError, match="incompatible shapes"):
+        ad.linear_blockfeat(x, feats, w[:3], w[3:], b, block_index, w2.T, b2)
+    with pytest.raises(DimensionError, match="second bias"):
+        ad.linear_blockfeat(x, feats, w[:3], w[3:], b, block_index, w2, b)
+
+
+def _blockfeat_one_layer(x, feats, w_x, w_f, b, block_index, activation):
+    """The one-layer rule ``linear_blockfeat`` had before it fused the second
+    layer and recomputed the first: the oracle for the fused node's bytes."""
+    x, feats, w_x, w_f, b = (ad._coerce(t) for t in (x, feats, w_x, w_f, b))
+    n_out = w_x.shape[1]
+    n_blocks = feats.shape[0]
+    idx, starts = ad._blocks(block_index, x, n_blocks, "oracle")
+    runs = list(zip(idx[starts], starts, np.r_[starts[1:], idx.size]))
+    xd, fd = x.data, feats.data
+    rows = fd @ w_f.data
+    rows += b.data[0]
+    out = xd @ w_x.data
+    for k, lo, hi in runs:
+        out[lo:hi] += rows[k]
+    ad._apply_activation(out, activation)
+    wxd, wfd = w_x.data, w_f.data
+
+    def backward(g):
+        g = ad._activation_grad(g, out, activation)
+        rows_g = np.zeros((n_blocks, n_out))
+        for k, lo, hi in runs:
+            np.sum(g[lo:hi], axis=0, out=rows_g[k])
+        return [g @ wxd.T, rows_g @ wfd.T, xd.T @ g, fd.T @ rows_g, rows_g.sum(axis=0, keepdims=True)]
+
+    return ad._emit("oracle", out, (x, feats, w_x, w_f, b), backward)
+
+
+_NAMES = ("x", "feats", "w_x", "w_f", "b", "w2", "b2")
+
+
+def _output_and_grads(op, values):
+    """``op``'s output and the gradient of each of its 7 operands, through a
+    loss that weighs every output entry differently; one extra constant row
+    keeps the loss defined when there are no rows."""
+    tape = ad.Tape()
+    out = op(*[tape.watch(ad.Parameter(n, v.copy())) for n, v in zip(_NAMES, values)])
+    tail = ad.constant(np.ones((1, out.shape[1])))
+    grads = ad.backward(ad.reduce_sum(ad.row_norm(ad.concat([out, tail]))))
+    return out.data, [np.asarray(grads[n]) for n in _NAMES]
+
+
+@pytest.mark.parametrize(
+    "block_index",
+    [[0, 0, 0, 2, 2, 2, 2], [1, 1, 3, 3, 3, 3, 3], [0, 1, 1, 1, 2, 2, 3], []],
+    ids=["unused-row", "uneven-runs", "every-block", "empty"],
+)
+def test_fused_blockfeat_equals_two_layer_chain_bitwise(block_index):
+    """The fused node's output and all 7 gradients have the bytes of the old
+    one-layer rule followed by a ReLU ``linear``."""
+    rng = np.random.default_rng(12)
+    k = len(block_index)
+    values = (
+        rng.standard_normal((k, 3)), rng.standard_normal((4, 5)), rng.standard_normal((3, 16)),
+        rng.standard_normal((5, 16)), rng.standard_normal((1, 16)), rng.standard_normal((16, 6)),
+        rng.standard_normal((1, 6)),
+    )
+
+    def chain(x, f, wx, wf, b, w2, b2):
+        return ad.linear(_blockfeat_one_layer(x, f, wx, wf, b, block_index, "relu"), w2, b2, "relu")
+
+    def fused(x, f, wx, wf, b, w2, b2):
+        return ad.linear_blockfeat(x, f, wx, wf, b, block_index, w2, b2)
+
+    want_out, want_grads = _output_and_grads(chain, values)
+    got_out, got_grads = _output_and_grads(fused, values)
+    assert got_out.tobytes() == want_out.tobytes()
+    for name, got, want in zip(_NAMES, got_grads, want_grads):
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    if k:
+        assert all(np.any(g != 0.0) for g in got_grads[2:])  # the comparison is not of zeros alone
+
+
+def _arrays_in_closure(fn):
+    """Every ndarray reachable from ``fn`` through closure cells, nested
+    functions, containers and array bases (not through module globals)."""
+    seen, found, stack = set(), [], [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            if obj.base is not None:
+                stack.append(obj.base)
+        elif callable(obj) and hasattr(obj, "__closure__"):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+    return found
+
+
+def test_fused_blockfeat_node_keeps_no_hidden_layer():
+    """The fused node's backward rule, and the recompute helper it calls,
+    reach no (K, hidden) array: the hidden layer lives only inside a call."""
+    rng = np.random.default_rng(13)
+    k, hidden, n_out = 64, 24, 7
+    tape = ad.Tape()
+    block_index = np.repeat(np.arange(4), 16)
+    operands = (
+        rng.standard_normal((k, 3)), rng.standard_normal((4, 5)), rng.standard_normal((3, hidden)),
+        rng.standard_normal((5, hidden)), rng.standard_normal((1, hidden)), rng.standard_normal((hidden, n_out)),
+        rng.standard_normal((1, n_out)),
+    )
+    t = [tape.watch(ad.Parameter(f"p{i}", v)) for i, v in enumerate(operands)]
+    out = ad.linear_blockfeat(*t[:5], block_index, *t[5:])
+    rule = tape.nodes[out.node_id].backward
+    shapes = [a.shape for a in _arrays_in_closure(rule) if a.dtype == np.float64]
+    assert (k, n_out) in shapes  # the walk reaches the output the rule keeps
+    assert (k, hidden) not in shapes
 
 
 def test_forward_backward_bitwise_deterministic():
@@ -489,6 +606,7 @@ def _every_op(rng):
     w, bias = rng.standard_normal((3, 6)), rng.standard_normal((1, 6))
     feats, w_f = rng.standard_normal((2, 5)), rng.standard_normal((5, 6))
     img, ker, ker_b = rng.standard_normal((2, 2, 5, 5)), rng.standard_normal((3, 2, 3, 3)), rng.standard_normal((3, 1))
+    w2, bias2 = rng.standard_normal((6, 4)), rng.standard_normal((1, 4))
     ops = [
         ("add", ad.add, (a, b)),
         ("sub", ad.sub, (a, b)),
@@ -503,8 +621,8 @@ def _every_op(rng):
         ("conv2d", lambda x, k, c: ad.conv2d(x, k, c, 2, 1), (img, ker, ker_b)),
         (
             "linear_blockfeat",
-            lambda x, f, wx, wf, c: ad.linear_blockfeat(x, f, wx, wf, c, [0, 0, 1, 1], "relu"),
-            (a, feats, w, w_f, bias),
+            lambda x, f, wx, wf, c, w2, c2: ad.linear_blockfeat(x, f, wx, wf, c, [0, 0, 1, 1], w2, c2),
+            (a, feats, w, w_f, bias, w2, bias2),
         ),
     ]
     for act in (None, "relu", "tanh"):

@@ -5,8 +5,10 @@ train, reconstruct and evaluate under its instrumentation, so a change that
 breaks the benchmark fails here first."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
+from patmod import autodiff as ad
 from patmod import data, model, training
 from patmod.model import MINI_CONFIG, ModelConfig, PatternModel
 
@@ -39,3 +41,16 @@ def test_traced_train_reconstruct_evaluate_record_no_failure(tmp_path):
     names = {span[0] for span in rec.spans}
     assert {"training.total_loss", "training.adam_step", "model.forward", "model.save_checkpoint",
             "model.load_checkpoint", "training.evaluate"} <= names
+
+
+def test_taped_batch_step_records_every_backward_kind():
+    """perfbench times backward per node kind in ``BACKWARD_KINDS``; a kind
+    that no training step records would read zero without any failure, so a
+    fusion or rename of a tape op must show up here."""
+    config = ModelConfig(**MINI_CONFIG)
+    batch = [data.make_sample(name, 500 + i, image_size=config.image_size)
+             for i, name in enumerate(("table", "chair", "lamp", "table"))]
+    tape = ad.Tape()
+    training._batch_loss(PatternModel(config, seed=0), batch, training.TrainConfig(), tape)
+    recorded = Counter(node.kind for node in tape.nodes)
+    assert {kind: recorded[kind] for kind in spans.BACKWARD_KINDS if not recorded[kind]} == {}

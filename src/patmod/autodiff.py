@@ -504,12 +504,10 @@ def backward(loss: DTensor) -> dict[str, Array]:
     as its rule is called, so the node's activations are freed before the
     next rule runs; ``tape.nodes`` is empty when the sweep ends.  Each rule
     owns the gradient it is handed and may overwrite it (see the module
-    docstring).  Returns {name: gradient array} for every watched parameter.
-    A parameter with no path to the loss gets a read-only all-zero view whose
-    strides are all 0 (``np.broadcast_to`` of one 0.0), so it allocates
-    nothing; ``adam_step`` recognizes it without a scan.  A tape that has
-    already been swept, or whose sweep raised, raises ContractError.
-    Parameters themselves are never written.
+    docstring).  Returns {name: gradient array} for the watched parameters
+    the sweep reached, in watch order; a parameter with no path to the loss
+    has no entry.  A tape that has already been swept, or whose sweep
+    raised, raises ContractError.  Parameters themselves are never written.
     """
     if loss.tape is None or loss.node_id is None:
         raise ContractError("loss is not on a tape")
@@ -534,10 +532,7 @@ def backward(loss: DTensor) -> dict[str, Array]:
             else:
                 grads[input_id] = gin
     tape.nodes = []  # the nodes the sweep never reached
-    return {
-        param.name: np.asarray(grads[nid]) if nid in grads else np.broadcast_to(0.0, param.data.shape)
-        for nid, param in tape._param_nodes.items()
-    }
+    return {param.name: np.asarray(grads[nid]) for nid, param in tape._param_nodes.items() if nid in grads}
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +543,10 @@ def grad_check(f: Callable, x, eps: float = 1e-6, floor: float = 1e-2) -> float:
     """Worst relative deviation between tape gradients and central differences.
 
     ``f`` maps a DTensor to a tensor; non-scalar outputs are summed before
-    differentiation.  Each coordinate of ``x`` is perturbed by +-eps.  The
-    relative error uses max(|fd|, |g|, floor) as denominator so near-zero
-    gradients are compared with an absolute floor.  NaN anywhere reports inf.
+    differentiation; an ``x`` the loss does not reach has gradient zero.
+    Each coordinate of ``x`` is perturbed by +-eps.  The relative error uses
+    max(|fd|, |g|, floor) as denominator so near-zero gradients are compared
+    with an absolute floor.  NaN anywhere reports inf.
     """
     x = np.asarray(x, dtype=np.float64)
 
@@ -564,7 +560,7 @@ def grad_check(f: Callable, x, eps: float = 1e-6, floor: float = 1e-2) -> float:
         out = reduce_sum(out)
     if not np.isfinite(out.data).all():
         return float("inf")
-    analytic = backward(out)["x"]
+    analytic = backward(out).get("x", np.zeros(x.shape))
 
     worst = 0.0
     flat = x.copy().reshape(-1)

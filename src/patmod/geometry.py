@@ -225,8 +225,8 @@ def nearest_neighbor(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     for name, cloud in (("query", queries), ("target", targets)):
         if not np.isfinite(cloud).all():
             raise DomainError(f"nearest neighbor: the {name} cloud has a non-finite coordinate")
-    dist, nearest = cKDTree(targets).query(queries, k=2)  # a missing second neighbor reads inf
-    if not np.isfinite(dist[:, 0]).all() or (nearest[:, 0] >= targets.shape[0]).any():
+    dist, nearest = cKDTree(targets).query(queries, k=2)  # a missing neighbor reads inf at index n
+    if not np.isfinite(dist[:, 0]).all():
         raise DomainError("nearest neighbor: squared distances overflow float64")
     indices = nearest[:, 0].copy()
     diffs = targets[indices] - queries

@@ -168,40 +168,33 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _unreached(g: np.ndarray) -> bool:
-    """Whether ``g`` is one stored 0.0 seen through strides that are all 0;
-    ``np.ravel`` of such a view copies, so this is decided before it."""
-    return g.size > 0 and not any(g.strides) and g.flat[0] == 0.0
-
-
 def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update, in place, from one ``name -> gradient
     array`` map as ``autodiff.backward`` returns it: the gradient of the
     batch loss, which is already the mean over the members.
 
-    Every gradient is checked for finiteness first, in blocks of
-    ``ADAM_BLOCK`` elements and in the order of ``params``; a non-finite
-    block raises NumericalAbort naming its parameter before anything is
-    written, so the parameters and ``state`` stay as they were.  Then each
-    parameter is updated in blocks with the same arithmetic, operation for
-    operation, as applying ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    A name missing from the map has gradient zero.  Every gradient in the
+    map is checked for finiteness first, in blocks of ``ADAM_BLOCK``
+    elements and in the order of ``params``; a non-finite block raises
+    NumericalAbort naming its parameter before anything is written, so the
+    parameters and ``state`` stay as they were.  Then each parameter is
+    updated in blocks with the same arithmetic, operation for operation, as
+    applying ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
     p -= lr*(m/c1) / (sqrt(v/c2) + eps)`` to whole arrays.
 
-    A parameter that no loss has reached yet is skipped: it has no moments
-    and its gradient is an all-zero array whose strides are all 0 (as
-    ``autodiff.backward`` gives it), which is decided from the one stored
-    value without a scan.  It gets no ``m``/``v`` entry and is not written.
-    This is exact: with only zero gradients the whole-array update leaves
-    ``m = v = +0.0`` and ``p - 0.0 == p`` bit for bit, and ``c1``/``c2``
-    depend only on ``state.t``, so a parameter first reached at step t gets
-    the moments and values of the whole-array update from then on.
+    A parameter that has no moments and no gradient is skipped: it gets no
+    ``m``/``v`` entry and is not written.  This is exact: with only zero
+    gradients the whole-array update leaves ``m = v = +0.0`` and
+    ``p - 0.0 == p`` bit for bit, and ``c1``/``c2`` depend only on
+    ``state.t``, so a parameter first reached at step t gets the moments and
+    values of the whole-array update from then on.
     """
-    params = [p for p in params if p.name in state.m or not _unreached(grads[p.name])]
-    for p in params:
-        g_flat = np.ravel(grads[p.name])
+    params = [p for p in params if p.name in grads or p.name in state.m]
+    for name in [p.name for p in params if p.name in grads]:
+        g_flat = np.ravel(grads[name])
         for start in range(0, g_flat.size, ADAM_BLOCK):
             if not np.isfinite(g_flat[start : start + ADAM_BLOCK]).all():
-                raise NumericalAbort(f"non-finite gradient for parameter {p.name!r}")
+                raise NumericalAbort(f"non-finite gradient for parameter {name!r}")
     state.t += 1
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1 = 1.0 - b1**state.t
@@ -214,7 +207,7 @@ def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float)
             state.m[p.name] = np.zeros(p.data.shape)
             state.v[p.name] = np.zeros(p.data.shape)
         p_flat, m_flat, v_flat = (np.ravel(x) for x in (p.data, state.m[p.name], state.v[p.name]))
-        g_flat = np.ravel(grads[p.name])
+        g_flat = np.ravel(grads[p.name]) if p.name in grads else np.zeros(p_flat.size)
         for start in range(0, p_flat.size, ADAM_BLOCK):
             stop = min(start + ADAM_BLOCK, p_flat.size)
             g, a, b = g_flat[start:stop], a_buf[: stop - start], b_buf[: stop - start]

@@ -289,38 +289,6 @@ def test_second_backward_on_swept_tape_rejected():
         ad.backward(loss)
 
 
-def test_unused_parameter_gets_zero_gradient():
-    tape = ad.Tape()
-    used = ad.Parameter("used", np.ones(3))
-    unused = ad.Parameter("unused", np.ones((2, 2)))
-    a = tape.watch(used)
-    tape.watch(unused)
-    grads = ad.backward(ad.reduce_sum(a))
-    np.testing.assert_array_equal(grads["unused"], np.zeros((2, 2)))
-
-
-def test_unreached_parameter_gradient_is_a_read_only_zero_view():
-    """A parameter with no path to the loss stays in the map, with an
-    all-zero gradient that is one stored value seen through zero strides:
-    read-only and allocated for no entry."""
-    tape = ad.Tape()
-    used = ad.Parameter("used", np.ones(3))
-    unused = [ad.Parameter(f"unused{k}", np.ones(shape)) for k, shape in enumerate([(2, 2), (3, 7, 41), ()])]
-    a = tape.watch(used)
-    for p in unused:
-        tape.watch(p)
-    grads = ad.backward(ad.reduce_sum(a))
-    assert list(grads) == ["used"] + [p.name for p in unused]
-    assert all(type(g) is np.ndarray for g in grads.values())
-    assert grads["used"].flags.writeable
-    for p in unused:
-        g = grads[p.name]
-        assert g.shape == p.data.shape and g.dtype == np.float64
-        assert not g.flags.writeable
-        assert not any(g.strides)
-        np.testing.assert_array_equal(g, np.zeros(p.data.shape))
-
-
 def test_scalar_parameter_gradient_is_an_array():
     """Arithmetic on 0-d arrays gives numpy scalars; backward still hands a
     0-d parameter its gradient as an array."""

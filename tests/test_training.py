@@ -269,13 +269,13 @@ def test_adam_nan_gradient_aborts_naming_parameter():
 
 def _whole_array_adam(params, grads, state, lr):
     """The update as it was before the blocked pass: Adam applied to whole
-    arrays, one temporary per operation."""
+    arrays, one temporary per operation, a missing name read as zeros."""
     state.t += 1
     b1, b2, eps = tr.ADAM_BETA1, tr.ADAM_BETA2, tr.ADAM_EPS
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for p in params:
-        g = grads[p.name]
+        g = grads.get(p.name, np.zeros(p.data.shape))
         if p.name not in state.m:
             state.m[p.name] = np.zeros_like(p.data)
             state.v[p.name] = np.zeros_like(p.data)
@@ -317,9 +317,9 @@ def test_fused_adam_matches_two_stage_oracle_bitwise(seed):
 
 @pytest.mark.parametrize("first_reached", [1, 2, 5])
 def test_adam_skips_a_parameter_until_its_first_gradient(first_reached):
-    """A parameter fed backward's zero views has no moments and is not
-    written; from its first real gradient on, values and moments equal the
-    whole-array update that ran on the zeros, bit for bit, -0.0 included."""
+    """A parameter missing from the gradient map has no moments and is not
+    written; from its first gradient on, values and moments equal the
+    whole-array update that ran on zeros, bit for bit, -0.0 included."""
     shapes = {"reached": (5, 3), "late": (3, 7, 41, 83)}  # "late" spans two blocks and a ragged tail
     rng = np.random.default_rng(first_reached)
     init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
@@ -329,9 +329,7 @@ def test_adam_skips_a_parameter_until_its_first_gradient(first_reached):
     s_fused, s_oracle = tr.AdamState(), tr.AdamState()
     for step in range(1, first_reached + 4):
         grads = {"reached": rng.normal(size=shapes["reached"])}
-        if step < first_reached:
-            grads["late"] = np.broadcast_to(0.0, shapes["late"])
-        else:
+        if step >= first_reached:
             grads["late"] = rng.normal(scale=10.0 ** rng.integers(-3, 3), size=shapes["late"])
         lr = 1e-3 * step
         tr.adam_step(fused, grads, s_fused, lr)
@@ -345,6 +343,36 @@ def test_adam_skips_a_parameter_until_its_first_gradient(first_reached):
                 assert s_fused.v[a.name].tobytes() == s_oracle.v[b.name].tobytes()
 
 
+@pytest.mark.parametrize("schedule", ["RMR", "RRMMRM", "MRMMR"])
+def test_adam_round_trips_a_parameter_through_missing_gradients(schedule):
+    """A parameter reached (R) at some steps and missing (M) from the map at
+    others: while missing after its first gradient, its moments decay under
+    a zero gradient, and values and moments equal the whole-array update
+    bit for bit at every step, -0.0 included."""
+    shape = (3, 7, 41, 83)  # spans two blocks and a ragged tail
+    rng = np.random.default_rng(len(schedule))
+    init = rng.normal(size=shape)
+    init.flat[::7] = -0.0
+    fused, oracle = ad.Parameter("p", init.copy()), ad.Parameter("p", init.copy())
+    s_fused, s_oracle = tr.AdamState(), tr.AdamState()
+    for step, mark in enumerate(schedule, start=1):
+        grads = {}
+        if mark == "R":
+            grads["p"] = rng.normal(scale=10.0 ** rng.integers(-3, 3), size=shape)
+            grads["p"].flat[3::5] = -0.0
+        lr = 1e-3 * step
+        tr.adam_step([fused], grads, s_fused, lr)
+        _whole_array_adam([oracle], grads, s_oracle, lr)
+        assert s_fused.t == s_oracle.t == step
+        assert fused.data.tobytes() == oracle.data.tobytes()
+        if "p" in s_fused.m:
+            assert s_fused.m["p"].tobytes() == s_oracle.m["p"].tobytes()
+            assert s_fused.v["p"].tobytes() == s_oracle.v["p"].tobytes()
+        else:
+            assert "R" not in schedule[:step] and "p" not in s_fused.v
+    assert "p" in s_fused.m
+
+
 def _criterion_1_sample():
     """Acceptance criterion 1's model and sample: MINI_CONFIG at model seed
     1 on table 40, where no region holds more than P = 8 kept rows, so
@@ -352,6 +380,23 @@ def _criterion_1_sample():
     cloud = generate_shape("table", 40)
     sample = Sample(render_image(cloud, size=8), geo.downsample(cloud, 64), "table", 40)
     return PatternModel(ModelConfig(**MINI_CONFIG), seed=1), sample
+
+
+def test_backward_map_names_exactly_the_reached_parameters():
+    """On criterion 1's sample the gradient map holds every parameter but
+    pattern 1's learner and modularizer, in watch order, each as a writable
+    float64 array of its parameter's shape."""
+    model, sample = _criterion_1_sample()
+    tape = ad.Tape()
+    trace = model.forward(sample.image, reference=sample.gt_cloud, tape=tape)
+    loss, _ = tr.total_loss(trace, sample.gt_cloud, tr.TrainConfig(), model.config)
+    grads = ad.backward(loss)
+    unreached = [name for name in model.params if name.startswith(("learner1.", "modularizer1."))]
+    assert len(unreached) == 15
+    assert list(grads) == [name for name in model.params if name not in unreached]
+    for name, g in grads.items():
+        assert type(g) is np.ndarray and g.flags.writeable, name
+        assert g.dtype == np.float64 and g.shape == model.params[name].data.shape, name
 
 
 def test_training_allocates_no_moments_for_unreached_parameters(tmp_path, monkeypatch):
@@ -488,21 +533,71 @@ DESK = dict(
     ids=["mini", "desk"],
 )
 def test_batch_gradient_bytes_are_pinned(shape, digest):
-    """The gradient map of one batch-4 step, hashed over the sorted names
-    and each gradient's bytes, keeps its bits when backward changes how it
-    holds or releases memory.  The same digests hold at 1 and 2 BLAS
-    threads; paper scale is not pinned, as its bits depend on the BLAS
-    thread count."""
+    """The gradient map of one batch-4 step, hashed over the sorted parameter
+    names and each gradient's bytes (zeros for a name the map omits), keeps
+    its bits when backward changes how it holds or releases memory.  The
+    same digests hold at 1 and 2 BLAS threads; paper scale is not pinned, as
+    its bits depend on the BLAS thread count."""
     config = ModelConfig(**shape)
     classes = ("table", "chair", "lamp", "table")
     batch = [make_sample(name, 500 + i, image_size=config.image_size) for i, name in enumerate(classes)]
-    loss, _, _ = tr._batch_loss(PatternModel(config, seed=0), batch, tr.TrainConfig(), ad.Tape())
+    model = PatternModel(config, seed=0)
+    loss, _, _ = tr._batch_loss(model, batch, tr.TrainConfig(), ad.Tape())
     grads = ad.backward(loss)
     h = hashlib.sha256()
-    for name in sorted(grads):
+    for name in sorted(model.params):
         h.update(name.encode())
-        h.update(grads[name].tobytes())
+        h.update(grads.get(name, np.zeros(model.params[name].data.shape)).tobytes())
     assert h.hexdigest() == digest
+
+
+# Step and tolerance of the directional gradient guard below.  At this step
+# its three directions read relative errors up to 1.3e-8 at desk and 2.3e-8
+# at paper scale, and scaling the first half of the rows of linear's weight
+# gradient by 1 + 1e-4 reads 5.1e-5 and 2.0e-5.  A step of 1e-7 already reads
+# 3.5e-5 at desk scale, from ReLU and nearest-neighbor kinks inside the step.
+GUARD_EPS = 3e-9
+GUARD_TOL = 1e-6
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shape, missing", [(DESK, 45), ({}, 90)], ids=["desk", "paper"])
+def test_batch_gradient_matches_directional_differences(shape, missing):
+    """The gradient of one batch-4 step at renders 500-503 and model seed 0
+    agrees with the central difference of the batch loss along three fixed
+    directions over every parameter, a name missing from the map read as
+    zero; the directions move the ``missing`` arrays backward did not reach.
+
+    Each array moves by N(0, 1) noise scaled by its mean |p|, or by 1 when
+    it is all zero.  The conv biases stay put: they are 0 at initialization,
+    so a window over black background or padding has a pre-activation of
+    exactly 0 whatever the conv weights, on the ReLU kink, where the tape
+    takes slope 0 and a central difference sees half the slope."""
+    config = ModelConfig(**shape)
+    model = PatternModel(config, seed=0)
+    classes = ("table", "chair", "lamp", "table")
+    batch = [make_sample(name, 500 + i, image_size=config.image_size) for i, name in enumerate(classes)]
+    train_config = tr.TrainConfig()
+    loss, _, _ = tr._batch_loss(model, batch, train_config, ad.Tape())
+    grads = ad.backward(loss)
+    assert len(model.params) - len(grads) == missing
+    initial = {name: p.data for name, p in model.params.items()}
+    moved = [name for name in model.params if not (name.startswith("encoder.conv") and name.endswith(".bias"))]
+    worst = 0.0
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        d = {name: rng.standard_normal(initial[name].shape) * (np.abs(initial[name]).mean() or 1.0) for name in moved}
+        analytic = sum(float(np.vdot(grads[name], v)) for name, v in d.items() if name in grads)
+        values = []
+        for sign in (1.0, -1.0):
+            for name, v in d.items():
+                model.params[name].data = initial[name] + sign * GUARD_EPS * v
+            values.append(tr._batch_loss(model, batch, train_config)[0].item())
+        for name in moved:
+            model.params[name].data = initial[name]
+        fd = (values[0] - values[1]) / (2.0 * GUARD_EPS)
+        worst = max(worst, abs(fd - analytic) / max(abs(fd), abs(analytic)))
+    assert worst < GUARD_TOL
 
 
 def test_lr_schedule():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from patmod import autodiff as ad
+from patmod import training as tr
 from patmod.errors import ContractError, DimensionError, DomainError
 
 GC_TOL = 1e-4  # worst relative error allowed at eps=1e-6 in float64
@@ -287,6 +288,32 @@ def test_second_backward_on_swept_tape_rejected():
     ad.backward(loss)
     with pytest.raises(ContractError, match="already ran"):
         ad.backward(loss)
+
+
+def test_unused_parameter_gets_zero_gradient():
+    """A watched parameter with no path to the loss has no entry in the
+    gradient map, and the optimizer reads the missing name as a zero
+    gradient: the same values and moments, bit for bit, as an explicit
+    zeros array."""
+    tape = ad.Tape()
+    used = ad.Parameter("used", np.ones(3))
+    unused = ad.Parameter("unused", np.ones((2, 2)))
+    a = tape.watch(used)
+    tape.watch(unused)
+    grads = ad.backward(ad.reduce_sum(a))
+    assert list(grads) == ["used"]
+    np.testing.assert_array_equal(grads["used"], np.ones(3))
+
+    init = np.array([[1.0, -2.0], [-0.0, 3.5]])
+    first = {"used": np.ones(3), "unused": np.array([[0.5, -1.0], [2.0, 0.25]])}
+    runs = []
+    for second in (grads, {**grads, "unused": np.zeros((2, 2))}):
+        params = [ad.Parameter("used", np.ones(3)), ad.Parameter("unused", init.copy())]
+        state = tr.AdamState()
+        tr.adam_step(params, first, state, lr=0.1)  # gives "unused" its moments
+        tr.adam_step(params, second, state, lr=0.1)
+        runs.append([x.tobytes() for x in (params[1].data, state.m["unused"], state.v["unused"])])
+    assert runs[0] == runs[1]
 
 
 def test_scalar_parameter_gradient_is_an_array():

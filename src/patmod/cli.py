@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import data
 from .errors import ConfigError, ContractError, DimensionError, DomainError, NumericalAbort
-from .model import PatternModel, load_checkpoint, parse_config_lines
+from .model import PatternModel, list_items, load_checkpoint, parse_config_lines
 from .runconfig import RunConfig, load_run_config
 from .training import (
     SWEEP_PARAMETERS,
@@ -228,7 +228,7 @@ def cmd_reconstruct(args, cfg: RunConfig) -> int:
 def cmd_sweep(args, cfg: RunConfig) -> int:
     # every value trains, then is evaluated on both test splits
     dataset = {SPLITS[split]: _load_split(cfg, split, cfg.model.image_shape) for split in SPLITS}
-    values = [v for v in (item.strip() for item in args.values.split(",")) if v]
+    values = [v for v in list_items(args.values) if v]
     out = _prepare_out(cfg.out_dir, args.force, [f"sweep_{args.parameter}.csv"])
     rows = sweep(args.parameter, values, cfg, dataset)
     if not rows:

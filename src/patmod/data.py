@@ -110,19 +110,19 @@ def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
 # shape classes
 
 
+def _legs(w: float, d: float, h: float, leg: float) -> list[BoxPrim]:
+    """Four legs h tall and leg thick at the corners of a w by d footprint."""
+    return [BoxPrim((sx * (w / 2.0 - leg / 2.0), h / 2.0, sz * (d / 2.0 - leg / 2.0)), (leg, h, leg))
+            for sx in (-1.0, 1.0) for sz in (-1.0, 1.0)]
+
+
 def _table(rng):
     w = rng.uniform(0.8, 1.2)
     d = rng.uniform(0.6, 1.2)
     h = rng.uniform(0.5, 0.9)
     top = rng.uniform(0.05, 0.10)
     leg = rng.uniform(0.05, 0.12)
-    prims = [BoxPrim((0.0, h + top / 2.0, 0.0), (w, top, d))]
-    for sx in (-1.0, 1.0):
-        for sz in (-1.0, 1.0):
-            cx = sx * (w / 2.0 - leg / 2.0)
-            cz = sz * (d / 2.0 - leg / 2.0)
-            prims.append(BoxPrim((cx, h / 2.0, cz), (leg, h, leg)))
-    return prims
+    return [BoxPrim((0.0, h + top / 2.0, 0.0), (w, top, d)), *_legs(w, d, h, leg)]
 
 
 def _chair(rng):
@@ -132,16 +132,11 @@ def _chair(rng):
     seat_t = rng.uniform(0.05, 0.09)
     back_h = rng.uniform(0.5, 0.9)
     leg = rng.uniform(0.04, 0.09)
-    prims = [BoxPrim((0.0, seat_h + seat_t / 2.0, 0.0), (w, seat_t, d))]
-    for sx in (-1.0, 1.0):
-        for sz in (-1.0, 1.0):
-            cx = sx * (w / 2.0 - leg / 2.0)
-            cz = sz * (d / 2.0 - leg / 2.0)
-            prims.append(BoxPrim((cx, seat_h / 2.0, cz), (leg, seat_h, leg)))
-    prims.append(
-        BoxPrim((0.0, seat_h + seat_t + back_h / 2.0, -d / 2.0 + seat_t / 2.0), (w, back_h, seat_t))
-    )
-    return prims
+    return [
+        BoxPrim((0.0, seat_h + seat_t / 2.0, 0.0), (w, seat_t, d)),
+        *_legs(w, d, seat_h, leg),
+        BoxPrim((0.0, seat_h + seat_t + back_h / 2.0, -d / 2.0 + seat_t / 2.0), (w, back_h, seat_t)),
+    ]
 
 
 def _cross_plane(rng):

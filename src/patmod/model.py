@@ -111,11 +111,17 @@ _TRUE_WORDS = ("1", "true", "yes")
 _FALSE_WORDS = ("0", "false", "no")
 
 
+def list_items(raw: str) -> list[str]:
+    """The comma-separated items of ``raw``, each stripped of blanks; empty
+    items are kept, so each caller decides what one means."""
+    return [item.strip() for item in raw.split(",")]
+
+
 def parse_value(key: str, raw: str, like):
     """Parse a config string to the type of ``like``: bool, int, float, str,
-    or a comma-separated tuple of the type of ``like``'s items (empty string
-    items are dropped).  Booleans accept only 1/0/true/false/yes/no in any
-    case; a bad value raises ConfigError."""
+    or a tuple of the type of ``like``'s items from ``list_items`` (empty
+    string items are dropped, an empty number item is bad).  Booleans accept
+    only 1/0/true/false/yes/no in any case; a bad value raises ConfigError."""
     try:
         if isinstance(like, bool):
             word = raw.lower()
@@ -128,7 +134,7 @@ def parse_value(key: str, raw: str, like):
             return float(raw)
         if isinstance(like, tuple):
             item = type(like[0])
-            return tuple(item(x) for x in raw.split(",") if x or item is not str)
+            return tuple(item(x) for x in list_items(raw) if x or item is not str)
         return raw
     except ValueError:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
@@ -228,18 +234,17 @@ class ForwardTrace:
         return np.split(stacked, np.cumsum(self.split.counts)[:-1])
 
 
-def _halton(index: int, base: int) -> float:
-    f, r = 1.0, 0.0
-    while index > 0:
-        f /= base
-        r += f * (index % base)
-        index //= base
-    return r
-
-
 def learner_offsets(n: int) -> np.ndarray:
-    """Deterministic distinct starting translations, one per pattern learner."""
-    pts = np.array([[_halton(i + 1, b) for b in (2, 3, 5)] for i in range(n)])
+    """Deterministic distinct starting translations, one per pattern learner:
+    the Halton points 1..n in bases 2, 3 and 5."""
+    pts = np.empty((n, 3))
+    for col, base in enumerate((2, 3, 5)):
+        index, f, r = np.arange(1, n + 1), np.ones(n), np.zeros(n)
+        while index.any():  # the radical inverse, digit by digit; a finished index adds +0.0
+            f /= base
+            r += f * (index % base)
+            index //= base
+        pts[:, col] = r
     return (pts - 0.5) * 0.5  # inside [-0.25, 0.25]^3
 
 
@@ -343,7 +348,10 @@ class PatternModel:
                 self.lattice = geo.grid_lattice(c.pattern_points, c.pattern_extent, c.sampling_mode)
             except (MemoryError, ValueError):  # numpy raises ValueError past 2**63 bytes
                 raise ConfigError(f"pattern_points={c.pattern_points}: cannot allocate the pattern lattice") from None
-            self.offsets = learner_offsets(c.patterns)
+            try:
+                self.offsets = learner_offsets(c.patterns)
+            except (MemoryError, ValueError):
+                raise ConfigError(f"patterns={c.patterns}: cannot allocate the learner offsets") from None
         layout = _param_layout(c)
         self._learner_names = [spec.name for spec in layout if spec.name.startswith("learner")]
         # the bytes of the learner weights of the last tapeless pass that
@@ -435,7 +443,7 @@ class PatternModel:
             _check_finite(p.data, "pattern")
         if tapeless:
             for p in patterns:
-                _frozen(p.data)
+                p.data.flags.writeable = False
             self._pattern_cache = (kept, patterns)
         return patterns
 
@@ -614,12 +622,6 @@ def _linear(x: DTensor, pt: dict[str, DTensor], prefix: str, activation: str | N
     return ad.linear(x, pt[f"{prefix}.weight"], pt[f"{prefix}.bias"], activation)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr``, made read-only."""
-    arr.flags.writeable = False
-    return arr
-
-
 def _check_finite(arr: np.ndarray, stage: str) -> None:
     if not np.isfinite(arr).all():
         raise NumericalAbort(f"non-finite values in {stage}")
@@ -703,22 +705,19 @@ def load_checkpoint(path) -> tuple[PatternModel, dict[str, str]]:
         try:
             flat = parse_config_lines(take(cfg_len).decode().splitlines(), "config block")
             config = ModelConfig.from_flat({k: v for k, v in flat.items() if not k.startswith("train.")})
+            # Python integers, and each header's length from zero dimensions: a
+            # dimension too large to store just gives a size that does not match
+            layout = _param_layout(config)
+            need = fh.tell() + 4 + sum(
+                len(_record_header(s.name, (0,) * len(s.shape))) + 8 * math.prod(s.shape) for s in layout
+            )
+            if size < need:
+                raise ContractError(f"{path}: truncated checkpoint ({size} bytes, its config needs {need})")
+            if size > need:
+                raise ContractError(f"{path}: {size - need} trailing bytes after the last parameter")
+            model = PatternModel._uninitialised(config)
         except UnicodeDecodeError:
             raise ContractError(f"{path}: corrupt checkpoint (undecodable config block)") from None
-        except ConfigError as exc:
-            raise ContractError(f"{path}: {exc}") from None
-        # Python integers, and each header's length from zero dimensions: a
-        # dimension too large to store just gives a size that does not match
-        layout = _param_layout(config)
-        need = fh.tell() + 4 + sum(
-            len(_record_header(s.name, (0,) * len(s.shape))) + 8 * math.prod(s.shape) for s in layout
-        )
-        if size < need:
-            raise ContractError(f"{path}: truncated checkpoint ({size} bytes, its config needs {need})")
-        if size > need:
-            raise ContractError(f"{path}: {size - need} trailing bytes after the last parameter")
-        try:
-            model = PatternModel._uninitialised(config)
         except ConfigError as exc:
             raise ContractError(f"{path}: {exc}") from None
         params = model.parameters()

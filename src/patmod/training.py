@@ -160,8 +160,9 @@ def total_loss(
 
 
 # Elements per block of the fused Adam pass (256 KiB of float64 per array):
-# a block's gradients, moments and scratch stay in cache from the reduction
-# to the update.
+# a block's gradient, moments, parameter and two scratch arrays stay in cache
+# through the dozen operations of its update, and neither the finiteness scan
+# nor the update allocates a temporary the size of a whole parameter.
 ADAM_BLOCK = 2**15
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -310,9 +311,7 @@ def train(
             for batch in _batches(samples, config.batch_size, rng):
                 parts, traces = _train_step(model, batch, config, state, lr)
                 for sample, p, tr in zip(batch, parts, traces):
-                    cd = geo.chamfer_eval(tr.f_cloud, sample.gt_cloud)
-                    iou = _iou_32(tr.f_cloud, sample.gt_cloud)
-                    sums += (cd, iou, p["loss_shape"], p["loss_region"], p["loss_total"])
+                    sums += (*_score(tr.f_cloud, sample.gt_cloud), p["loss_shape"], p["loss_region"], p["loss_total"])
             wall_ms = (time.perf_counter() - t0) * 1e3
             # every sample is in exactly one batch of the epoch
             records.append(MetricsRecord(epoch, "train", "all", *(sums / len(samples)).tolist(), wall_ms))
@@ -336,9 +335,12 @@ def train(
     return records, state
 
 
-def _iou_32(pred: np.ndarray, gt: np.ndarray) -> float:
+def _score(pred: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
+    """The evaluation score of a prediction against its ground truth: the
+    normalized Chamfer distance and the 32^3 IoU on the union of both
+    bounding boxes, each expanded by 1e-9."""
     bounds = geo.bounding_box(pred, 1e-9).union(geo.bounding_box(gt, 1e-9))
-    return geo.iou(geo.voxelize(pred, 32, bounds), geo.voxelize(gt, 32, bounds))
+    return geo.chamfer_eval(pred, gt), geo.iou(geo.voxelize(pred, 32, bounds), geo.voxelize(gt, 32, bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +373,7 @@ def evaluate(
         t0 = time.perf_counter()
         trace = model.reconstruct(sample.image)
         pred, gt = _match_cardinality(trace.f_cloud, sample, eval_points)
-        cd = geo.chamfer_eval(pred, gt)
-        iou_val = _iou_32(pred, gt)
+        cd, iou_val = _score(pred, gt)
         wall = (time.perf_counter() - t0) * 1e3
         per_class.setdefault(sample.class_name, []).append((cd, iou_val, wall))
     records = [_eval_row(split_name, cls, per_class[cls]) for cls in sorted(per_class)]

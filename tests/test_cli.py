@@ -813,6 +813,19 @@ def test_patterns_above_s_points_exit_2_before_any_output(workspace, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unallocatable_learner_offsets_exit_2_naming_patterns(workspace, tmp_path):
+    """A learner count within s_points whose offsets cannot be allocated
+    exits 2 naming the key, at once, without a traceback."""
+    _, cfg = workspace
+    run = _main_in_child(["train", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                          "--set", "s_points=1000000000", "--set", "f_points=1000000000",
+                          "--set", "patterns=100000000"])
+    assert run.returncode == 2, run.stderr
+    assert "patterns=100000000: cannot allocate the learner offsets" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_empty_train_split_exit_2_before_any_output(workspace, tmp_path, caplog):
     """A manifest without train records ends train as eval ends on an empty split."""
     root, cfg = workspace
@@ -986,6 +999,24 @@ def test_resolved_config_round_trip(tmp_path, text):
     cfg = load_run_config(tmp_path / "run.cfg", {"no_shift": "true"})
     cfg.write(tmp_path / "config_resolved.txt")
     assert load_run_config(tmp_path / "config_resolved.txt") == cfg
+
+
+def test_list_items_are_stripped_in_a_file_line_and_a_set_item(tmp_path):
+    """A comma list's items lose their blanks as a line's value does, so a
+    spaced class list resolves from either source."""
+    (tmp_path / "run.cfg").write_text("seen_classes = table, chair\n")
+    args = cli._build_parser().parse_args(["train", "--set", "seen_classes=table, chair"])
+    for cfg in (load_run_config(tmp_path / "run.cfg"), cli._resolve(args)):
+        assert cfg.split.seen_classes == ("table", "chair")
+        assert "\nseen_classes=table,chair\n" in cfg.to_text()
+
+
+def test_empty_number_list_item_exit_2_naming_the_key(workspace, tmp_path, caplog):
+    _, cfg = workspace
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out"), "--set", "conv_channels=4,,4,8,8,8,8"]
+    assert cli.main(argv) == 2
+    assert "bad value for 'conv_channels': '4,,4,8,8,8,8'" in caplog.text
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_resolved_config_echoes_parsed_values():

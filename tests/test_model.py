@@ -108,6 +108,23 @@ def test_learner_offsets_distinct_and_bounded():
     assert len({tuple(o) for o in off}) == 8
 
 
+def _radical_inverse(index: int, base: int) -> float:
+    """The scalar Halton coordinate, digit by digit: the oracle of
+    ``learner_offsets``."""
+    f, r = 1.0, 0.0
+    while index > 0:
+        f /= base
+        r += f * (index % base)
+        index //= base
+    return r
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 25, 64, 1000, 4097])
+def test_learner_offsets_match_the_scalar_radical_inverse_bytes(n):
+    oracle = np.array([[_radical_inverse(i, b) for b in (2, 3, 5)] for i in range(1, n + 1)])
+    assert learner_offsets(n).tobytes() == ((oracle - 0.5) * 0.5).tobytes()
+
+
 def test_encode_image_output_shape(tiny_model, tiny_inputs):
     image, _ = tiny_inputs
     pt = tiny_model._watch_all(None)

@@ -8,8 +8,10 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from patmod import autodiff as ad
-from patmod import data, model, training
+from patmod import data, geometry, model, training
 from patmod.model import MINI_CONFIG, ModelConfig, PatternModel
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -54,3 +56,26 @@ def test_taped_batch_step_records_every_backward_kind():
     training._batch_loss(PatternModel(config, seed=0), batch, training.TrainConfig(), tape)
     recorded = Counter(node.kind for node in tape.nodes)
     assert {kind: recorded[kind] for kind in spans.BACKWARD_KINDS if not recorded[kind]} == {}
+
+
+def test_warning_counters_count_real_overflows_and_fallbacks():
+    """perfbench counts region overflows and whole-shape fallbacks by the
+    start of their log messages (``spans._WARNINGS``); a reworded message
+    would read zero without any failure.  The forward pass at MINI_CONFIG
+    overflows too, so the counts are at least one, not exactly one."""
+    config = ModelConfig(**MINI_CONFIG)
+    cloud = np.tile([[0.1, 0.1, 0.1]], (10, 1)) + np.arange(10)[:, None] * 1e-6
+    image = np.random.default_rng(0).uniform(0.0, 1.0, config.image_shape)
+    # every prediction point clamps to the lowest voxel of [1, 1.5]^3, where no truth point is
+    gt = np.array([[1.0, 1.5, 1.5], [1.5, 1.0, 1.5], [1.5, 1.5, 1.0]])
+    rec = spans.Recorder(tracing=False)
+
+    def count(metric: str) -> float:
+        return sum(v for (_op, name), v in rec.counts.items() if name == metric)
+
+    with spans.instrument(rec):
+        geometry.split_regions([cloud], [np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])], 1, capacity=4)
+        assert count("geometry.region_overflows") >= 1
+        sample = data.Sample(image, gt, "fallback", 0)
+        training.dataset_loss(PatternModel(config, seed=0), [sample], training.TrainConfig())
+    assert count("training.shape_fallbacks") >= 1

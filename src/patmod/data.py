@@ -45,8 +45,6 @@ class BoxPrim:
         pts = []
         half = np.array(self.size) / 2.0
         for face, count in enumerate(counts):
-            if count == 0:
-                continue
             uv = rng.uniform(-1.0, 1.0, size=(count, 2))
             axis = face // 2  # 0:x 1:y 2:z
             sign = 1.0 if face % 2 == 0 else -1.0
@@ -76,8 +74,6 @@ class CylinderPrim:
         counts = _apportion(np.array([lateral, cap, cap]), n)
         pts = []
         for part, count in enumerate(counts):
-            if count == 0:
-                continue
             theta = rng.uniform(0.0, 2.0 * np.pi, count)
             p = np.empty((count, 3))
             u_axis, v_axis = [a for a in range(3) if a != self.axis]
@@ -224,7 +220,7 @@ def generate_shape(class_name: str, seed: int, n_points: int = GT_POINTS) -> np.
     rng = np.random.default_rng(seed)
     prims = SHAPE_CLASSES[class_name](rng)
     counts = _apportion(np.array([p.area for p in prims]), n_points)
-    cloud = np.vstack([p.sample(rng, c) for p, c in zip(prims, counts) if c > 0])
+    cloud = np.vstack([p.sample(rng, c) for p, c in zip(prims, counts)])
     return normalize_cloud(cloud)
 
 
@@ -247,8 +243,13 @@ def render_image(cloud: np.ndarray, size: int = 64) -> np.ndarray:
     nearer points brighter.
 
     Returns a (1, size, size) array in [0, 1]; out-of-frame points are clipped
-    away rather than clamped to the border.
+    away rather than clamped to the border.  An image too large to allocate
+    raises ConfigError naming ``image_size``.
     """
+    try:
+        img = np.zeros((size, size))
+    except (MemoryError, ValueError):  # numpy raises ValueError past 2**63 bytes
+        raise ConfigError(f"image_size={size}: cannot allocate the image") from None
     view = DEFAULT_VIEW / np.linalg.norm(DEFAULT_VIEW)
     right = np.cross(np.array([0.0, 1.0, 0.0]), view)
     right /= np.linalg.norm(right)
@@ -261,7 +262,6 @@ def render_image(cloud: np.ndarray, size: int = 64) -> np.ndarray:
     py = np.floor((_IMAGE_SPAN - v) / (2.0 * _IMAGE_SPAN) * size).astype(np.intp)
     shade = 0.2 + 0.8 * np.clip((depth + _IMAGE_SPAN) / (2.0 * _IMAGE_SPAN), 0.0, 1.0)
 
-    img = np.zeros((size, size))
     for dy in (0, 1):
         for dx in (0, 1):
             qx, qy = px + dx, py + dy

@@ -46,17 +46,22 @@ class AABB:
 
 @dataclass
 class RegionSplit:
-    """B member clouds split into M voxel regions each (see split_regions)."""
+    """B member clouds split into M voxel regions each (see split_regions);
+    in rows stacked in split order, region m's run is the next ``counts[m]``."""
 
     rows: np.ndarray  # region-major rows into the stacked sources
     counts: np.ndarray  # (B*M,) kept rows per region; member b owns b*M..(b+1)*M
 
+    def per_region(self, stacked: np.ndarray) -> list[np.ndarray]:
+        """Cut ``stacked``, whose leading axis is in split order, into one
+        block per region by ``counts``; the blocks are views."""
+        return np.split(stacked, np.cumsum(self.counts)[:-1])
 
-@dataclass
-class VoxelGrid:
-    resolution: int
-    occupancy: np.ndarray  # (res, res, res) bool
-    bounds: AABB
+
+def run_ranks(counts: np.ndarray) -> np.ndarray:
+    """Each row's position within its run, for rows stacked as consecutive
+    runs of ``counts[i]`` rows: runs (2, 0, 3) give 0, 1, 0, 1, 2."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def as_cloud(points) -> np.ndarray:
@@ -125,8 +130,7 @@ def split_regions(
     region = np.concatenate(voxels)
     order = np.argsort(region, kind="stable")
     counts = np.bincount(region, minlength=len(voxels) * m_regions)
-    # each sorted row's position within its region's run
-    rank = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    rank = run_ranks(counts)
     for r in np.flatnonzero(counts > capacity):
         logger.warning(
             "region %d overflows capacity (%d > %d); keeping lowest-index points",
@@ -286,27 +290,24 @@ def chamfer_eval(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
 
 
-def voxelize(cloud: np.ndarray, resolution: int, bounds: AABB) -> VoxelGrid:
-    """Occupancy grid: a cell is on iff at least one point falls inside it."""
+def voxelize(cloud: np.ndarray, resolution: int, bounds: AABB) -> np.ndarray:
+    """(res, res, res) bool occupancy: a cell is on iff at least one point
+    falls inside it; points outside ``bounds`` clamp to boundary cells."""
     cloud = as_cloud(cloud)
     if resolution < 1:
         raise DomainError(f"voxel resolution must be >= 1, got {resolution}")
     occ = np.zeros((resolution,) * 3, dtype=bool)
     occ.reshape(-1)[voxel_assign(cloud, bounds, resolution)] = True  # flat ids are C-order indices
-    return VoxelGrid(resolution, occ, bounds)
+    return occ
 
 
-def iou(a: VoxelGrid, b: VoxelGrid) -> float:
-    """Intersection over union of two occupancy grids on identical bounds."""
-    if a.resolution != b.resolution:
-        raise ContractError(f"grid resolutions differ: {a.resolution} vs {b.resolution}")
-    if not (np.array_equal(a.bounds.lo, b.bounds.lo) and np.array_equal(a.bounds.hi, b.bounds.hi)):
-        raise ContractError("grid bounds differ; voxelize both clouds on shared bounds")
-    union = np.logical_or(a.occupancy, b.occupancy).sum()
-    if union == 0:
-        raise DomainError("IoU of two empty grids")
-    inter = np.logical_and(a.occupancy, b.occupancy).sum()
-    return float(inter) / float(union)
+def iou(a: np.ndarray, b: np.ndarray, resolution: int) -> float:
+    """Intersection over union of two clouds' occupancy at ``resolution``
+    cells per edge, both voxelized on the union of their bounding boxes,
+    each expanded by 1e-9.  An empty cloud raises DomainError."""
+    bounds = bounding_box(a, 1e-9).union(bounding_box(b, 1e-9))
+    occ_a, occ_b = voxelize(a, resolution, bounds), voxelize(b, resolution, bounds)
+    return float(np.logical_and(occ_a, occ_b).sum()) / float(np.logical_or(occ_a, occ_b).sum())
 
 
 def downsample(cloud: np.ndarray, k: int) -> np.ndarray:

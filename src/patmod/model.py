@@ -228,10 +228,9 @@ class ForwardTrace:
         return self._per_region(self.f_cloud)
 
     def _per_region(self, stacked: np.ndarray | None) -> list[np.ndarray] | None:
-        """Cut ``stacked`` into one block per region by ``split.counts``."""
         if self.split is None or stacked is None:
             return None
-        return np.split(stacked, np.cumsum(self.split.counts)[:-1])
+        return self.split.per_region(stacked)
 
 
 def learner_offsets(n: int) -> np.ndarray:
@@ -474,7 +473,7 @@ class PatternModel:
                 continue
             owner = np.repeat(regions, take[n])
             h = ad.linear_blockfeat(
-                ad.gather_rows(pattern, np.concatenate([np.arange(t) for t in take[n]])),
+                ad.gather_rows(pattern, geo.run_ranks(take[n])),
                 f_r_all,
                 pt[f"modularizer{n}.fc1.weight_points"],
                 pt[f"modularizer{n}.fc1.weight_feature"],

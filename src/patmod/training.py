@@ -130,9 +130,8 @@ def loss_region(trace: ForwardTrace, gt_cloud: np.ndarray, model_config: ModelCo
     """
     # capacity = cloud size: ground-truth regions never truncate
     gt = geo.split_regions([gt_cloud], [gt_cloud], model_config.regions, gt_cloud.shape[0])
-    f_rows = np.split(np.arange(len(trace.f_cloud)), np.cumsum(trace.split.counts)[:-1])
-    gt_rows = np.split(gt.rows, np.cumsum(gt.counts)[:-1])
-    pairs = [(f, g) for f, g in zip(f_rows, gt_rows) if len(f) and len(g)]
+    f_rows = trace.split.per_region(np.arange(len(trace.f_cloud)))
+    pairs = [(f, g) for f, g in zip(f_rows, gt.per_region(gt.rows)) if len(f) and len(g)]
     if not pairs:
         logger.warning("no valid region pair; substituting whole-shape term for this sample")
         return geo.chamfer(trace.f_tensor, gt_cloud)
@@ -337,10 +336,8 @@ def train(
 
 def _score(pred: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
     """The evaluation score of a prediction against its ground truth: the
-    normalized Chamfer distance and the 32^3 IoU on the union of both
-    bounding boxes, each expanded by 1e-9."""
-    bounds = geo.bounding_box(pred, 1e-9).union(geo.bounding_box(gt, 1e-9))
-    return geo.chamfer_eval(pred, gt), geo.iou(geo.voxelize(pred, 32, bounds), geo.voxelize(gt, 32, bounds))
+    normalized Chamfer distance and the 32^3 IoU."""
+    return geo.chamfer_eval(pred, gt), geo.iou(pred, gt, 32)
 
 
 # ---------------------------------------------------------------------------

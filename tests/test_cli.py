@@ -826,6 +826,20 @@ def test_unallocatable_learner_offsets_exit_2_naming_patterns(workspace, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unallocatable_image_exit_2_naming_image_size(workspace, tmp_path):
+    """gen-data with an image_size whose render cannot be allocated exits 2
+    naming the key, without a traceback, sample or manifest.  The dataset
+    directory is created before the first render, so it stays, empty."""
+    _, cfg = workspace
+    ds = tmp_path / "ds"
+    run = _main_in_child(["gen-data", "--config", str(cfg), "--dataset", str(ds), "--set", "image_size=100000",
+                          "--set", "train_per_class=1", "--set", "test_per_class=1"])
+    assert run.returncode == 2, run.stderr
+    assert "image_size=100000: cannot allocate the image" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert list(ds.rglob("*")) == []
+
+
 def test_empty_train_split_exit_2_before_any_output(workspace, tmp_path, caplog):
     """A manifest without train records ends train as eval ends on an empty split."""
     root, cfg = workspace

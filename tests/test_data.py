@@ -62,6 +62,15 @@ def test_box_sampling_on_surface():
     assert on_face.all() and inside.all()
 
 
+def test_box_sample_of_one_point_draws_once():
+    """A face apportioned no point draws nothing: one point on a box moves
+    the generator exactly as one (1, 2) uniform draw does."""
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    data.BoxPrim((0.0, 0.0, 0.0), (0.5, 1.0, 2.0)).sample(rng, 1)
+    ref.uniform(-1.0, 1.0, size=(1, 2))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_cylinder_sampling_on_surface():
     cyl = data.CylinderPrim((0.0, 0.0, 0.0), 1, 0.5, 2.0)
     pts = cyl.sample(np.random.default_rng(0), 500)

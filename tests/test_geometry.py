@@ -172,6 +172,36 @@ def test_batched_split_equals_per_member_loop(sizes, m, capacity, own_reference,
     assert split.rows.dtype == np.intp
 
 
+@pytest.mark.parametrize(
+    "counts", [[3, 0, 2, 5], [0, 4, 0, 0, 1], [0, 0, 0], [0], [7], "random"], ids=str
+)
+def test_run_ranks_equal_the_per_run_arange_concatenation(counts):
+    """Runs with zeros, an all-zero array and 32 random runs (zeros
+    included): the same bytes and dtype as one ``np.arange`` per run."""
+    if counts == "random":
+        counts = np.random.default_rng(3).integers(0, 6, 32)
+    counts = np.asarray(counts, dtype=np.intp)
+    want = np.concatenate([np.arange(t) for t in counts])
+    got = geo.run_ranks(counts)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_per_region_equals_the_np_split_cut():
+    """Empty regions among the blocks, cut from row indices and from (k, 3) rows."""
+    rng = np.random.default_rng(4)
+    split = _split_one(random_cloud(rng, 40), random_cloud(rng, 6, 0.5), 27, capacity=40)
+    assert (split.counts == 0).any()
+    stacked = rng.uniform(size=(split.counts.sum(), 3))
+    for rows in (split.rows, stacked):
+        want = np.split(rows, np.cumsum(split.counts)[:-1])
+        got = split.per_region(rows)
+        assert len(got) == len(want) == 27
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+
 # ---------------------------------------------------------------------------
 # centering, as the model runs it: gather a region's rows, subtract their
 # block mean, and add the mean back in the object frame
@@ -522,8 +552,8 @@ def _unit_box():
 
 
 def test_voxelize_single_center_point():
-    grid = geo.voxelize(np.array([[0.5, 0.5, 0.5]]), 1, _unit_box())
-    assert grid.occupancy.sum() == 1
+    occupancy = geo.voxelize(np.array([[0.5, 0.5, 0.5]]), 1, _unit_box())
+    assert occupancy.sum() == 1
 
 
 def test_voxelize_identical_clouds_identical_grids():
@@ -531,43 +561,41 @@ def test_voxelize_identical_clouds_identical_grids():
     cloud = rng.uniform(0, 1, (50, 3))
     g1 = geo.voxelize(cloud, 8, _unit_box())
     g2 = geo.voxelize(cloud, 8, _unit_box())
-    np.testing.assert_array_equal(g1.occupancy, g2.occupancy)
-    assert geo.iou(g1, g2) == 1.0
+    np.testing.assert_array_equal(g1, g2)
+    assert geo.iou(cloud, cloud.copy(), 8) == 1.0
 
 
 def test_voxelize_matches_brute_force_binning():
     rng = np.random.default_rng(13)
     cloud = rng.uniform(0, 1, (100, 3))
-    grid = geo.voxelize(cloud, 4, _unit_box())
+    occupancy = geo.voxelize(cloud, 4, _unit_box())
     expected = np.zeros((4, 4, 4), dtype=bool)
     for p in cloud:
         i, j, k = np.minimum((p * 4).astype(int), 3)
         expected[i, j, k] = True
-    np.testing.assert_array_equal(grid.occupancy, expected)
+    np.testing.assert_array_equal(occupancy, expected)
 
 
 def test_iou_disjoint_zero():
-    a = geo.voxelize(np.array([[0.1, 0.1, 0.1]]), 2, _unit_box())
-    b = geo.voxelize(np.array([[0.9, 0.9, 0.9]]), 2, _unit_box())
-    assert geo.iou(a, b) == 0.0
+    assert geo.iou(np.array([[0.1, 0.1, 0.1]]), np.array([[0.9, 0.9, 0.9]]), 2) == 0.0
 
 
 def test_iou_matches_set_arithmetic():
+    """The oracle voxelizes both clouds on the union of their boxes, each
+    expanded by 1e-9; the boxes differ, so each cloud fills only part of it."""
     rng = np.random.default_rng(14)
     ca = rng.uniform(0, 1, (60, 3))
-    cb = rng.uniform(0, 1, (60, 3))
-    ga = geo.voxelize(ca, 8, _unit_box())
-    gb = geo.voxelize(cb, 8, _unit_box())
-    sa = {tuple(x) for x in np.argwhere(ga.occupancy)}
-    sb = {tuple(x) for x in np.argwhere(gb.occupancy)}
-    assert geo.iou(ga, gb) == len(sa & sb) / len(sa | sb)
+    cb = rng.uniform(0.3, 1.4, (60, 3))
+    box = geo.AABB(np.minimum(ca.min(axis=0), cb.min(axis=0)), np.maximum(ca.max(axis=0), cb.max(axis=0)) + 1e-9)
+    sa = {tuple(x) for x in np.argwhere(geo.voxelize(ca, 8, box))}
+    sb = {tuple(x) for x in np.argwhere(geo.voxelize(cb, 8, box))}
+    assert 0 < len(sa & sb) < len(sa | sb)
+    assert geo.iou(ca, cb, 8) == len(sa & sb) / len(sa | sb)
 
 
-def test_iou_contract_errors():
-    a = geo.voxelize(np.array([[0.5, 0.5, 0.5]]), 2, _unit_box())
-    b = geo.voxelize(np.array([[0.5, 0.5, 0.5]]), 4, _unit_box())
-    with pytest.raises(ContractError):
-        geo.iou(a, b)
+def test_iou_of_an_empty_cloud_is_a_domain_error():
+    with pytest.raises(DomainError, match="bounding box of an empty cloud"):
+        geo.iou(np.zeros((0, 3)), np.ones((4, 3)), 32)
 
 
 # ---------------------------------------------------------------------------

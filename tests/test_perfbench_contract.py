@@ -42,7 +42,13 @@ def test_traced_train_reconstruct_evaluate_record_no_failure(tmp_path):
     assert spans.check_cloud(cloud, MINI_CONFIG["f_points"]) is None
     names = {span[0] for span in rec.spans}
     assert {"training.total_loss", "training.adam_step", "model.forward", "model.save_checkpoint",
-            "model.load_checkpoint", "training.evaluate"} <= names
+            "model.load_checkpoint", "training.evaluate", "geometry.voxel_iou", "geometry.chamfer_eval"} <= names
+    # each IoU is one traced iou call around its two traced voxelize calls, so
+    # a caller that reaches either through a local name fails here
+    iou = {i for i, span in enumerate(rec.spans) if span[0] == "geometry.voxel_iou"}
+    outer = [i for i in iou if rec.spans[i][3] not in iou]
+    inner = Counter(rec.spans[i][3] for i in iou if rec.spans[i][3] in iou)
+    assert outer and [inner[i] for i in outer] == [2] * len(outer)
 
 
 def test_taped_batch_step_records_every_backward_kind():

@@ -21,7 +21,8 @@ data; a rule may hand on its incoming gradient, or disjoint slices of it.
 A node keeps what its rule reads, with one exception that trades time for
 memory: ``linear_blockfeat`` fuses two ReLU layers and keeps only its narrow
 inputs and its output, so its rule recomputes the wide hidden layer between
-them and drops it again before it returns.
+them and drops it again before it returns.  Every weight gradient is one
+``_sum_outer`` call; input gradients and bias sums stay in their rules.
 """
 
 from __future__ import annotations
@@ -207,6 +208,12 @@ def _activation_grad(g: Array, out: Array, activation: str | None) -> Array:
     return g
 
 
+def _sum_outer(a: Array, b: Array) -> Array:
+    """``a.T @ b``: the sum over the K rows of the outer products a[k] (x) b[k].
+    Every weight gradient sums its rows here, and nowhere else."""
+    return a.T @ b
+
+
 def linear(x, w, b, activation: str | None = None) -> DTensor:
     """Fully connected layer x @ w + b with an optionally fused activation.
 
@@ -227,7 +234,7 @@ def linear(x, w, b, activation: str | None = None) -> DTensor:
 
     def backward(g):
         g = _activation_grad(g, out, activation)
-        return [g @ wd.T, xd.T @ g, g.sum(axis=0, keepdims=True)]
+        return [g @ wd.T, _sum_outer(xd, g), g.sum(axis=0, keepdims=True)]
 
     return _emit("linear", out, (x, w, b), backward)
 
@@ -292,7 +299,7 @@ def linear_blockfeat(x, feats, w_x, w_f, b, block_index, w2, b2) -> DTensor:
         # hidden gradient are never all alive at once
         g = _activation_grad(g, out, "relu")
         h = hidden()
-        dw2 = h.T @ g
+        dw2 = _sum_outer(h, g)
         live = h > 0.0
         del h
         db2 = g.sum(axis=0, keepdims=True)
@@ -306,8 +313,8 @@ def linear_blockfeat(x, feats, w_x, w_f, b, block_index, w2, b2) -> DTensor:
         return [
             gh @ wxd.T,
             rows_g @ wfd.T,
-            xd.T @ gh,
-            fd.T @ rows_g,
+            _sum_outer(xd, gh),
+            _sum_outer(fd, rows_g),
             rows_g.sum(axis=0, keepdims=True),
             dw2,
             db2,
@@ -361,7 +368,7 @@ def conv2d(x, kernel, bias, stride: int = 1, pad: int = 0) -> DTensor:
         dxp = np.zeros_like(xp)
         for ky in range(kh):
             for kx in range(kw):
-                dk[:, :, ky, kx] = gm @ window(xp, ky, kx).reshape(c_in, -1).T
+                dk[:, :, ky, kx] = _sum_outer(gm.T, window(xp, ky, kx).reshape(c_in, -1).T)
                 window(dxp, ky, kx)[...] += (kd[:, :, ky, kx].T @ gm).reshape(c_in, n, h_out, w_out)
         dx = dxp[:, :, pad : pad + h, pad : pad + w]
         return [dx.transpose(1, 0, 2, 3), dk, gm.sum(axis=1, keepdims=True)]

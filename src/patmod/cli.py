@@ -28,6 +28,7 @@ from .training import (
     evaluate,
     interpolate_latent,
     sweep,
+    sweep_configs,
     train,
     write_metrics_csv,
     write_sweep_csv,
@@ -229,10 +230,11 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     # every value trains, then is evaluated on both test splits
     dataset = {SPLITS[split]: _load_split(cfg, split, cfg.model.image_shape) for split in SPLITS}
     values = [v for v in list_items(args.values) if v]
+    values = [v for v, _ in sweep_configs(args.parameter, values, cfg)]  # warns once per value that fails
+    if not values:
+        raise ConfigError(f"no valid values for sweep parameter {args.parameter!r}")
     out = _prepare_out(cfg.out_dir, args.force, [f"sweep_{args.parameter}.csv"])
     rows = sweep(args.parameter, values, cfg, dataset)
-    if not rows:
-        raise ConfigError(f"no valid values for sweep parameter {args.parameter!r}")
     cfg.write(out / "config_resolved.txt")
     csv_path = out / f"sweep_{args.parameter}.csv"
     write_sweep_csv(csv_path, rows)

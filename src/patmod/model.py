@@ -220,10 +220,6 @@ class ForwardTrace:
         return self._per_region(self.modularized)
 
     @property
-    def shifts(self) -> list[np.ndarray] | None:  # M x (k_m, 3): U - R', exact by construction
-        return self._per_region(None if self.modularized is None else self.f_cloud - self.modularized)
-
-    @property
     def u(self) -> list[np.ndarray] | None:  # M x (k_m, 3)
         return self._per_region(self.f_cloud)
 
@@ -461,8 +457,7 @@ class PatternModel:
         Region m's rows are its N pattern blocks of P rows in pattern order,
         so pattern n supplies the first clip(rows[m] - n*P, 0, P) of them.
         A pattern that no region reaches is not decoded.  Each modularizer's
-        fc1 and fc2 run as one ``linear_blockfeat`` node, so its 512-wide
-        first layer is recomputed in backward instead of kept on the tape.
+        fc1 and fc2 are one ``_blockfeat`` call.
         """
         p_rows = self.config.pattern_points
         take = np.clip(rows[None, :] - p_rows * np.arange(len(patterns))[:, None], 0, p_rows)
@@ -472,16 +467,7 @@ class PatternModel:
             if not take[n].any():
                 continue
             owner = np.repeat(regions, take[n])
-            h = ad.linear_blockfeat(
-                ad.gather_rows(pattern, geo.run_ranks(take[n])),
-                f_r_all,
-                pt[f"modularizer{n}.fc1.weight_points"],
-                pt[f"modularizer{n}.fc1.weight_feature"],
-                pt[f"modularizer{n}.fc1.bias"],
-                owner,
-                pt[f"modularizer{n}.fc2.weight"],
-                pt[f"modularizer{n}.fc2.bias"],
-            )
+            h = _blockfeat(ad.gather_rows(pattern, geo.run_ranks(take[n])), f_r_all, pt, f"modularizer{n}", owner)
             h = _linear(h, pt, f"modularizer{n}.fc3", "relu")
             outs.append(_linear(h, pt, f"modularizer{n}.fc4", "tanh"))
             owners.append(owner)
@@ -492,18 +478,8 @@ class PatternModel:
     def customize(self, r_prime_obj: DTensor, f_i: DTensor, pt: dict[str, DTensor], member: np.ndarray) -> DTensor:
         """Predict the per-point modularization shift from the image feature;
         row r reads the feature row of its batch member ``member[r]``.  fc1
-        and fc2 run as one ``linear_blockfeat`` node, so the 512-wide first
-        layer is recomputed in backward instead of kept on the tape."""
-        h = ad.linear_blockfeat(
-            r_prime_obj,
-            f_i,
-            pt["customizer.fc1.weight_points"],
-            pt["customizer.fc1.weight_feature"],
-            pt["customizer.fc1.bias"],
-            member,
-            pt["customizer.fc2.weight"],
-            pt["customizer.fc2.bias"],
-        )
+        and fc2 are one ``_blockfeat`` call."""
+        h = _blockfeat(r_prime_obj, f_i, pt, "customizer", member)
         return _linear(h, pt, "customizer.fc3", "tanh")
 
     # ------------------------------------------------------------------
@@ -619,6 +595,15 @@ def _row_slice(t: DTensor, lo: int, hi: int) -> DTensor:
 
 def _linear(x: DTensor, pt: dict[str, DTensor], prefix: str, activation: str | None = None) -> DTensor:
     return ad.linear(x, pt[f"{prefix}.weight"], pt[f"{prefix}.bias"], activation)
+
+
+def _blockfeat(x: DTensor, feats: DTensor, pt: dict[str, DTensor], prefix: str, block_index) -> DTensor:
+    """A head's fc1 and fc2 over [x | feats[block_index[r]]] as one
+    ``linear_blockfeat`` node: the wide first layer is recomputed in backward
+    instead of kept on the tape."""
+    fc1, fc2 = f"{prefix}.fc1", f"{prefix}.fc2"
+    first = (pt[f"{fc1}.weight_points"], pt[f"{fc1}.weight_feature"], pt[f"{fc1}.bias"])
+    return ad.linear_blockfeat(x, feats, *first, block_index, pt[f"{fc2}.weight"], pt[f"{fc2}.bias"])
 
 
 def _check_finite(arr: np.ndarray, stage: str) -> None:

@@ -435,18 +435,23 @@ def interpolate_latent(
 SWEEP_PARAMETERS = {"alpha": "alpha", "M": "regions", "N": "patterns", "sampling_mode": "sampling_mode"}
 
 
-def sweep(parameter: str, values: list, run_config: RunConfig, dataset: dict[str, list[Sample]]) -> list[dict]:
-    """Train/evaluate one run per value; returns one result row per valid value.
-    Each value is applied as ``--set`` text; one that fails is skipped with a warning."""
+def sweep_configs(parameter: str, values: list, run_config: RunConfig) -> list[tuple[object, RunConfig]]:
+    """(value, run config) per value that applies as ``--set`` text; one that fails is skipped with a warning."""
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {tuple(SWEEP_PARAMETERS)}, got {parameter!r}")
-    rows = []
+    configs = []
     for value in values:
         try:
-            cfg = run_config.apply({SWEEP_PARAMETERS[parameter]: str(value)})
+            configs.append((value, run_config.apply({SWEEP_PARAMETERS[parameter]: str(value)})))
         except ConfigError as exc:
             logger.warning("skipping %s=%r: %s", parameter, value, exc)
-            continue
+    return configs
+
+
+def sweep(parameter: str, values: list, run_config: RunConfig, dataset: dict[str, list[Sample]]) -> list[dict]:
+    """Train/evaluate one run per value that ``sweep_configs`` keeps; returns one result row each."""
+    rows = []
+    for value, cfg in sweep_configs(parameter, values, run_config):
         model = PatternModel(cfg.model, seed=cfg.model_seed)
         train(dataset["train"], model, cfg.train)
         cd_seen = evaluate(model, dataset["test_seen"], "seen")[-1].cd_eval

@@ -646,6 +646,55 @@ def test_backward_rule_outputs_share_no_memory(name, op, values):
         assert not any(np.may_share_memory(gi, gj) for gj in grads[:i]), (name, i)
 
 
+def test_every_weight_gradient_is_one_sum_outer_call(monkeypatch):
+    """Each weight gradient of ``linear``, ``linear_blockfeat`` and ``conv2d``
+    is one ``_sum_outer`` call and has the bytes of the inline product."""
+    calls, sum_outer = [], ad._sum_outer
+    monkeypatch.setattr(ad, "_sum_outer", lambda a, b: calls.append(1) or sum_outer(a, b))
+    rng = np.random.default_rng(31)
+
+    def rule_grads(op, values, g):
+        tape = ad.Tape()
+        out = op(*[tape.watch(ad.Parameter(f"p{i}", v)) for i, v in enumerate(values)])
+        calls.clear()
+        return out.data, tape.nodes[out.node_id].backward(g.copy())
+
+    x, w, b = rng.standard_normal((7, 3)), rng.standard_normal((3, 5)), rng.standard_normal((1, 5))
+    g = rng.standard_normal((7, 5))
+    _, grads = rule_grads(ad.linear, (x, w, b), g)
+    assert len(calls) == 1
+    assert grads[1].tobytes() == (x.T @ g).tobytes()
+
+    idx = np.array([0, 0, 2, 2, 2, 3, 3])
+    f, wf, w2 = rng.standard_normal((4, 4)), rng.standard_normal((4, 5)), rng.standard_normal((5, 6))
+    b2 = rng.standard_normal((1, 6))
+    g = rng.standard_normal((7, 6))
+    out, grads = rule_grads(lambda *t: ad.linear_blockfeat(*t[:5], idx, *t[5:]), (x, f, w, wf, b, w2, b2), g)
+    assert len(calls) == 3
+    h = x @ w
+    h += (f @ wf + b)[idx]
+    np.maximum(h, 0.0, out=h)
+    g = g * (out > 0.0)
+    gh = (g @ w2.T) * (h > 0.0)
+    rows_g = np.stack([gh[idx == k].sum(axis=0) for k in range(len(f))])
+    assert grads[2].tobytes() == (x.T @ gh).tobytes()
+    assert grads[3].tobytes() == (f.T @ rows_g).tobytes()
+    assert grads[5].tobytes() == (h.T @ g).tobytes()
+
+    img, ker, ker_b = rng.standard_normal((2, 2, 5, 5)), rng.standard_normal((3, 2, 3, 3)), rng.standard_normal((3, 1))
+    g = rng.standard_normal((2, 3, 5, 5))
+    out, grads = rule_grads(lambda *t: ad.conv2d(*t, 1, 1), (img, ker, ker_b), g)
+    assert len(calls) == 9
+    xp = np.zeros((2, 2, 7, 7))  # channel-major and padded, as conv2d lays it out
+    xp[:, :, 1:6, 1:6] = img.transpose(1, 0, 2, 3)
+    gm = (g * (out > 0.0)).transpose(1, 0, 2, 3).reshape(3, -1)
+    dk = np.zeros_like(ker)
+    for ky in range(3):
+        for kx in range(3):
+            dk[:, :, ky, kx] = gm @ xp[:, :, ky : ky + 5, kx : kx + 5].reshape(2, -1).T
+    assert grads[1].tobytes() == dk.tobytes()
+
+
 def test_one_gradient_fed_to_two_relu_layers_matches_finite_differences():
     """add hands one gradient to two ReLU layers that each apply their
     derivative in place; concat hands its row slices to ReLU layers."""

@@ -398,14 +398,28 @@ def test_sweep_values_are_stripped(workspace, tmp_path, parameter, values, writt
 )
 def test_sweep_all_invalid_exit_2(workspace, tmp_path, parameter, value):
     """Each value is skipped with a warning, then the sweep exits 2 before
-    it writes anything."""
+    it creates its output directory."""
     root, cfg = workspace
     out = tmp_path / "badsweep"
     assert cli.main([
         "sweep", "--config", str(cfg), "--parameter", parameter,
         "--values", value, "--out", str(out),
     ]) == 2
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_sweep_without_a_valid_value_leaves_no_output_directory(workspace, tmp_path, caplog, monkeypatch):
+    """Two values that do not resolve are each warned about once, and the
+    sweep exits 2 without training or creating the output directory."""
+    _, cfg = workspace
+    out = tmp_path / "sw"
+    monkeypatch.setattr(cli, "sweep", lambda *args: pytest.fail("the sweep trained"))
+    argv = ["sweep", "--config", str(cfg), "--parameter", "M", "--values", "7,9", "--out", str(out)]
+    assert cli.main(argv) == 2
+    skips = [r.getMessage().split(":")[0] for r in caplog.records if r.getMessage().startswith("skipping")]
+    assert skips == ["skipping M='7'", "skipping M='9'"]
+    assert "no valid values for sweep parameter 'M'" in caplog.text
+    assert not out.exists()
 
 
 def test_sweep_empty_test_split_exit_2_before_training(workspace, tmp_path, caplog, monkeypatch):

@@ -228,8 +228,8 @@ def test_forward_trace_shapes_and_ranges(tiny_model, tiny_inputs):
     trace = tiny_model.forward(image, reference=gt)
     assert trace.s_cloud.shape == (24, 3)
     assert len(trace.r_prime) == 8
-    for r, t, u, k in zip(trace.r_prime, trace.shifts, trace.u, trace.split.counts):
-        assert r.shape == t.shape == u.shape == (k, 3)
+    for r, u, k in zip(trace.r_prime, trace.u, trace.split.counts):
+        assert r.shape == u.shape == (k, 3)
     total_real = trace.split.counts.sum()
     assert trace.f_cloud.shape == (total_real, 3)
     assert np.isfinite(trace.f_cloud).all()
@@ -257,10 +257,14 @@ def test_forward_padding_rows_never_reach_region_encoder(tiny_model, tiny_inputs
 
 
 def test_residual_identity_exact(tiny_model, tiny_inputs):
+    """U = R' + the customizer's shift, bit for bit: the shift recomputed
+    without a tape from the trace's R' and the image feature."""
     image, gt = tiny_inputs
-    trace = tiny_model.forward(image, reference=gt)
-    for r, t, u in zip(trace.r_prime, trace.shifts, trace.u):
-        np.testing.assert_array_equal(u - r, t)
+    trace = tiny_model.forward(image, reference=gt, tape=ad.Tape())
+    pt, member = tiny_model.params, np.zeros(len(trace.modularized), dtype=np.intp)
+    shift = tiny_model.customize(ad.constant(trace.modularized), tiny_model.encode_image(image, pt), pt, member)
+    assert (trace.modularized + shift.data).tobytes() == trace.f_cloud.tobytes()
+    assert np.any(shift.data != 0.0)
 
 
 def test_zeroed_final_customizer_layer_gives_identity(tiny_inputs):
@@ -269,8 +273,7 @@ def test_zeroed_final_customizer_layer_gives_identity(tiny_inputs):
     model.params["customizer.fc3.weight"].data = np.zeros_like(model.params["customizer.fc3.weight"].data)
     model.params["customizer.fc3.bias"].data = np.zeros_like(model.params["customizer.fc3.bias"].data)
     trace = model.forward(image, reference=gt)
-    for r, t, u in zip(trace.r_prime, trace.shifts, trace.u):
-        np.testing.assert_array_equal(t, np.zeros_like(t))
+    for r, u in zip(trace.r_prime, trace.u):
         np.testing.assert_array_equal(u, r)
 
 
@@ -518,8 +521,7 @@ def test_no_shift_equals_modularized_regions(tiny_inputs):
     image, gt = tiny_inputs
     model = PatternModel(ModelConfig(**TINY, no_shift=True), seed=9)
     trace = model.forward(image, reference=gt)
-    for r, t, u in zip(trace.r_prime, trace.shifts, trace.u):
-        np.testing.assert_array_equal(t, np.zeros_like(t))
+    for r, u in zip(trace.r_prime, trace.u):
         np.testing.assert_array_equal(u, r)
     rebuilt = np.vstack([u[:k] for u, k in zip(trace.u, trace.split.counts) if k])
     np.testing.assert_array_equal(trace.f_cloud, rebuilt)

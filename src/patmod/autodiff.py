@@ -540,48 +540,3 @@ def backward(loss: DTensor) -> dict[str, Array]:
                 grads[input_id] = gin
     tape.nodes = []  # the nodes the sweep never reached
     return {param.name: np.asarray(grads[nid]) for nid, param in tape._param_nodes.items() if nid in grads}
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-
-def grad_check(f: Callable, x, eps: float = 1e-6, floor: float = 1e-2) -> float:
-    """Worst relative deviation between tape gradients and central differences.
-
-    ``f`` maps a DTensor to a tensor; non-scalar outputs are summed before
-    differentiation; an ``x`` the loss does not reach has gradient zero.
-    Each coordinate of ``x`` is perturbed by +-eps.  The relative error uses
-    max(|fd|, |g|, floor) as denominator so near-zero gradients are compared
-    with an absolute floor.  NaN anywhere reports inf.
-    """
-    x = np.asarray(x, dtype=np.float64)
-
-    def f_scalar(values: Array) -> float:
-        return float(f(DTensor(values)).data.sum())
-
-    tape = Tape()
-    p = Parameter("x", x.copy())
-    out = f(tape.watch(p))
-    if out.data.size != 1:
-        out = reduce_sum(out)
-    if not np.isfinite(out.data).all():
-        return float("inf")
-    analytic = backward(out).get("x", np.zeros(x.shape))
-
-    worst = 0.0
-    flat = x.copy().reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        f_plus = f_scalar(flat.reshape(x.shape))
-        flat[i] = orig - eps
-        f_minus = f_scalar(flat.reshape(x.shape))
-        flat[i] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            return float("inf")
-        fd = (f_plus - f_minus) / (2.0 * eps)
-        g = analytic.reshape(-1)[i]
-        rel = abs(fd - g) / max(abs(fd), abs(g), floor)
-        worst = max(worst, rel)
-    return worst

@@ -164,8 +164,9 @@ def _prepare_out(path, force: bool, expected: list[str]) -> Path:
 
 
 def cmd_gen_data(args, cfg: RunConfig) -> int:
+    dataset = data.make_dataset(cfg.split, cfg.model.image_size)
     root = _prepare_out(cfg.dataset_dir, args.force, ["manifest.jsonl"])
-    manifest = data.write_dataset(root, cfg.split, cfg.model.image_size)
+    manifest = data.write_samples(root, dataset)
     cfg.write(root / "config_resolved.txt")
     records = data.read_manifest(manifest)
     counts = {}
@@ -234,8 +235,8 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     if not values:
         raise ConfigError(f"no valid values for sweep parameter {args.parameter!r}")
     out = _prepare_out(cfg.out_dir, args.force, [f"sweep_{args.parameter}.csv"])
-    rows = sweep(args.parameter, values, cfg, dataset)
     cfg.write(out / "config_resolved.txt")
+    rows = sweep(args.parameter, values, cfg, dataset)
     csv_path = out / f"sweep_{args.parameter}.csv"
     write_sweep_csv(csv_path, rows)
     for r in rows:

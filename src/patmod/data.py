@@ -486,9 +486,14 @@ def read_pgm(path, shape: tuple[int, int, int] | None = None) -> np.ndarray:
 
 def write_dataset(root, split: DatasetSplit, image_size: int = 64) -> Path:
     """Materialize a dataset on disk and return the manifest path."""
+    return write_samples(root, make_dataset(split, image_size))
+
+
+def write_samples(root, dataset: dict[str, list[Sample]]) -> Path:
+    """Write ``make_dataset``'s splits and their manifest under ``root``, and
+    return the manifest path."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    dataset = make_dataset(split, image_size)
     records = []
     for split_name, samples in dataset.items():
         sub = root / split_name

@@ -266,16 +266,6 @@ def chamfer(a, b, pairs=None):
     return ad.add(*terms)
 
 
-def chamfer_brute_force(a: np.ndarray, b: np.ndarray) -> float:
-    """O(n*m) oracle for the raw-sum Chamfer distance."""
-    a, b = as_cloud(a), as_cloud(b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise DomainError("chamfer distance of an empty cloud")
-    diff = a[:, None, :] - b[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
-    return float(d.min(axis=0).sum() + d.min(axis=1).sum())
-
-
 def chamfer_eval(a: np.ndarray, b: np.ndarray) -> float:
     """Per-point-normalized Chamfer used for reporting.
 

@@ -172,19 +172,6 @@ def parse_config_lines(lines, source) -> dict[str, str]:
     return out
 
 
-MINI_CONFIG = dict(
-    s_points=32,
-    f_points=32,
-    regions=8,
-    patterns=2,
-    pattern_points=8,
-    image_feat=16,
-    region_feat=8,
-    image_size=8,
-    conv_channels=(4, 4, 8, 8, 8, 8, 8),
-)
-
-
 @dataclass
 class ForwardTrace:
     """Everything a loss or a visualization needs from one forward pass.
@@ -363,16 +350,6 @@ class PatternModel:
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
-
-    def param_count(self) -> dict[str, int]:
-        """Exact trainable scalar counts per component plus the total."""
-        counts: dict[str, int] = {}
-        for p in self.parameters():
-            component = p.name.split(".")[0].rstrip("0123456789")
-            key = {"learner": "learners", "modularizer": "modularizers"}.get(component, component)
-            counts[key] = counts.get(key, 0) + p.data.size
-        counts["total"] = sum(v for k, v in counts.items() if k != "total")
-        return counts
 
     # ------------------------------------------------------------------
     # sub-networks; each takes/returns DTensors so it records on the caller's tape

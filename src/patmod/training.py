@@ -8,7 +8,6 @@ objective or the architecture for the comparison grids.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -465,42 +464,6 @@ def write_sweep_csv(path, rows: list[dict]) -> None:
         fh.write("parameter,value,cd_seen,cd_unseen\n")
         for r in rows:
             fh.write(f"{r['parameter']},{r['value']},{r['cd_seen']:.17g},{r['cd_unseen']:.17g}\n")
-
-
-# ---------------------------------------------------------------------------
-# overfit harness
-
-
-def overfit_harness(
-    model: PatternModel,
-    samples: list[Sample],
-    config: TrainConfig,
-    max_steps: int = 500,
-) -> dict:
-    """Drive optimizer steps until the full-dataset loss falls to a quarter
-    of its initial value (or the step budget runs out), checking it every
-    10 steps.  An empty dataset raises DomainError from the first
-    ``dataset_loss``, before any step."""
-    initial = dataset_loss(model, samples, config)
-    target = 0.25 * initial
-    state = AdamState()
-    rng = np.random.default_rng(config.seed)
-    batches = (b for _ in itertools.count() for b in _batches(samples, config.batch_size, rng))
-    steps, current = 0, initial
-    t0 = time.perf_counter()
-    for steps, batch in zip(range(1, max_steps + 1), batches):
-        _train_step(model, batch, config, state, lr_at(0, config))
-        if steps % 10 == 0 or steps == max_steps:
-            current = dataset_loss(model, samples, config)
-            if current <= target:
-                break
-    return {
-        "initial_loss": initial,
-        "final_loss": current,
-        "steps": steps,
-        "seconds": time.perf_counter() - t0,
-        "reached": current <= target,
-    }
 
 
 def dataset_loss(model: PatternModel, samples: list[Sample], config: TrainConfig) -> float:

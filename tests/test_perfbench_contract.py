@@ -12,7 +12,9 @@ import numpy as np
 
 from patmod import autodiff as ad
 from patmod import data, geometry, model, training
-from patmod.model import MINI_CONFIG, ModelConfig, PatternModel
+from patmod.model import ModelConfig, PatternModel
+
+from oracles import MINI_CONFIG
 
 _SPEC = importlib.util.spec_from_file_location(
     "perfbench_spans", Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"

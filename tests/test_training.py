@@ -12,8 +12,11 @@ from patmod import geometry as geo
 from patmod import training as tr
 from patmod.data import Sample, generate_shape, make_sample, render_image
 from patmod.errors import ConfigError, DomainError, NumericalAbort
-from patmod.model import MINI_CONFIG, ForwardTrace, ModelConfig, PatternModel, load_checkpoint, save_checkpoint
+from patmod.model import ForwardTrace, ModelConfig, PatternModel, load_checkpoint, save_checkpoint
 from patmod.runconfig import RunConfig
+
+import oracles
+from oracles import MINI_CONFIG
 
 TINY = dict(
     s_points=24,
@@ -64,7 +67,7 @@ def test_loss_shape_matches_brute_force():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((20, 3))
     b = rng.standard_normal((20, 3))
-    assert abs(_loss_shape(a, b) - geo.chamfer_brute_force(a, b)) < 1e-12
+    assert abs(_loss_shape(a, b) - oracles.chamfer_brute_force(a, b)) < 1e-12
 
 
 def _gt_regions(gt_cloud, capacity, m_regions=8):
@@ -104,7 +107,7 @@ def test_loss_region_single_pair_no_averaging():
     kept = [None] * 8
     kept[target] = offset
     trace = _trace_with_kept(kept, gt)
-    expected = geo.chamfer_brute_force(offset, cluster)
+    expected = oracles.chamfer_brute_force(offset, cluster)
     assert abs(tr.loss_region(trace, gt, ModelConfig(**TINY)).item() - expected) < 1e-12
 
 
@@ -116,7 +119,7 @@ def test_loss_region_matches_hand_assembled_brute_force():
         if len(region):
             fake = region + rng.normal(0, 0.02, region.shape)
             kept.append(fake)
-            expected_terms.append(geo.chamfer_brute_force(fake, region))
+            expected_terms.append(oracles.chamfer_brute_force(fake, region))
         else:
             kept.append(None)
     trace = _trace_with_kept(kept, gt)
@@ -144,8 +147,8 @@ def test_total_loss_falls_back_to_whole_shape_term(caplog):
     with caplog.at_level("WARNING", logger="patmod.training"):
         total, parts = tr.total_loss(trace, gt, tr.TrainConfig(), ModelConfig(**TINY))
     assert "no valid region pair; substituting whole-shape term" in caplog.text
-    l_f = geo.chamfer_brute_force(trace.f_cloud, gt)
-    l_shape = geo.chamfer_brute_force(gt + 0.05, gt)
+    l_f = oracles.chamfer_brute_force(trace.f_cloud, gt)
+    l_shape = oracles.chamfer_brute_force(gt + 0.05, gt)
     assert abs(parts["loss_region"] - l_f) < 1e-12
     assert abs(total.item() - (l_f + 0.1 * l_shape)) < 1e-12
 
@@ -188,7 +191,7 @@ def test_total_loss_ablations():
     assert no_shape.item() == parts["loss_region"]
 
     no_region, parts = tr.total_loss(trace, gt, tr.TrainConfig(no_l_region=True), model.config)
-    whole_shape_on_f = geo.chamfer_brute_force(trace.f_cloud, gt)
+    whole_shape_on_f = oracles.chamfer_brute_force(trace.f_cloud, gt)
     assert abs(parts["loss_region"] - whole_shape_on_f) < 1e-10
 
     nl_model = tiny_model(no_local=True)
@@ -704,7 +707,7 @@ def test_empty_dataset_rejected():
         tr.train([], tiny_model(), tr.TrainConfig())
 
 
-@pytest.mark.parametrize("run", [tr.dataset_loss, lambda *args: tr.overfit_harness(*args, max_steps=5)],
+@pytest.mark.parametrize("run", [tr.dataset_loss, lambda *args: oracles.overfit_harness(*args, max_steps=5)],
                          ids=["dataset_loss", "overfit_harness"])
 def test_empty_dataset_rejected_before_any_pass(monkeypatch, run):
     """An empty dataset raises DomainError, as in train, before any pass:
@@ -738,7 +741,7 @@ def test_overfit_harness_is_pinned(n_samples, max_steps, steps, reached, final_l
     classes = ["table", "chair", "lamp", "ring", "sofa_block"]
     samples = [make_sample(classes[i], 300 + i, image_size=MINI_CONFIG["image_size"]) for i in range(n_samples)]
     model = PatternModel(ModelConfig(**MINI_CONFIG), seed=1)
-    result = tr.overfit_harness(model, samples, tr.TrainConfig(batch_size=2, lr=1e-2, seed=0), max_steps=max_steps)
+    result = oracles.overfit_harness(model, samples, tr.TrainConfig(batch_size=2, lr=1e-2, seed=0), max_steps=max_steps)
     assert (result["steps"], result["reached"], result["final_loss"].hex()) == (steps, reached, final_loss)
     assert hashlib.sha256(b"".join(p.data.tobytes() for p in model.parameters())).hexdigest() == digest
 

@@ -471,12 +471,12 @@ def max_over_blocks(a, block_index, n_blocks: int) -> DTensor:
     present = idx[starts]
     out = np.zeros((n_blocks, d))
     out[present] = np.maximum.reduceat(a.data, starts, axis=0)
-    first = np.minimum.reduceat(np.where(a.data == out[idx], np.arange(n)[:, None], n), starts, axis=0)
-    cols = np.arange(d)
+    ad = a.data
 
     def backward(g):
+        first = np.minimum.reduceat(np.where(ad == out[idx], np.arange(n)[:, None], n), starts, axis=0)
         da = np.zeros((n, d))
-        da[first, cols] = g[present]
+        da[first, np.arange(d)] = g[present]
         return [da]
 
     return _emit("max_over_blocks", out, (a,), backward)

@@ -166,16 +166,12 @@ def _prepare_out(path, force: bool, expected: list[str]) -> Path:
 def cmd_gen_data(args, cfg: RunConfig) -> int:
     dataset = data.make_dataset(cfg.split, cfg.model.image_size)
     root = _prepare_out(cfg.dataset_dir, args.force, ["manifest.jsonl"])
-    manifest = data.write_samples(root, dataset)
+    data.write_samples(root, dataset)
     cfg.write(root / "config_resolved.txt")
-    records = data.read_manifest(manifest)
-    counts = {}
-    for rec in records:
-        counts[rec["split"]] = counts.get(rec["split"], 0) + 1
-    split = cfg.split
+    counts = {name: len(samples) for name, samples in dataset.items() if samples}
     print(
-        f"generated {len(records)} samples "
-        f"({len(split.seen_classes)} seen + {len(split.unseen_classes)} unseen classes): "
+        f"generated {sum(counts.values())} samples "
+        f"({len(cfg.split.seen_classes)} seen + {len(cfg.split.unseen_classes)} unseen classes): "
         + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     )
     return EXIT_OK

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .errors import ConfigError, ContractError, DomainError
+from .errors import ConfigError, ContractError, DomainError, allocating, at_least
 
 GT_POINTS = 2048
 NORM_HALF_EXTENT = 0.45  # leaves tanh headroom inside (-1, 1)
@@ -246,10 +246,8 @@ def render_image(cloud: np.ndarray, size: int = 64) -> np.ndarray:
     away rather than clamped to the border.  An image too large to allocate
     raises ConfigError naming ``image_size``.
     """
-    try:
+    with allocating(f"image_size={size}: cannot allocate the image"):
         img = np.zeros((size, size))
-    except (MemoryError, ValueError):  # numpy raises ValueError past 2**63 bytes
-        raise ConfigError(f"image_size={size}: cannot allocate the image") from None
     view = DEFAULT_VIEW / np.linalg.norm(DEFAULT_VIEW)
     right = np.cross(np.array([0.0, 1.0, 0.0]), view)
     right /= np.linalg.norm(right)
@@ -326,9 +324,7 @@ class DatasetSplit:
         overlap = set(self.seen_classes) & set(self.unseen_classes)
         if overlap:
             raise ConfigError(f"classes cannot be both seen and unseen: {sorted(overlap)}")
-        for key in ("train_per_class", "test_per_class"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        at_least([("train_per_class", self.train_per_class, 1), ("test_per_class", self.test_per_class, 1)])
 
 
 def sample_seed(master_seed: int, class_name: str, index: int) -> int:
@@ -373,10 +369,15 @@ def read_text(path, error: type[Exception] = DomainError) -> str:
         raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
 
 
-def write_xyz(path, cloud: np.ndarray) -> None:
+def _writable(cloud) -> np.ndarray:
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.shape[0] == 0:
         raise DomainError("refusing to write an empty point cloud")
+    return cloud
+
+
+def write_xyz(path, cloud: np.ndarray) -> None:
+    cloud = _writable(cloud)
     with open(path, "w") as fh:
         fh.write(("%.17g %.17g %.17g\n" * len(cloud)) % tuple(cloud.ravel().tolist()))
 
@@ -418,9 +419,7 @@ def read_xyz(path) -> np.ndarray:
 
 def write_ply(path, cloud: np.ndarray) -> None:
     """Binary little-endian vertex-only PLY with float32 coordinates."""
-    cloud = np.asarray(cloud, dtype=np.float64)
-    if cloud.shape[0] == 0:
-        raise DomainError("refusing to write an empty point cloud")
+    cloud = _writable(cloud)
     header = (
         "ply\n"
         "format binary_little_endian 1.0\n"

@@ -36,10 +36,6 @@ class AABB:
     def sides(self) -> np.ndarray:
         return self.hi - self.lo
 
-    @property
-    def max_side(self) -> float:
-        return float(self.sides.max())
-
     def union(self, other: "AABB") -> "AABB":
         return AABB(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
 
@@ -116,8 +112,7 @@ def split_regions(
     region 0's rows, then region 1's, and so on, each region's in ascending
     order.  A region keeps at most ``capacity`` rows: an overflowing region
     keeps its lowest-index rows and logs a warning giving its number within
-    the member.  A reference's box is its bounding box with the upper
-    corner pushed out by ``_split_epsilon``.
+    the member.  A reference's box is its ``split_box``.
     """
     m_edge = cube_edge(m_regions)
     voxels = []
@@ -125,8 +120,7 @@ def split_regions(
         reference = as_cloud(reference)
         if reference.shape[0] == 0:
             raise DomainError("reference cloud for region splitting is empty")
-        box = bounding_box(reference, epsilon=_split_epsilon(reference))
-        voxels.append(voxel_assign(as_cloud(source), box, m_edge) + b * m_regions)
+        voxels.append(voxel_assign(as_cloud(source), split_box(reference), m_edge) + b * m_regions)
     region = np.concatenate(voxels)
     order = np.argsort(region, kind="stable")
     counts = np.bincount(region, minlength=len(voxels) * m_regions)
@@ -141,10 +135,11 @@ def split_regions(
     return RegionSplit(order[rank < capacity], np.minimum(counts, capacity))
 
 
-def _split_epsilon(reference: np.ndarray) -> float:
+def split_box(reference: np.ndarray) -> AABB:
+    """The reference's bounding box, upper corner pushed out by 1e-6 of its largest side (1e-12 if 0)."""
     box = bounding_box(reference)
-    side = box.max_side
-    return 1e-6 * side if side > 0.0 else 1e-12
+    side = float(box.sides.max())
+    return AABB(box.lo, box.hi + (1e-6 * side if side > 0.0 else 1e-12))
 
 
 def check_lattice(count: int, extent: float, mode: str = "voxel") -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry as geo
 from .autodiff import DTensor, Parameter
-from .errors import ConfigError, ContractError, DomainError, NumericalAbort
+from .errors import ConfigError, ContractError, DomainError, NumericalAbort, allocating, at_least
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -59,11 +59,11 @@ class ModelConfig:
     def __post_init__(self):
         names = ("patterns", "pattern_points", "regions", "s_points", "image_feat", "region_feat", "image_size",
                  "image_channels")
-        sizes = {name: getattr(self, name) for name in names}
-        sizes.update((f"conv_channels[{i}]", c) for i, c in enumerate(self.conv_channels))
-        for name, size in sizes.items():
-            if size < 1:
-                raise ConfigError(f"{name} must be >= 1, got {size}")
+        at_least([(name, getattr(self, name), 1) for name in names]
+                 + [(f"conv_channels[{i}]", c, 1) for i, c in enumerate(self.conv_channels)])
+        if self.image_channels != 1:
+            raise ConfigError(f"image_channels must be 1, got {self.image_channels}: "
+                              "images are rendered and read with one channel")
         if self.s_points != self.f_points:
             raise ConfigError(f"initial and final point counts must match: {self.s_points} != {self.f_points}")
         try:
@@ -326,24 +326,18 @@ class PatternModel:
         # learner MLPs run over a shared lattice, each from its own offset
         self.lattice = self.offsets = None
         if not (c.no_local or c.no_patterns):
-            try:
+            with allocating(f"pattern_points={c.pattern_points}: cannot allocate the pattern lattice"):
                 self.lattice = geo.grid_lattice(c.pattern_points, c.pattern_extent, c.sampling_mode)
-            except (MemoryError, ValueError):  # numpy raises ValueError past 2**63 bytes
-                raise ConfigError(f"pattern_points={c.pattern_points}: cannot allocate the pattern lattice") from None
-            try:
+            with allocating(f"patterns={c.patterns}: cannot allocate the learner offsets"):
                 self.offsets = learner_offsets(c.patterns)
-            except (MemoryError, ValueError):
-                raise ConfigError(f"patterns={c.patterns}: cannot allocate the learner offsets") from None
         layout = _param_layout(c)
         self._learner_names = [spec.name for spec in layout if spec.name.startswith("learner")]
         # the bytes of the learner weights of the last tapeless pass that
         # computed patterns, and those read-only patterns; see _patterns
         self._pattern_cache: tuple[list[bytes], list[DTensor]] | None = None
-        try:
+        count = sum(math.prod(spec.shape) for spec in layout)
+        with allocating(f"cannot allocate the model's {count} parameters ({8 * count} bytes)"):
             self.params = {spec.name: Parameter(spec.name, fill(spec)) for spec in layout}
-        except (MemoryError, ValueError):  # numpy raises ValueError past 2**63 bytes
-            count = sum(math.prod(spec.shape) for spec in layout)
-            raise ConfigError(f"cannot allocate the model's {count} parameters ({8 * count} bytes)") from None
 
     # ------------------------------------------------------------------
     # parameter bookkeeping

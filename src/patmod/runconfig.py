@@ -27,7 +27,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .data import DatasetSplit, read_text
-from .errors import ConfigError
+from .errors import ConfigError, at_least
 from .model import ModelConfig, parse_config_lines, parse_value, to_flat
 from .training import TrainConfig
 
@@ -43,9 +43,7 @@ class RunConfig:
     eval_points: int = 0  # 0 = match prediction/ground-truth cardinality
 
     def __post_init__(self):
-        for name in ("eval_points", "model_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        at_least([("eval_points", self.eval_points, 0), ("model_seed", self.model_seed, 0)])
         for name in ("dataset_dir", "out_dir"):
             if not getattr(self, name):  # Path("") is the working directory
                 raise ConfigError(f"{name} must not be empty")

@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import geometry as geo
 from .autodiff import DTensor
 from .data import Sample
-from .errors import ConfigError, DomainError, NumericalAbort
+from .errors import ConfigError, DomainError, NumericalAbort, at_least
 from .model import ForwardTrace, ModelConfig, PatternModel, save_checkpoint
 
 if TYPE_CHECKING:
@@ -58,10 +58,8 @@ class TrainConfig:
     no_l_shape: bool = False
 
     def __post_init__(self):
-        for name, low in (("batch_size", 1), ("decay_every_epochs", 1), ("epochs", 0), ("seed", 0),
-                          ("checkpoint_every", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        at_least((name, getattr(self, name), low) for name, low in (
+            ("batch_size", 1), ("decay_every_epochs", 1), ("epochs", 0), ("seed", 0), ("checkpoint_every", 0)))
         for name in ("alpha", "lr", "lr_decay"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")

@@ -92,6 +92,25 @@ def test_manifest_line_count_matches_samples(workspace):
     assert len(lines) == 11
 
 
+@pytest.mark.parametrize(
+    "sets, line",
+    [
+        ([], "generated 11 samples (3 seen + 2 unseen classes): test_seen=3, test_unseen=2, train=6"),
+        (["unseen_classes="], "generated 9 samples (3 seen + 0 unseen classes): test_seen=3, train=6"),
+    ],
+    ids=["mini", "no_unseen_class"],
+)
+def test_gen_data_summary_line(workspace, tmp_path, capsys, sets, line):
+    """gen-data prints one line: the sample total, the class counts, and the
+    samples of each split that has any, in split-name order."""
+    _, cfg = workspace
+    argv = ["gen-data", "--config", str(cfg), "--dataset", str(tmp_path / "ds")]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_train_outputs(workspace):
     root, _ = workspace
     out = root / "run"
@@ -686,6 +705,24 @@ def test_every_definition_is_used():
     assert sorted(name for name in defined - loaded if not name.endswith("__")) == []
 
 
+def test_memory_errors_are_caught_only_in_allocating():
+    """Every ``except`` clause in the package that catches MemoryError lies
+    in ``errors.allocating``, so an allocation site states its guard as one
+    ``with allocating(message)`` and the rule has one home."""
+    outside = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        home = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "allocating"]
+        inside = {id(n) for node in home if path.name == "errors.py" for n in ast.walk(node)}
+        outside += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and id(node) not in inside
+            and any(isinstance(n, ast.Name) and n.id == "MemoryError" for n in ast.walk(node.type))
+        ]
+    assert outside == []
+
+
 def test_every_setting_is_read():
     """Every field of the run configuration is read as ``.<field>``
     somewhere in the package: a setting that nothing reads has no effect
@@ -800,6 +837,16 @@ def test_impossible_model_size_exit_2_naming_field(workspace, tmp_path, caplog, 
     assert cli.main(argv) == 2
     assert f"{field} must be >= 1" in caplog.text
     assert list(tmp_path.iterdir()) == []
+
+
+def test_image_channels_other_than_one_exit_2_before_any_output(workspace, tmp_path, caplog):
+    """Images are rendered and read with one channel, so gen-data refuses
+    any other channel count before it writes a sample or a manifest."""
+    _, cfg = workspace
+    ds = tmp_path / "ds"
+    assert cli.main(["gen-data", "--config", str(cfg), "--dataset", str(ds), "--set", "image_channels=3"]) == 2
+    assert "image_channels must be 1, got 3" in caplog.text
+    assert not (ds / "manifest.jsonl").exists()
 
 
 @pytest.mark.parametrize("points", [10**13, 10**17], ids=["3.4_PiB", "past_2**63_bytes"])

@@ -69,7 +69,7 @@ def test_split_m8_has_two_segments_per_edge():
     cloud = random_cloud(rng, 64)
     split = _split_one(cloud, cloud, 8, capacity=64)
     assert len(split.counts) == 8
-    box = geo.bounding_box(cloud, epsilon=geo._split_epsilon(cloud))
+    box = geo.split_box(cloud)
     np.testing.assert_array_equal(split.counts, np.bincount(geo.voxel_assign(cloud, box, 2), minlength=8))
 
 
@@ -100,7 +100,7 @@ def test_split_matches_brute_force_binning():
     rng = np.random.default_rng(4)
     cloud = random_cloud(rng, 200)
     split = _split_one(cloud, cloud, 27, capacity=200)
-    box = geo.bounding_box(cloud, epsilon=geo._split_epsilon(cloud))
+    box = geo.split_box(cloud)
     cell = box.sides / 3
     for m, rows in enumerate(_region_rows(split)):
         i, rem = divmod(m, 9)
@@ -162,7 +162,7 @@ def test_batched_split_equals_per_member_loop(sizes, m, capacity, own_reference,
 
     want_rows, want_counts, offset = [], [], 0
     for source, reference in zip(sources, references):
-        box = geo.bounding_box(reference, epsilon=geo._split_epsilon(reference))
+        box = geo.split_box(reference)
         flat = geo.voxel_assign(source, box, geo.cube_edge(m))
         for region in range(m):
             rows = np.flatnonzero(flat == region)[:capacity]
